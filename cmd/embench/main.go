@@ -37,9 +37,6 @@ func main() {
 	eng := cliflags.NewEngine()
 	eng.Register(flag.CommandLine)
 	flag.Parse()
-	// The bench harness builds its matchers internally; engine flags
-	// ride on the package defaults.
-	eng.ApplyPackageDefaults()
 	if err := run(*exp, *dataset, *scale, *rules, *draws, *trials, *maxK, eng.Parallel, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "embench:", err)
 		os.Exit(1)

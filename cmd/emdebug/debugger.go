@@ -32,7 +32,7 @@ type debugger struct {
 	last    time.Duration // duration of the most recent state-changing op
 	undo    [][]byte      // session snapshots, most recent last
 	// saveOpts configures how the save command writes snapshots
-	// (-fsync, -snapshot-v1 on the command line).
+	// (-fsync on the command line).
 	saveOpts []persist.SaveOption
 }
 

@@ -33,9 +33,6 @@ func main() {
 	snap := cliflags.NewSnapshot()
 	snap.Register(flag.CommandLine)
 	flag.Parse()
-	// The debugger's loaders construct sessions internally, so the
-	// engine selection rides on the package defaults.
-	eng.ApplyPackageDefaults()
 	d := newDebugger(os.Stdout)
 	d.workers = core.NormalizeWorkers(eng.Parallel)
 	d.saveOpts = snap.Options()

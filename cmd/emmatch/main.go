@@ -67,9 +67,8 @@ func run(o options, diag io.Writer) error {
 		return err
 	}
 	cfg := o.eng.Config()
-	// Profile representation is set before ordering so estimation
-	// samples run on the same profiles matching will.
-	c.SetDictProfiles(cfg.DictProfiles)
+	// The profile cache is set before ordering so estimation samples
+	// run on the same profiles matching will.
 	c.SetProfileCache(cfg.ProfileCache)
 	orderTime, err := o.ord.Apply(c, in.Pairs)
 	if err != nil {

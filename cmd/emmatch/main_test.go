@@ -85,20 +85,18 @@ func TestRunOrderingsAndParallelAgree(t *testing.T) {
 	dir := writeInputs(t)
 	var outputs []string
 	for _, tc := range []struct {
-		order      string
-		parallel   int
-		valueCache bool
+		order    string
+		parallel int
 	}{
-		{"none", 1, false},
-		{"random", 1, false},
-		{"theorem1", 1, false},
-		{"alg5", 1, false},
-		{"alg6", 2, true},
+		{"none", 1},
+		{"random", 1},
+		{"theorem1", 1},
+		{"alg5", 1},
+		{"alg6", 2},
 	} {
 		o := baseOptions(dir)
 		o.ord.Order = tc.order
 		o.eng.Parallel = tc.parallel
-		o.eng.ValueCache = tc.valueCache
 		o.out = filepath.Join(dir, "out_"+tc.order+".csv")
 		var diag strings.Builder
 		if err := run(o, &diag); err != nil {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	emserve -addr localhost:8080
-//	emserve -addr :9000 -parallel 0 -batch=false
+//	emserve -addr :9000 -parallel 0 -profiles=false
 //	emserve -datadir /var/lib/emserve -fsync always
 //	emserve -datadir /var/lib/emserve -mem-budget 256MB -max-sessions 100
 //	emserve -listen unix:/run/emserve.sock

@@ -39,12 +39,6 @@ func AblationDurability(task *Task) (*Table, error) {
 		return nil, err
 	}
 	out.AddRow("save v2 (encode)", ms(d), fmt.Sprint(v2.Len()))
-	var v1 bytes.Buffer
-	d = timeIt(func() { err = persist.Save(&v1, sess, persist.V1()) })
-	if err != nil {
-		return nil, err
-	}
-	out.AddRow("save v1 (encode)", ms(d), fmt.Sprint(v1.Len()))
 
 	dir, err := os.MkdirTemp("", "emdur")
 	if err != nil {
@@ -105,7 +99,6 @@ func AblationDurability(task *Task) (*Table, error) {
 	}
 	out.AddRow(fmt.Sprintf("recover (snapshot + %d-record replay)", rec.Replayed), ms(d), "")
 	out.Notes = append(out.Notes,
-		"recovery restores the memo and bitmaps; the cold run recomputes every feature",
-		fmt.Sprintf("v2 adds a 16-byte CRC-32C frame over the %d-byte v1 payload", v1.Len()))
+		"recovery restores the memo and bitmaps; the cold run recomputes every feature")
 	return out, nil
 }

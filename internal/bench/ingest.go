@@ -15,40 +15,26 @@ import (
 )
 
 // The ingest experiment measures the zero-copy ingest pipeline end to
-// end — CSV parse, tokenize-and-intern, profile bind — against the
-// encoding/csv + per-record string-token baseline on one synthetic
-// dataset. Both variants run the exact same work (read both tables,
-// compile the same matching function, build every profile cache); the
-// differential tests in internal/core prove their MatchState output is
-// bit-identical, so the comparison is purely about cost.
-
-// IngestVariant is one measured pipeline configuration.
-type IngestVariant struct {
-	// Variant is "baseline" (encoding/csv + string tokens) or
-	// "zero_copy" (byte-scan reader + ID streams + arena profiles).
-	Variant string `json:"variant"`
-	// Seconds is the best-of-N wall time of one full ingest.
-	Seconds float64 `json:"seconds"`
-	// RowsPerSec is Rows/Seconds for the dataset's total rows.
-	RowsPerSec float64 `json:"rows_per_sec"`
-	// AllocsPerRow is the mean heap allocations per table row.
-	AllocsPerRow float64 `json:"allocs_per_row"`
-	// BytesPerRow is the mean heap bytes allocated per table row.
-	BytesPerRow float64 `json:"bytes_per_row"`
-}
+// end — byte-scan CSV parse, tokenize-and-intern into ID streams,
+// arena-backed profile bind — on one synthetic dataset. The
+// differential tests in internal/core prove its MatchState output is
+// bit-identical to encoding/csv tables scored without profiles, so the
+// numbers here are purely about cost.
 
 // IngestResult is the machine-readable outcome of the experiment.
 type IngestResult struct {
 	Dataset string  `json:"dataset"`
 	Scale   float64 `json:"scale"`
 	// Rows is the total record count ingested per run (both tables).
-	Rows     int           `json:"rows"`
-	Baseline IngestVariant `json:"baseline"`
-	ZeroCopy IngestVariant `json:"zero_copy"`
-	// Speedup is baseline seconds / zero-copy seconds.
-	Speedup float64 `json:"speedup"`
-	// AllocRatio is baseline allocs/row / zero-copy allocs/row.
-	AllocRatio float64 `json:"alloc_ratio"`
+	Rows int `json:"rows"`
+	// Seconds is the best-of-N wall time of one full ingest.
+	Seconds float64 `json:"seconds"`
+	// RowsPerSec is Rows/Seconds.
+	RowsPerSec float64 `json:"rows_per_sec"`
+	// AllocsPerRow is the mean heap allocations per table row.
+	AllocsPerRow float64 `json:"allocs_per_row"`
+	// BytesPerRow is the mean heap bytes allocated per table row.
+	BytesPerRow float64 `json:"bytes_per_row"`
 }
 
 // IngestResultJSON renders the result as indented JSON.
@@ -64,19 +50,18 @@ rule r1: jaccard(title, title) >= 0.4 and tf_idf(title, title) >= 0.3
 rule r2: trigram(modelno, modelno) >= 0.5 and soundex(brand, brand) >= 0.5
 `
 
-// ingestIters is how many timed runs each variant gets; the fastest
+// ingestIters is how many timed runs the pipeline gets; the fastest
 // counts for throughput, the mean for allocations.
 const ingestIters = 3
 
 // runIngest executes one full ingest: parse both CSV blobs, compile the
 // matching function and build every profile cache.
-func runIngest(csvA, csvB []byte, f rule.Function,
-	read func(*bytes.Reader, string) (*table.Table, error)) error {
-	a, err := read(bytes.NewReader(csvA), "A")
+func runIngest(csvA, csvB []byte, f rule.Function) error {
+	a, err := table.ReadCSV(bytes.NewReader(csvA), "A")
 	if err != nil {
 		return err
 	}
-	b, err := read(bytes.NewReader(csvB), "B")
+	b, err := table.ReadCSV(bytes.NewReader(csvB), "B")
 	if err != nil {
 		return err
 	}
@@ -88,45 +73,10 @@ func runIngest(csvA, csvB []byte, f rule.Function,
 	return nil
 }
 
-// measureIngest times and meters one variant. Allocation counters come
-// from runtime.MemStats deltas around the timed runs, so the harness
-// itself must not allocate inside the window.
-func measureIngest(variant string, rows int, csvA, csvB []byte, f rule.Function, stream bool,
-	read func(*bytes.Reader, string) (*table.Table, error)) (IngestVariant, error) {
-	defer core.SetStreamProfiles(core.StreamProfilesEnabled())
-	core.SetStreamProfiles(stream)
-
-	// Warm-up run outside the metered window.
-	if err := runIngest(csvA, csvB, f, read); err != nil {
-		return IngestVariant{}, err
-	}
-	var best time.Duration
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < ingestIters; i++ {
-		start := time.Now()
-		if err := runIngest(csvA, csvB, f, read); err != nil {
-			return IngestVariant{}, err
-		}
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
-		}
-	}
-	runtime.ReadMemStats(&m1)
-	allocs := float64(m1.Mallocs-m0.Mallocs) / ingestIters
-	bytesAlloc := float64(m1.TotalAlloc-m0.TotalAlloc) / ingestIters
-	sec := best.Seconds()
-	return IngestVariant{
-		Variant:      variant,
-		Seconds:      sec,
-		RowsPerSec:   float64(rows) / sec,
-		AllocsPerRow: allocs / float64(rows),
-		BytesPerRow:  bytesAlloc / float64(rows),
-	}, nil
-}
-
-// Ingest runs the old-vs-new ingest comparison on one dataset domain.
+// Ingest times and meters the ingest pipeline on one dataset domain.
+// Allocation counters come from runtime.MemStats deltas around the
+// timed runs, so the harness itself must not allocate inside the
+// window.
 func Ingest(dom *datagen.Domain, scale float64) (*Table, *IngestResult, error) {
 	ds, err := datagen.Generate(datagen.StandardConfig(dom, scale))
 	if err != nil {
@@ -143,49 +93,45 @@ func Ingest(dom *datagen.Domain, scale float64) (*Table, *IngestResult, error) {
 	if err := ds.B.WriteCSV(&bufB); err != nil {
 		return nil, nil, err
 	}
+	csvA, csvB := bufA.Bytes(), bufB.Bytes()
 	rows := ds.A.Len() + ds.B.Len()
 
-	readStd := func(r *bytes.Reader, name string) (*table.Table, error) {
-		return table.ReadCSVStd(r, name)
-	}
-	readFast := func(r *bytes.Reader, name string) (*table.Table, error) {
-		return table.ReadCSV(r, name)
-	}
-	base, err := measureIngest("baseline", rows, bufA.Bytes(), bufB.Bytes(), f, false, readStd)
-	if err != nil {
+	// Warm-up run outside the metered window.
+	if err := runIngest(csvA, csvB, f); err != nil {
 		return nil, nil, err
 	}
-	zc, err := measureIngest("zero_copy", rows, bufA.Bytes(), bufB.Bytes(), f, true, readFast)
-	if err != nil {
-		return nil, nil, err
+	var best time.Duration
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < ingestIters; i++ {
+		start := time.Now()
+		if err := runIngest(csvA, csvB, f); err != nil {
+			return nil, nil, err
+		}
+		if d := time.Since(start); best == 0 || d < best {
+			best = d
+		}
 	}
+	runtime.ReadMemStats(&m1)
 	res := &IngestResult{
-		Dataset:  dom.Name(),
-		Scale:    scale,
-		Rows:     rows,
-		Baseline: base,
-		ZeroCopy: zc,
-		Speedup:  base.Seconds / zc.Seconds,
-	}
-	if zc.AllocsPerRow > 0 {
-		res.AllocRatio = base.AllocsPerRow / zc.AllocsPerRow
+		Dataset:      dom.Name(),
+		Scale:        scale,
+		Rows:         rows,
+		Seconds:      best.Seconds(),
+		RowsPerSec:   float64(rows) / best.Seconds(),
+		AllocsPerRow: float64(m1.Mallocs-m0.Mallocs) / ingestIters / float64(rows),
+		BytesPerRow:  float64(m1.TotalAlloc-m0.TotalAlloc) / ingestIters / float64(rows),
 	}
 
 	tbl := &Table{
 		Title:  fmt.Sprintf("Ingest pipeline: CSV parse + tokenize + profile bind, %s at scale %g (%d rows)", dom.Name(), scale, rows),
-		Header: []string{"variant", "time (ms)", "rows/sec", "allocs/row", "bytes/row"},
-		Notes: []string{
-			"baseline: encoding/csv reader + per-record string tokenization",
-			"zero-copy: byte-scan reader + intern-at-parse ID streams + arena-backed profiles",
-			fmt.Sprintf("speedup %.2fx rows/sec, %.1fx fewer allocs/row", res.Speedup, res.AllocRatio),
-		},
+		Header: []string{"time (ms)", "rows/sec", "allocs/row", "bytes/row"},
+		Notes:  []string{"byte-scan reader + intern-at-parse ID streams + arena-backed profiles"},
 	}
-	for _, v := range []IngestVariant{base, zc} {
-		tbl.AddRow(v.Variant,
-			ms(time.Duration(v.Seconds*float64(time.Second))),
-			fmt.Sprintf("%.0f", v.RowsPerSec),
-			fmt.Sprintf("%.1f", v.AllocsPerRow),
-			fmt.Sprintf("%.0f", v.BytesPerRow))
-	}
+	tbl.AddRow(ms(best),
+		fmt.Sprintf("%.0f", res.RowsPerSec),
+		fmt.Sprintf("%.1f", res.AllocsPerRow),
+		fmt.Sprintf("%.0f", res.BytesPerRow))
 	return tbl, res, nil
 }

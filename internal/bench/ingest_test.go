@@ -6,34 +6,23 @@ import (
 	"rulematch/internal/datagen"
 )
 
-// zeroCopyAllocCeiling is the checked-in allocation budget for the
-// zero-copy ingest path: heap allocations per table row for parse +
-// tokenize + profile bind. The measured value is ~8-12 allocs/row
-// (committed in results/BENCH_ingest.json); the ceiling leaves ~2x
-// headroom so the gate trips on a structural regression (a per-token or
-// per-field allocation creeping back in, which costs tens per row), not
-// on noise.
-const zeroCopyAllocCeiling = 24.0
+// ingestAllocCeiling is the checked-in allocation budget for the
+// ingest pipeline: heap allocations per table row for parse + tokenize
+// + profile bind. The measured value is ~8-12 allocs/row (committed in
+// results/BENCH_ingest.json); the ceiling leaves ~2x headroom so the
+// gate trips on a structural regression (a per-token or per-field
+// allocation creeping back in, which costs tens per row), not on noise.
+const ingestAllocCeiling = 24.0
 
 // TestIngestAllocGate is the allocation-regression gate run in CI: the
-// zero-copy pipeline must stay under the checked-in allocs/row ceiling
-// and must beat the encoding/csv + string-token baseline by a wide
-// margin.
+// ingest pipeline must stay under the checked-in allocs/row ceiling.
 func TestIngestAllocGate(t *testing.T) {
 	_, res, err := Ingest(datagen.Products(), 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ZeroCopy.AllocsPerRow > zeroCopyAllocCeiling {
-		t.Errorf("zero-copy ingest allocates %.1f/row, ceiling %.1f — a per-row or per-token allocation has crept back in",
-			res.ZeroCopy.AllocsPerRow, zeroCopyAllocCeiling)
-	}
-	if res.AllocRatio < 3 {
-		t.Errorf("zero-copy ingest only %.1fx fewer allocs/row than the baseline (want >= 3x)", res.AllocRatio)
-	}
-	// Throughput is environment-sensitive; assert only that the fast
-	// path is not slower than the baseline.
-	if res.Speedup < 1 {
-		t.Errorf("zero-copy ingest is slower than the baseline (%.2fx)", res.Speedup)
+	if res.AllocsPerRow > ingestAllocCeiling {
+		t.Errorf("ingest allocates %.1f/row, ceiling %.1f — a per-row or per-token allocation has crept back in",
+			res.AllocsPerRow, ingestAllocCeiling)
 	}
 }

@@ -25,69 +25,39 @@ import (
 
 // Engine holds the shared engine flags. Construct with NewEngine (the
 // zero value has the wrong defaults), call Register — and
-// RegisterCaches for tools that expose the cache knobs — then Config
-// after flag parsing.
+// RegisterCaches for tools that expose the profile cache knob — then
+// Config after flag parsing.
 type Engine struct {
-	Parallel     int
-	Batch        bool
-	DictProfiles bool
-	ValueCache   bool
-	Profiles     bool
-	BlockSize    int
+	Parallel int
+	Profiles bool
 }
 
-// NewEngine returns the shared defaults: serial, batch engine,
-// dictionary-encoded profiles, profile cache on, value cache off.
+// NewEngine returns the shared defaults: serial, profile cache on.
 func NewEngine() *Engine {
-	return &Engine{Parallel: 1, Batch: true, DictProfiles: true, Profiles: true}
+	return &Engine{Parallel: 1, Profiles: true}
 }
 
-// Register binds the core engine trio every tool exposes: -parallel,
-// -batch, -dictprofiles.
+// Register binds -parallel, the engine flag every tool exposes.
 func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.IntVar(&e.Parallel, "parallel", e.Parallel, "shard workers for full runs and sweeps (0 = GOMAXPROCS)")
-	fs.BoolVar(&e.Batch, "batch", e.Batch, "use the columnar batch execution engine (false = scalar pair-at-a-time)")
-	fs.BoolVar(&e.DictProfiles, "dictprofiles", e.DictProfiles, "cache dictionary-encoded similarity profiles (false = map profiles)")
 }
 
-// RegisterCaches binds the cache-level knobs (-valuecache, -profiles,
-// -blocksize) for the tools that expose them (emmatch, emserve).
+// RegisterCaches binds -profiles for the tools that expose it (emmatch,
+// emserve).
 func (e *Engine) RegisterCaches(fs *flag.FlagSet) {
-	fs.BoolVar(&e.ValueCache, "valuecache", e.ValueCache, "enable the attribute-value-level cache")
 	fs.BoolVar(&e.Profiles, "profiles", e.Profiles, "precompute per-record token profiles for set-based similarities")
-	fs.IntVar(&e.BlockSize, "blocksize", e.BlockSize, "batch engine pairs-per-block (0 = default)")
 }
 
 // Config materializes the flags as a core.Config — the single value
-// handed to core.NewMatcher / incremental.NewSessionConfig / the debug
-// server. Check-cache-first is always on: it is the paper's
-// recommended configuration and what every CLI historically used.
+// handed to Config.NewMatcher / incremental.NewSessionConfig / the
+// debug server. The engine is the batch engine and check-cache-first
+// is always on: the paper's recommended configuration.
 func (e *Engine) Config() core.Config {
 	cfg := core.DefaultConfig()
-	if e.Batch {
-		cfg.Engine = core.EngineBatch
-	} else {
-		cfg.Engine = core.EngineScalar
-	}
-	cfg.BlockSize = e.BlockSize
 	cfg.Workers = e.Parallel
 	cfg.CheckCacheFirst = true
-	cfg.ValueCache = e.ValueCache
-	cfg.DictProfiles = e.DictProfiles
 	cfg.ProfileCache = e.Profiles
 	return cfg
-}
-
-// ApplyPackageDefaults pushes the engine selection onto the core
-// package defaults, for tools (embench, emdebug) whose libraries
-// construct matchers internally rather than through a threaded Config.
-func (e *Engine) ApplyPackageDefaults() {
-	if e.Batch {
-		core.SetDefaultEngine(core.EngineBatch)
-	} else {
-		core.SetDefaultEngine(core.EngineScalar)
-	}
-	core.SetDefaultDictProfiles(e.DictProfiles)
 }
 
 // Limits holds the session-store lifecycle flags emserve (and the
@@ -248,32 +218,26 @@ func (d *Data) Load() (*Inputs, error) {
 }
 
 // Snapshot holds the shared snapshot-writing flags for tools that
-// save sessions (emmatch -save, emdebug save). The defaults are the
-// safe ones: fsynced, checksummed v2 format.
+// save sessions (emmatch -save, emdebug save). The default is the safe
+// one: fsynced.
 type Snapshot struct {
 	Fsync bool
-	V1    bool
 }
 
 // NewSnapshot returns the shared defaults.
 func NewSnapshot() *Snapshot { return &Snapshot{Fsync: true} }
 
-// Register binds -fsync and -snapshot-v1.
+// Register binds -fsync.
 func (s *Snapshot) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&s.Fsync, "fsync", s.Fsync, "fsync saved snapshots (writes stay atomic either way)")
-	fs.BoolVar(&s.V1, "snapshot-v1", s.V1, "write legacy v1 snapshots (no checksum framing)")
 }
 
 // Options translates the flags into persist save options.
 func (s *Snapshot) Options() []persist.SaveOption {
-	var opts []persist.SaveOption
 	if !s.Fsync {
-		opts = append(opts, persist.NoFsync())
+		return []persist.SaveOption{persist.NoFsync()}
 	}
-	if s.V1 {
-		opts = append(opts, persist.V1())
-	}
-	return opts
+	return nil
 }
 
 // Ordering holds the shared rule-ordering flags.

@@ -43,7 +43,7 @@ func TestEngineFlagRoundTrip(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.Parallel != 1 || !e.Batch || !e.DictProfiles || !e.Profiles || e.ValueCache || e.BlockSize != 0 {
+	if e.Parallel != 1 || !e.Profiles {
 		t.Fatalf("defaults wrong: %+v", e)
 	}
 
@@ -51,22 +51,25 @@ func TestEngineFlagRoundTrip(t *testing.T) {
 	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
 	e2.Register(fs2)
 	e2.RegisterCaches(fs2)
-	args := []string{"-parallel", "0", "-batch=false", "-dictprofiles=false",
-		"-valuecache", "-profiles=false", "-blocksize", "256"}
-	if err := fs2.Parse(args); err != nil {
+	if err := fs2.Parse([]string{"-parallel", "0", "-profiles=false"}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := e2.Config()
-	if cfg.Engine != core.EngineScalar || cfg.Workers != 0 || cfg.BlockSize != 256 ||
-		!cfg.ValueCache || cfg.DictProfiles || cfg.ProfileCache || !cfg.CheckCacheFirst {
+	if cfg.Engine != core.EngineBatch || cfg.Workers != 0 || cfg.ProfileCache || !cfg.CheckCacheFirst {
 		t.Fatalf("config mapping wrong: %+v", cfg)
+	}
+	// Engine knobs that cannot change a result are not flags.
+	for _, name := range []string{"batch", "dictprofiles", "valuecache", "blocksize"} {
+		if fs2.Lookup(name) != nil {
+			t.Errorf("-%s is registered", name)
+		}
 	}
 }
 
 func TestEngineConfigDefaults(t *testing.T) {
 	cfg := NewEngine().Config()
 	if cfg.Engine != core.EngineBatch || cfg.Workers != 1 || !cfg.Memo ||
-		!cfg.CheckCacheFirst || !cfg.DictProfiles || !cfg.ProfileCache {
+		!cfg.CheckCacheFirst || !cfg.ProfileCache {
 		t.Fatalf("default config wrong: %+v", cfg)
 	}
 }
@@ -177,14 +180,17 @@ func TestSnapshotFlags(t *testing.T) {
 	s := NewSnapshot()
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	s.Register(fs)
-	if err := fs.Parse([]string{"-fsync=false", "-snapshot-v1"}); err != nil {
+	if err := fs.Parse([]string{"-fsync=false"}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Fsync || !s.V1 {
+	if s.Fsync {
 		t.Fatalf("parsed %+v", s)
 	}
-	if got := len(s.Options()); got != 2 {
-		t.Fatalf("%d save options, want 2", got)
+	if got := len(s.Options()); got != 1 {
+		t.Fatalf("%d save options, want 1", got)
+	}
+	if fs.Lookup("snapshot-v1") != nil {
+		t.Error("-snapshot-v1 is registered")
 	}
 	if got := len(NewSnapshot().Options()); got != 0 {
 		t.Fatalf("defaults produced %d options, want 0", got)

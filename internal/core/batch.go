@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"rulematch/internal/bitmap"
-)
+import "rulematch/internal/bitmap"
 
 // Engine selects the whole-run execution strategy of a Matcher.
 //
@@ -22,15 +18,13 @@ import (
 //
 // The scalar engine is the pair-at-a-time reference implementation
 // (Algorithms 3/4 as written) and the per-pair replay the cost model is
-// calibrated against; it also honors per-pair check-cache-first.
+// calibrated against; it also honors per-pair check-cache-first. It is
+// kept as the differential oracle and for the batch-vs-scalar ablation.
 type Engine int
 
 const (
-	// EngineAuto resolves to the package default (normally EngineBatch;
-	// CLIs flip it with SetDefaultEngine for their -batch toggles).
-	EngineAuto Engine = iota
-	// EngineBatch is the columnar block engine.
-	EngineBatch
+	// EngineBatch is the columnar block engine, and the zero Engine.
+	EngineBatch Engine = iota
 	// EngineScalar is the pair-at-a-time reference path.
 	EngineScalar
 )
@@ -41,34 +35,6 @@ const (
 // amortizing the per-rule bookkeeping over many pairs.
 const DefaultBlockSize = 1024
 
-// defaultEngine is what EngineAuto resolves to; atomic so CLI toggles
-// and racing shard workers never trip the race detector.
-var defaultEngine atomic.Int32
-
-func init() { defaultEngine.Store(int32(EngineBatch)) }
-
-// SetDefaultEngine changes what EngineAuto resolves to. CLIs call it
-// once at startup for their -batch flags; library code should prefer
-// setting Matcher.Engine explicitly.
-func SetDefaultEngine(e Engine) {
-	if e == EngineAuto {
-		e = EngineBatch
-	}
-	defaultEngine.Store(int32(e))
-}
-
-// DefaultEngine returns what EngineAuto currently resolves to.
-func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
-
-// resolvedEngine maps the matcher's configured engine through the
-// package default.
-func (m *Matcher) resolvedEngine() Engine {
-	if m.Engine == EngineAuto {
-		return DefaultEngine()
-	}
-	return m.Engine
-}
-
 // MatchState is the canonical materializing run: it evaluates the
 // function over all pairs with early exit and dynamic memoing and
 // returns the full incremental state, executed by the configured
@@ -77,7 +43,7 @@ func (m *Matcher) resolvedEngine() Engine {
 // scalar engine honors CheckCacheFirst, so its recorded exit points
 // depend on memo history — see the parity caveat on BatchEvaluator.
 func (m *Matcher) MatchState() *MatchState {
-	if m.resolvedEngine() == EngineScalar {
+	if m.Engine == EngineScalar {
 		return m.Match()
 	}
 	return m.Batch().MatchState()
@@ -93,7 +59,7 @@ func (m *Matcher) MatchStateRange(st *MatchState, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	if m.resolvedEngine() == EngineScalar {
+	if m.Engine == EngineScalar {
 		for pi := lo; pi < hi; pi++ {
 			m.EvalPair(pi, st)
 		}
@@ -115,7 +81,7 @@ func (m *Matcher) MatchStateRange(st *MatchState, lo, hi int) {
 // check-cache-first when configured: the scalar engine per pair, the
 // batch engine per block.
 func (m *Matcher) MatchBits() *bitmap.Bits {
-	if m.resolvedEngine() == EngineScalar {
+	if m.Engine == EngineScalar {
 		bits := bitmap.New(len(m.Pairs))
 		for pi := range m.Pairs {
 			if m.EvalPair(pi, nil) {

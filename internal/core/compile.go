@@ -54,11 +54,10 @@ type Compiled struct {
 	featIdx map[string]int
 	corpora map[string]*sim.Corpus // keyed by attrA + "\x00" + attrB
 
-	profilesOn   bool
-	profiles     []*featureProfiles // parallel to Features when enabled
-	dictProfiles bool               // encode profiles against shared dictionaries
-	dicts        map[string]*sim.Dict
-	sharedSides  map[string]*[2][]any // encoded profile sets keyed by kind|colA|colB
+	profilesOn  bool
+	profiles    []*featureProfiles // parallel to Features when enabled
+	dicts       map[string]*sim.Dict
+	sharedSides map[string]*[2][]any // encoded profile sets keyed by kind|colA|colB
 	// streams caches the sealed token stream per dictionary key so a
 	// feature bound later over the same token space encodes its profile
 	// kind without re-tokenizing. Invalidated whenever the tables grow
@@ -74,15 +73,14 @@ func Compile(f rule.Function, lib *sim.Library, a, b *table.Table) (*Compiled, e
 		return nil, err
 	}
 	c := &Compiled{
-		A:            a,
-		B:            b,
-		Lib:          lib,
-		featIdx:      make(map[string]int),
-		corpora:      make(map[string]*sim.Corpus),
-		dictProfiles: DefaultDictProfiles(),
-		dicts:        make(map[string]*sim.Dict),
-		sharedSides:  make(map[string]*[2][]any),
-		streams:      make(map[string]*sim.TokenStream),
+		A:           a,
+		B:           b,
+		Lib:         lib,
+		featIdx:     make(map[string]int),
+		corpora:     make(map[string]*sim.Corpus),
+		dicts:       make(map[string]*sim.Dict),
+		sharedSides: make(map[string]*[2][]any),
+		streams:     make(map[string]*sim.TokenStream),
 	}
 	for _, r := range f.Rules {
 		if err := c.AddRule(r); err != nil {

@@ -6,21 +6,17 @@ import (
 	"rulematch/internal/table"
 )
 
-// Config gathers every engine knob in one place: execution engine,
-// memoization levels, profile representation and shard workers. It
-// replaces the scattered per-field toggles (Matcher.ValueCache,
-// Compiled.SetDictProfiles, ad-hoc worker counts, ...) with a single
-// value that NewMatcher, incremental.NewSession and the CLIs/server all
-// accept, usually built through the With* functional options.
+// Config is the one way to configure the engine: execution engine,
+// memoization levels, profile cache and shard workers. NewMatcher,
+// incremental.NewSessionConfig, Session.Reconfigure and the CLIs and
+// server all take it.
 //
 // The zero value is NOT the default configuration — use DefaultConfig
-// (engine auto, dynamic memoing on, serial) or ConfigFor (which also
-// mirrors a compiled function's current profile settings).
+// (batch engine, dynamic memoing on, serial) or ConfigFor (which also
+// mirrors a compiled function's current profile cache setting).
 type Config struct {
 	// Engine selects the whole-run execution strategy (see Engine).
 	Engine Engine
-	// BlockSize is the batch engine's pairs-per-block (0 = default).
-	BlockSize int
 	// Workers is the shard worker count for the parallel paths. The
 	// normalization contract is NormalizeWorkers: <= 0 means
 	// GOMAXPROCS, 1 is serial.
@@ -30,99 +26,38 @@ type Config struct {
 	Memo bool
 	// CheckCacheFirst enables the §5.4.3 runtime predicate reordering.
 	CheckCacheFirst bool
-	// ValueCache enables the attribute-value-level cache.
-	ValueCache bool
-	// DictProfiles caches dictionary-encoded (integer token ID)
-	// profiles instead of map profiles. Scores are identical either
-	// way.
-	DictProfiles bool
 	// ProfileCache precomputes per-record profiles for profile-capable
 	// similarities.
 	ProfileCache bool
 }
 
-// DefaultConfig is the configuration NewMatcher historically used:
-// engine auto (normally batch), dynamic memoing on, everything else
-// off, serial.
+// DefaultConfig is the configuration NewMatcher uses: batch engine,
+// dynamic memoing on, everything else off, serial.
 func DefaultConfig() Config {
-	return Config{
-		Engine:       EngineAuto,
-		Workers:      1,
-		Memo:         true,
-		DictProfiles: DefaultDictProfiles(),
-	}
+	return Config{Workers: 1, Memo: true}
 }
 
-// ConfigFor seeds a config from a compiled function's current
-// compiled-level settings (profile cache, dictionary encoding), so
-// applying it back through Config.NewMatcher is a no-op unless an
-// option changes something. This is what keeps the old per-setter
-// style (c.EnableProfileCache() then NewMatcher(c, pairs)) working
-// unchanged.
+// ConfigFor seeds a config from a compiled function's current profile
+// cache setting, so applying it back through Config.NewMatcher leaves
+// the compiled function as it is. This is what keeps the setter style
+// (c.EnableProfileCache() then NewMatcher(c, pairs)) working.
 func ConfigFor(c *Compiled) Config {
 	cfg := DefaultConfig()
-	cfg.DictProfiles = c.DictProfilesEnabled()
 	cfg.ProfileCache = c.ProfileCacheEnabled()
 	return cfg
 }
 
-// Option mutates a Config; pass options to NewMatcher or
-// incremental.NewSession.
-type Option func(*Config)
-
-// WithEngine selects the execution engine.
-func WithEngine(e Engine) Option { return func(c *Config) { c.Engine = e } }
-
-// WithBatch selects the batch engine (true) or the scalar reference
-// engine (false) — the Config form of the CLIs' -batch flag.
-func WithBatch(on bool) Option {
-	return func(c *Config) {
-		if on {
-			c.Engine = EngineBatch
-		} else {
-			c.Engine = EngineScalar
-		}
-	}
-}
-
-// WithBlockSize sets the batch engine's pairs-per-block (0 = default).
-func WithBlockSize(n int) Option { return func(c *Config) { c.BlockSize = n } }
-
-// WithWorkers sets the shard worker count for parallel runs and sweeps
-// (NormalizeWorkers semantics: 0 = GOMAXPROCS, 1 = serial).
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithMemo enables or disables pair-level dynamic memoing.
-func WithMemo(on bool) Option { return func(c *Config) { c.Memo = on } }
-
-// WithCheckCacheFirst toggles the §5.4.3 runtime predicate reordering.
-func WithCheckCacheFirst(on bool) Option { return func(c *Config) { c.CheckCacheFirst = on } }
-
-// WithValueCache toggles the attribute-value-level cache.
-func WithValueCache(on bool) Option { return func(c *Config) { c.ValueCache = on } }
-
-// WithDictProfiles selects dictionary-encoded (true) or map (false)
-// profile caching.
-func WithDictProfiles(on bool) Option { return func(c *Config) { c.DictProfiles = on } }
-
-// WithProfileCache toggles eager per-record profile caching.
-func WithProfileCache(on bool) Option { return func(c *Config) { c.ProfileCache = on } }
-
 // NewMatcher builds a matcher for the compiled function and pairs
-// according to the config: compiled-level settings (profile cache
-// representation) are pushed onto c first, then the matcher fields are
-// set. Both Compiled setters are no-ops when the config matches the
-// current state.
+// according to the config: the profile cache setting is pushed onto c
+// first (a no-op when it already matches), then the matcher fields are
+// set.
 func (cfg Config) NewMatcher(c *Compiled, pairs []table.Pair) *Matcher {
-	c.SetDictProfiles(cfg.DictProfiles)
 	c.SetProfileCache(cfg.ProfileCache)
 	m := &Matcher{
 		C:               c,
 		Pairs:           pairs,
 		CheckCacheFirst: cfg.CheckCacheFirst,
-		ValueCache:      cfg.ValueCache,
 		Engine:          cfg.Engine,
-		BlockSize:       cfg.BlockSize,
 		Workers:         cfg.Workers,
 	}
 	if cfg.Memo {

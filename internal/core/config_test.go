@@ -69,81 +69,80 @@ func TestNormalizeWorkers(t *testing.T) {
 	}
 }
 
-// NewMatcher with no options must behave exactly as the historical
-// default and must not disturb compiled-level settings.
+// NewMatcher must behave exactly as the historical default and must
+// not disturb the compiled function's profile cache.
 func TestNewMatcherDefaultsPreserved(t *testing.T) {
 	c, pairs := configFixture(t)
 	c.EnableProfileCache()
-	c.SetDictProfiles(false)
 	m := NewMatcher(c, pairs)
 	if m.Memo == nil {
 		t.Fatal("default matcher must memoize")
 	}
-	if m.CheckCacheFirst || m.ValueCache {
-		t.Fatal("default matcher must not enable cache-first or value cache")
+	if m.CheckCacheFirst || m.ValueCache || m.Engine != EngineBatch {
+		t.Fatal("default matcher must run the batch engine without cache-first or value cache")
 	}
 	if !c.ProfileCacheEnabled() {
-		t.Fatal("NewMatcher without options cleared the profile cache")
-	}
-	if c.DictProfilesEnabled() {
-		t.Fatal("NewMatcher without options re-enabled dict profiles")
+		t.Fatal("NewMatcher cleared the profile cache")
 	}
 }
 
+// Config.NewMatcher carries every Config field onto the matcher and
+// the compiled function.
 func TestNewMatcherOptions(t *testing.T) {
 	c, pairs := configFixture(t)
-	m := NewMatcher(c, pairs,
-		WithBatch(false),
-		WithWorkers(3),
-		WithBlockSize(128),
-		WithValueCache(true),
-		WithCheckCacheFirst(true),
-		WithProfileCache(true),
-		WithDictProfiles(true),
-	)
+	cfg := DefaultConfig()
+	cfg.Engine = EngineScalar
+	cfg.Workers = 3
+	cfg.CheckCacheFirst = true
+	cfg.ProfileCache = true
+	m := cfg.NewMatcher(c, pairs)
 	if m.Engine != EngineScalar {
 		t.Errorf("engine = %v, want scalar", m.Engine)
 	}
-	if m.Workers != 3 || m.BlockSize != 128 || !m.ValueCache || !m.CheckCacheFirst {
+	if m.Workers != 3 || !m.CheckCacheFirst || m.Memo == nil {
 		t.Errorf("matcher fields not applied: %+v", m)
 	}
-	if !c.ProfileCacheEnabled() || !c.DictProfilesEnabled() {
-		t.Error("compiled-level options not applied")
+	if !c.ProfileCacheEnabled() {
+		t.Error("profile cache not applied")
 	}
-	m2 := NewMatcher(c, pairs, WithMemo(false), WithEngine(EngineBatch))
+	cfg = DefaultConfig()
+	cfg.Memo = false
+	m2 := cfg.NewMatcher(c, pairs)
 	if m2.Memo != nil {
-		t.Error("WithMemo(false) still memoizes")
+		t.Error("Memo=false still memoizes")
 	}
 	if m2.Engine != EngineBatch {
 		t.Errorf("engine = %v, want batch", m2.Engine)
 	}
+	if c.ProfileCacheEnabled() {
+		t.Error("ProfileCache=false left the profile cache on")
+	}
 }
 
-// The options API must produce the same matches as the old setter
-// style, for every engine/profile combination.
+// A Config-built matcher must produce the same matches as the setter
+// style, on both engines.
 func TestConfigMatchesSetterStyle(t *testing.T) {
 	c1, pairs := configFixture(t)
 	old := NewMatcher(c1, pairs)
 	old.CheckCacheFirst = true
-	old.ValueCache = true
-	c1.SetDictProfiles(true)
 	c1.EnableProfileCache()
 	want := old.MatchBits()
 
 	c2, _ := configFixture(t)
-	m := NewMatcher(c2, pairs,
-		WithCheckCacheFirst(true), WithValueCache(true),
-		WithDictProfiles(true), WithProfileCache(true))
-	got := m.MatchBits()
+	cfg := DefaultConfig()
+	cfg.CheckCacheFirst = true
+	cfg.ProfileCache = true
+	got := cfg.NewMatcher(c2, pairs).MatchBits()
 	if !got.Equal(want) {
 		t.Fatal("config-built matcher disagrees with setter-built matcher")
 	}
 
-	for _, on := range []bool{true, false} {
+	for _, e := range []Engine{EngineBatch, EngineScalar} {
 		c3, _ := configFixture(t)
-		got := NewMatcher(c3, pairs, WithBatch(on)).MatchBits()
-		if !got.Equal(want) {
-			t.Fatalf("batch=%v disagrees", on)
+		cfg := DefaultConfig()
+		cfg.Engine = e
+		if !cfg.NewMatcher(c3, pairs).MatchBits().Equal(want) {
+			t.Fatalf("engine %v disagrees", e)
 		}
 	}
 }

@@ -42,10 +42,11 @@ func dictFunction(rng *rand.Rand) rule.Function {
 }
 
 // TestProfileModesDifferentialParity is the differential property test
-// of the profile representations: over random rule sets and tables, a
-// profile-less scalar run, map profiles and dictionary-encoded profiles
-// — on both the scalar and the batch engine — must produce byte-equal
-// MatchState and identical memo contents.
+// of the profile cache: over random rule sets and tables, a
+// profile-less scalar run (raw Fn.Sim) and a profiled run — dictionary-
+// encoded sets plus MongeElkan's map profiles — on both the scalar and
+// the batch engine must produce byte-equal MatchState and identical
+// memo contents.
 func TestProfileModesDifferentialParity(t *testing.T) {
 	lib := sim.Standard()
 	for trial := 0; trial < 20; trial++ {
@@ -61,32 +62,26 @@ func TestProfileModesDifferentialParity(t *testing.T) {
 		scalar.Engine = EngineScalar
 		want := scalar.MatchState()
 
-		for _, dict := range []bool{false, true} {
-			c, err := Compile(f, lib, a, b)
-			if err != nil {
-				t.Fatalf("trial %d: recompile failed: %v", trial, err)
+		c, err := Compile(f, lib, a, b)
+		if err != nil {
+			t.Fatalf("trial %d: recompile failed: %v", trial, err)
+		}
+		c.EnableProfileCache()
+		for _, engine := range []Engine{EngineScalar, EngineBatch} {
+			m := NewMatcher(c, pairs)
+			m.Engine = engine
+			got := m.MatchState()
+			if !got.Equal(want) {
+				t.Fatalf("trial %d engine=%v: state diverges from profile-less scalar\n%s",
+					trial, engine, f.String())
 			}
-			c.SetDictProfiles(dict)
-			c.EnableProfileCache()
-			if c.DictProfilesEnabled() != dict {
-				t.Fatalf("trial %d: DictProfilesEnabled() != %v", trial, dict)
-			}
-			for _, engine := range []Engine{EngineScalar, EngineBatch} {
-				m := NewMatcher(c, pairs)
-				m.Engine = engine
-				got := m.MatchState()
-				if !got.Equal(want) {
-					t.Fatalf("trial %d dict=%v engine=%v: state diverges from profile-less scalar\n%s",
-						trial, dict, engine, f.String())
-				}
-				for fi := range ref.Features {
-					for pi := range pairs {
-						sv, sok := scalar.Memo.Get(fi, pi)
-						bv, bok := m.Memo.Get(fi, pi)
-						if sok != bok || sv != bv {
-							t.Fatalf("trial %d dict=%v engine=%v: memo (%d,%d) = %v,%v want %v,%v",
-								trial, dict, engine, fi, pi, bv, bok, sv, sok)
-						}
+			for fi := range ref.Features {
+				for pi := range pairs {
+					sv, sok := scalar.Memo.Get(fi, pi)
+					bv, bok := m.Memo.Get(fi, pi)
+					if sok != bok || sv != bv {
+						t.Fatalf("trial %d engine=%v: memo (%d,%d) = %v,%v want %v,%v",
+							trial, engine, fi, pi, bv, bok, sv, sok)
 					}
 				}
 			}
@@ -97,7 +92,8 @@ func TestProfileModesDifferentialParity(t *testing.T) {
 // TestDictProfileSharing pins the two sharing levels: features with the
 // same profile kind over the same columns alias one profile set, and
 // features drawing from the same token space share one dictionary
-// across kinds.
+// across kinds. A profiler without an ID emitter (MongeElkan) gets map
+// profiles, and every score equals the profile-less raw Fn.Sim.
 func TestDictProfileSharing(t *testing.T) {
 	lib := sim.Standard()
 	a := table.MustNew("A", []string{"name"})
@@ -109,7 +105,7 @@ func TestDictProfileSharing(t *testing.T) {
 
 	var f rule.Function
 	r := rule.Rule{Name: "r1"}
-	for _, s := range []string{"jaccard", "dice", "overlap", "cosine", "tf_idf", "soft_tf_idf", "soundex"} {
+	for _, s := range []string{"jaccard", "dice", "overlap", "cosine", "tf_idf", "soft_tf_idf", "soundex", "monge_elkan"} {
 		r.Preds = append(r.Preds, rule.Predicate{
 			Feature:   rule.Feature{Sim: s, AttrA: "name", AttrB: "name"},
 			Op:        rule.Ge,
@@ -121,9 +117,6 @@ func TestDictProfileSharing(t *testing.T) {
 	c, err := Compile(f, lib, a, b)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !c.DictProfilesEnabled() {
-		t.Fatal("dictionary profiles should default on")
 	}
 	c.EnableProfileCache()
 
@@ -152,6 +145,13 @@ func TestDictProfileSharing(t *testing.T) {
 	if jp.dict == nil || jp.dict != dp.dict {
 		t.Error("jaccard and dice do not share a dictionary")
 	}
+	mi := c.FeatureIndex("monge_elkan(name,name)")
+	if mi < 0 {
+		t.Fatal("monge_elkan feature key not found")
+	}
+	if mp := c.profiles[mi]; mp == nil || mp.dict != nil || mp.shareKey != "" {
+		t.Error("monge_elkan should cache unshared map profiles")
+	}
 
 	if got := c.ProfileBytes(); got <= 0 {
 		t.Errorf("ProfileBytes() = %d, want > 0", got)
@@ -160,47 +160,26 @@ func TestDictProfileSharing(t *testing.T) {
 		t.Error("ProfileEntries() = 0 with cache enabled")
 	}
 
-	// Toggling the representation rebuilds and keeps scores identical.
+	// Cached scores must equal the profile-less run, and dropping the
+	// cache drops every dictionary.
 	pairs := []table.Pair{{A: 0, B: 0}, {A: 0, B: 1}, {A: 1, B: 0}, {A: 1, B: 1}}
-	var encScores []float64
+	var cached []float64
 	for fi := range c.Features {
 		for _, p := range pairs {
-			encScores = append(encScores, c.ComputeFeature(fi, p))
+			cached = append(cached, c.ComputeFeature(fi, p))
 		}
 	}
-	c.SetDictProfiles(false)
-	if len(c.dicts) != 0 {
-		t.Error("SetDictProfiles(false) left dictionaries behind")
+	c.SetProfileCache(false)
+	if len(c.dicts) != 0 || len(c.sharedSides) != 0 {
+		t.Error("SetProfileCache(false) left dictionaries behind")
 	}
 	k := 0
 	for fi := range c.Features {
 		for _, p := range pairs {
-			if got := c.ComputeFeature(fi, p); got != encScores[k] {
-				t.Fatalf("feature %d pair %v: map %v != encoded %v", fi, p, got, encScores[k])
+			if raw := c.ComputeFeature(fi, p); raw != cached[k] {
+				t.Fatalf("feature %d pair %v: raw %v != cached %v", fi, p, raw, cached[k])
 			}
 			k++
 		}
 	}
-	if got := c.ProfileBytes(); got <= 0 {
-		t.Errorf("map-profile ProfileBytes() = %d, want > 0", got)
-	}
-}
-
-// TestSetDefaultDictProfiles pins the package-default plumbing mirrored
-// from SetDefaultEngine.
-func TestSetDefaultDictProfiles(t *testing.T) {
-	if !DefaultDictProfiles() {
-		t.Fatal("dictionary profiles should default on")
-	}
-	SetDefaultDictProfiles(false)
-	c, pairs := mustCompile(t, testFunc)
-	if c.DictProfilesEnabled() {
-		t.Error("Compile ignored SetDefaultDictProfiles(false)")
-	}
-	SetDefaultDictProfiles(true)
-	c2, _ := mustCompile(t, testFunc)
-	if !c2.DictProfilesEnabled() {
-		t.Error("Compile ignored SetDefaultDictProfiles(true)")
-	}
-	_ = pairs
 }

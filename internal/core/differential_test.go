@@ -186,27 +186,24 @@ func TestBatchCacheFirstMarksParity(t *testing.T) {
 	}
 }
 
-// TestBatchEngineDispatch pins the EngineAuto plumbing: the package
-// default resolves Auto, and SetDefaultEngine flips it.
+// TestBatchEngineDispatch pins engine selection: the zero Engine is the
+// batch engine, so a default matcher runs it, and an explicit
+// EngineScalar routes MatchState to the pair-at-a-time path. Both must
+// agree.
 func TestBatchEngineDispatch(t *testing.T) {
-	if DefaultEngine() != EngineBatch {
-		t.Fatalf("default engine = %v, want EngineBatch", DefaultEngine())
-	}
-	SetDefaultEngine(EngineScalar)
-	if DefaultEngine() != EngineScalar {
-		t.Fatal("SetDefaultEngine(EngineScalar) did not take")
-	}
-	SetDefaultEngine(EngineAuto) // Auto is not a valid target: falls back to batch
-	if DefaultEngine() != EngineBatch {
-		t.Fatal("SetDefaultEngine(EngineAuto) should restore the batch engine")
+	var zero Engine
+	if zero != EngineBatch || DefaultConfig().Engine != EngineBatch {
+		t.Fatal("the zero Engine must be the batch engine")
 	}
 	c, pairs := mustCompile(t, testFunc)
 	m := NewMatcher(c, pairs)
-	if m.resolvedEngine() != EngineBatch {
-		t.Fatal("EngineAuto did not resolve to the default")
+	if m.Engine != EngineBatch {
+		t.Fatalf("default matcher engine = %v, want batch", m.Engine)
 	}
-	m.Engine = EngineScalar
-	if m.resolvedEngine() != EngineScalar {
-		t.Fatal("explicit engine did not override the default")
+	want := m.MatchState()
+	scalar := NewMatcher(c, pairs)
+	scalar.Engine = EngineScalar
+	if !scalar.MatchState().Equal(want) {
+		t.Fatal("scalar and batch engines disagree")
 	}
 }

@@ -36,32 +36,28 @@ func readStd(data []byte, name string) (*table.Table, error) {
 
 // TestIngestPipelineDifferentialParity is the end-to-end acceptance
 // test of the zero-copy ingest pipeline: tables read by the byte-scan
-// CSV reader and profiled through the ID-stream fast path must produce
-// MatchState (scalar and batch engines) byte-identical to tables read
-// by encoding/csv and profiled through the string-token path — over
-// random tables, rule sets and candidate pairs.
+// CSV reader and profiled through the ID stream must produce MatchState
+// (scalar and batch engines) byte-identical to tables read by
+// encoding/csv and scored without profiles (raw Fn.Sim) — over random
+// tables, rule sets and candidate pairs.
 func TestIngestPipelineDifferentialParity(t *testing.T) {
-	defer SetStreamProfiles(true)
 	lib := sim.Standard()
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
 		a0, b0, pairs := randomTables(rng)
 		f := dictFunction(rng)
 
-		// Old path: encoding/csv + per-record string tokenization.
-		SetStreamProfiles(false)
+		// Reference: encoding/csv, no profile cache.
 		aStd, bStd := csvRoundTrip(t, a0, readStd), csvRoundTrip(t, b0, readStd)
 		ref, err := Compile(f, lib, aStd, bStd)
 		if err != nil {
 			continue // contradictory random rule: fine
 		}
-		ref.EnableProfileCache()
 		scalar := NewMatcher(ref, pairs)
 		scalar.Engine = EngineScalar
 		want := scalar.MatchState()
 
-		// New path: zero-copy reader + intern-at-parse ID streams.
-		SetStreamProfiles(true)
+		// Pipeline: zero-copy reader + intern-at-parse ID streams.
 		aFast, bFast := csvRoundTrip(t, a0, readFast), csvRoundTrip(t, b0, readFast)
 		c, err := Compile(f, lib, aFast, bFast)
 		if err != nil {
@@ -73,7 +69,7 @@ func TestIngestPipelineDifferentialParity(t *testing.T) {
 			m.Engine = engine
 			got := m.MatchState()
 			if !got.Equal(want) {
-				t.Fatalf("trial %d engine=%v: fast-ingest state diverges from encoding/csv + string tokens\n%s",
+				t.Fatalf("trial %d engine=%v: fast-ingest state diverges from encoding/csv + raw scores\n%s",
 					trial, engine, f.String())
 			}
 			for fi := range ref.Features {
@@ -90,11 +86,10 @@ func TestIngestPipelineDifferentialParity(t *testing.T) {
 	}
 }
 
-// TestIngestPipelineDatasetParity runs the same old-vs-new comparison
-// on a bundled synthetic dataset (products domain) end to end: CSV
-// round trip, profile bind, full match on both engines.
+// TestIngestPipelineDatasetParity runs the same comparison on a
+// bundled synthetic dataset (products domain) end to end: CSV round
+// trip, profile bind, full match on both engines.
 func TestIngestPipelineDatasetParity(t *testing.T) {
-	defer SetStreamProfiles(true)
 	ds, err := datagen.Generate(datagen.StandardConfig(datagen.Products(), 0.02))
 	if err != nil {
 		t.Fatal(err)
@@ -114,14 +109,13 @@ func TestIngestPipelineDatasetParity(t *testing.T) {
 		},
 	}}}
 
-	build := func(stream bool, read func([]byte, string) (*table.Table, error)) *Compiled {
-		SetStreamProfiles(stream)
+	build := func(profiles bool, read func([]byte, string) (*table.Table, error)) *Compiled {
 		a, b := csvRoundTrip(t, ds.A, read), csvRoundTrip(t, ds.B, read)
 		c, err := Compile(f, lib, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.EnableProfileCache()
+		c.SetProfileCache(profiles)
 		return c
 	}
 
@@ -143,22 +137,20 @@ func TestIngestPipelineDatasetParity(t *testing.T) {
 // TestIngestExtendRecordsParity pins the streaming-append path: after
 // AddRecords-style table growth, append-encoded profiles (covered
 // dictionary) and rebuild-encoded profiles (new tokens force a rebuild)
-// must match the string-token path feature for feature.
+// must match the profile-less raw scores feature for feature.
 func TestIngestExtendRecordsParity(t *testing.T) {
-	defer SetStreamProfiles(true)
 	lib := sim.Standard()
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(8000 + trial)))
 		a0, b0, _ := randomTables(rng)
 		f := dictFunction(rng)
 
-		compileOn := func(stream bool, a, b *table.Table) *Compiled {
-			SetStreamProfiles(stream)
+		compileOn := func(profiles bool, a, b *table.Table) *Compiled {
 			c, err := Compile(f, lib, a, b)
 			if err != nil {
 				return nil
 			}
-			c.EnableProfileCache()
+			c.SetProfileCache(profiles)
 			return c
 		}
 		cloneTables := func() (*table.Table, *table.Table) {
@@ -181,7 +173,7 @@ func TestIngestExtendRecordsParity(t *testing.T) {
 		aNew, bNew := cloneTables()
 		c := compileOn(true, aNew, bNew)
 		if c == nil {
-			t.Fatalf("trial %d: stream compile failed where string compile succeeded", trial)
+			t.Fatalf("trial %d: profiled compile failed where raw compile succeeded", trial)
 		}
 
 		// Round 1: appended records reuse known tokens (covered dict,
@@ -203,9 +195,6 @@ func TestIngestExtendRecordsParity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			SetStreamProfiles(false)
-			ref.ExtendRecords()
-			SetStreamProfiles(true)
 			c.ExtendRecords()
 
 			pairs := []table.Pair{

@@ -47,10 +47,9 @@ type Matcher struct {
 	// identical inputs are computed once across all pairs.
 	ValueCache bool
 	// Engine selects the whole-run execution strategy for MatchState,
-	// MatchBits and the parallel paths: EngineAuto (the package
-	// default, normally the columnar batch engine), EngineBatch or
-	// EngineScalar. Per-pair entry points (Match, EvalPair, EvalRule,
-	// FeatureValue) are always scalar.
+	// MatchBits and the parallel paths: EngineBatch (the zero value)
+	// or EngineScalar. Per-pair entry points (Match, EvalPair,
+	// EvalRule, FeatureValue) are always scalar.
 	Engine Engine
 	// BlockSize is the batch engine's pairs-per-block (0 =
 	// DefaultBlockSize). Rounded up to a multiple of 64 so block
@@ -82,15 +81,11 @@ type valueKey struct {
 }
 
 // NewMatcher creates a matcher with dynamic memoing enabled (array memo)
-// — the paper's recommended configuration. Options refine the config
-// (see Config); with none, behavior is exactly the historical default
-// and the compiled function's profile settings are left untouched.
-func NewMatcher(c *Compiled, pairs []table.Pair, opts ...Option) *Matcher {
-	cfg := ConfigFor(c)
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg.NewMatcher(c, pairs)
+// — the paper's recommended configuration — leaving the compiled
+// function's profile cache untouched. Any other configuration goes
+// through Config.NewMatcher.
+func NewMatcher(c *Compiled, pairs []table.Pair) *Matcher {
+	return ConfigFor(c).NewMatcher(c, pairs)
 }
 
 // ExtendPairs appends newPairs to the matcher's pair set, growing the

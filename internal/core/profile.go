@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"rulematch/internal/sim"
 )
@@ -15,12 +14,16 @@ import (
 // for features bound afterwards), so matching — including MatchParallel
 // — only reads them.
 //
-// Similarities that additionally implement sim.DictProfiler are cached
-// in dictionary-encoded form when dictionary profiles are enabled (the
-// default): a per-column-pair token dictionary interns tokens to dense
-// uint32 IDs, and profiles become sorted integer slices compared by
-// merge intersection. Encoded and map profiles score bit-identically,
-// so toggling the representation never changes a match result.
+// Similarities that additionally implement sim.DictProfiler and have an
+// ID emitter (sim.EmitterFor) are cached in dictionary-encoded form: a
+// per-column-pair token dictionary interns tokens to dense uint32 IDs,
+// and profiles become sorted integer slices compared by merge
+// intersection. The column pair is scanned once by the emitter —
+// interning tokens and recording the ID stream — and every record's
+// profile is carved out of shared slab arrays. Other profilers
+// (MongeElkan) cache map profiles. Encoded profiles, map profiles and
+// raw strings all score bit-identically, so the profile cache never
+// changes a match result.
 //
 // Two levels of sharing cut the build cost and footprint:
 //
@@ -47,42 +50,6 @@ type featureProfiles struct {
 	// nil for map profiles.
 	dict *sim.Dict
 }
-
-// dictProfilesDefault is what newly compiled functions use for their
-// dictionary-profile setting; atomic for the same reason as
-// defaultEngine (CLI toggles vs. racing workers).
-var dictProfilesDefault atomic.Bool
-
-// streamProfilesDefault gates the single-pass ingest fast path: when
-// on (the default), dictionary-encoded profile sets are built by
-// running an ID-emitting tokenizer over the column pair once —
-// interning tokens and recording the ID stream — and then encoding
-// every record's profile out of shared slab arrays. When off, each
-// record is tokenized and encoded individually (the original path).
-// The two paths produce bit-identical profiles; the toggle exists so
-// embench -exp ingest can measure them against each other.
-var streamProfilesDefault atomic.Bool
-
-func init() {
-	dictProfilesDefault.Store(true)
-	streamProfilesDefault.Store(true)
-}
-
-// SetStreamProfiles switches the single-pass ID-stream profile build
-// on or off for subsequent binds. Scores are bit-identical either way.
-func SetStreamProfiles(on bool) { streamProfilesDefault.Store(on) }
-
-// StreamProfilesEnabled reports whether the ID-stream build is on.
-func StreamProfilesEnabled() bool { return streamProfilesDefault.Load() }
-
-// SetDefaultDictProfiles changes whether functions compiled afterwards
-// cache dictionary-encoded profiles (true) or map profiles (false).
-// CLIs call it once at startup for their -dictprofiles flags; library
-// code should prefer Compiled.SetDictProfiles.
-func SetDefaultDictProfiles(on bool) { dictProfilesDefault.Store(on) }
-
-// DefaultDictProfiles returns the current package default.
-func DefaultDictProfiles() bool { return dictProfilesDefault.Load() }
 
 // EnableProfileCache precomputes per-record profiles for every bound
 // feature whose similarity supports it. Features bound later (e.g. by
@@ -119,29 +86,6 @@ func (c *Compiled) SetProfileCache(on bool) {
 	c.streams = make(map[string]*sim.TokenStream)
 }
 
-// SetDictProfiles switches between dictionary-encoded and map profile
-// representations. If the profile cache is already built it is rebuilt
-// in the new representation; scores are bit-identical either way.
-func (c *Compiled) SetDictProfiles(on bool) {
-	if c.dictProfiles == on {
-		return
-	}
-	c.dictProfiles = on
-	if !c.profilesOn {
-		return
-	}
-	c.profiles = nil
-	c.dicts = make(map[string]*sim.Dict)
-	c.sharedSides = make(map[string]*[2][]any)
-	c.streams = make(map[string]*sim.TokenStream)
-	for fi := range c.Features {
-		c.buildProfiles(fi)
-	}
-}
-
-// DictProfilesEnabled reports whether profiles are dictionary-encoded.
-func (c *Compiled) DictProfilesEnabled() bool { return c.dictProfiles }
-
 // buildProfiles computes the profiles of feature fi for every record of
 // both tables, if its similarity supports profiling.
 func (c *Compiled) buildProfiles(fi int) {
@@ -153,9 +97,11 @@ func (c *Compiled) buildProfiles(fi int) {
 	if !ok {
 		return
 	}
-	if dp, ok := f.Fn.(sim.DictProfiler); ok && c.dictProfiles {
-		c.profiles[fi] = c.buildDictProfiles(f, dp)
-		return
+	if dp, ok := f.Fn.(sim.DictProfiler); ok {
+		if fp := c.buildDictProfiles(f, dp); fp != nil {
+			c.profiles[fi] = fp
+			return
+		}
 	}
 	fp := &featureProfiles{fn: pr}
 	fp.side[0] = make([]any, c.A.Len())
@@ -170,38 +116,27 @@ func (c *Compiled) buildProfiles(fi int) {
 }
 
 // buildDictProfiles builds (or reuses) the dictionary-encoded profile
-// set of one feature. The dictionary is looked up by token space and
-// column pair; the profile set by profile kind and column pair. When
-// the stream path is enabled and the similarity has an ID emitter, the
-// whole set is built in a single pass over the ID stream with slab
-// allocation; the per-record ProfileDict loop is the fallback.
+// set of one feature through the single-pass ID stream. The dictionary
+// is looked up by token space and column pair; the profile set by
+// profile kind and column pair. Returns nil when the similarity has no
+// ID emitter or its kind no stream encoding; the caller then caches map
+// profiles.
 func (c *Compiled) buildDictProfiles(f *BoundFeature, dp sim.DictProfiler) *featureProfiles {
+	em, ok := sim.EmitterFor(dp)
+	if !ok {
+		return nil
+	}
 	spec := dp.ProfileSpec()
 	colKey := strconv.Itoa(f.ColA) + "|" + strconv.Itoa(f.ColB)
 	dictKey := spec.Space + "|" + colKey
 	fp := &featureProfiles{fn: dp, shareKey: spec.Kind + "|" + colKey}
 	if sides, ok := c.sharedSides[fp.shareKey]; ok {
 		fp.side = *sides
-		fp.dict = c.dictFor(dictKey, dp, f.ColA, f.ColB)
+		fp.dict = c.dicts[dictKey]
 		return fp
 	}
-	if StreamProfilesEnabled() {
-		if em, ok := sim.EmitterFor(dp); ok {
-			if c.bindStreamProfiles(fp, dp, em, dictKey, f.ColA, f.ColB) {
-				sides := fp.side
-				c.sharedSides[fp.shareKey] = &sides
-				return fp
-			}
-		}
-	}
-	fp.dict = c.dictFor(dictKey, dp, f.ColA, f.ColB)
-	fp.side[0] = make([]any, c.A.Len())
-	for i := range c.A.Records {
-		fp.side[0][i] = dp.ProfileDict(c.A.Value(i, f.ColA), fp.dict)
-	}
-	fp.side[1] = make([]any, c.B.Len())
-	for j := range c.B.Records {
-		fp.side[1][j] = dp.ProfileDict(c.B.Value(j, f.ColB), fp.dict)
+	if !c.bindStreamProfiles(fp, dp, em, dictKey, f.ColA, f.ColB) {
+		return nil
 	}
 	sides := fp.side
 	c.sharedSides[fp.shareKey] = &sides
@@ -280,34 +215,14 @@ func (c *Compiled) emitSealedStream(em sim.IDEmitter, d *sim.Dict, colA, colB in
 	return &sim.TokenStream{Dict: d, IDs: ids, Offs: offs}
 }
 
-// dictFor returns (building and sealing on first use) the shared
-// dictionary covering every token the profiler draws from the given
-// column pair. Rank-ordered IDs need the full universe before any
-// profile is encoded, so the builder sweeps both columns up front.
-func (c *Compiled) dictFor(key string, dp sim.DictProfiler, colA, colB int) *sim.Dict {
-	if d, ok := c.dicts[key]; ok {
-		return d
-	}
-	b := sim.NewDictBuilder()
-	for i := range c.A.Records {
-		b.Add(dp.DictTokens(c.A.Value(i, colA)))
-	}
-	for j := range c.B.Records {
-		b.Add(dp.DictTokens(c.B.Value(j, colB)))
-	}
-	d := b.Build()
-	c.dicts[key] = d
-	return d
-}
-
 // ExtendRecords brings the profile cache in sync with tables that have
 // grown since the profiles were built. Map profiles append the new
-// records' profiles in place. Dictionary-encoded profiles first check
-// whether the sealed dictionary already covers every token of the new
-// records: if so the new profiles are append-encoded against it; if
-// not the dictionary is rebuilt over the full columns and every share
-// group drawing on it is re-encoded (rank-ordered IDs shift, so old
-// encodings would no longer be comparable). Corpus statistics (TF-IDF
+// records' profiles in place. Dictionary-encoded profiles emit the new
+// records against the sealed dictionary: if it covers every token the
+// new profiles are append-encoded against it; if not the dictionary is
+// rebuilt over the full columns and every share group drawing on it is
+// re-encoded (rank-ordered IDs shift, so old encodings would no longer
+// be comparable). Corpus statistics (TF-IDF
 // document frequencies) are intentionally left frozen at build time —
 // see the incremental package's AddRecords contract.
 //
@@ -353,54 +268,28 @@ func (c *Compiled) ExtendRecords() {
 }
 
 // extendSharedSides grows one shared encoded profile set to the current
-// table lengths, rebuilding its dictionary first when the new records
-// carry unseen tokens.
+// table lengths. The new records are emitted against the sealed
+// dictionary — the emission itself is the coverage check — and when
+// they carry unseen tokens the dictionary is rebuilt over the full
+// columns and the set re-encoded from a fresh stream.
 func (c *Compiled) extendSharedSides(shareKey, dictKey string, dp sim.DictProfiler, colA, colB int, rebuilt map[string]bool) {
 	sides := c.sharedSides[shareKey]
-	oldA, oldB := len(sides[0]), len(sides[1])
-	d := c.dicts[dictKey]
-	var em sim.IDEmitter
-	useStream := false
-	if StreamProfilesEnabled() {
-		em, useStream = sim.EmitterFor(dp)
-	}
+	// Encoded sets are only ever built through the stream, so the
+	// emitter exists and the re-encode below cannot fail.
+	em, _ := sim.EmitterFor(dp)
 	if !rebuilt[dictKey] {
-		if useStream {
-			// Emit the new records against the sealed dictionary: the
-			// emission itself is the coverage check, and on success the
-			// IDs are already in hand for encoding.
-			if c.appendStreamProfiles(sides, em, dp, d, colA, colB, oldA, oldB) {
-				return
-			}
-		} else if c.dictCovers(d, dp, colA, colB, oldA, oldB) {
-			for i := oldA; i < c.A.Len(); i++ {
-				sides[0] = append(sides[0], dp.ProfileDict(c.A.Value(i, colA), d))
-			}
-			for j := oldB; j < c.B.Len(); j++ {
-				sides[1] = append(sides[1], dp.ProfileDict(c.B.Value(j, colB), d))
-			}
+		if c.appendStreamProfiles(sides, em, dp, c.dicts[dictKey], colA, colB, len(sides[0]), len(sides[1])) {
 			return
 		}
 		rebuilt[dictKey] = true
 		delete(c.dicts, dictKey)
 		delete(c.streams, dictKey)
 	}
-	if useStream {
-		var fp featureProfiles
-		if c.bindStreamProfiles(&fp, dp, em, dictKey, colA, colB) {
-			sides[0], sides[1] = fp.side[0], fp.side[1]
-			return
-		}
+	var fp featureProfiles
+	if !c.bindStreamProfiles(&fp, dp, em, dictKey, colA, colB) {
+		panic("core: stream re-encode failed for profile set " + shareKey)
 	}
-	d = c.dictFor(dictKey, dp, colA, colB)
-	sides[0] = make([]any, c.A.Len())
-	for i := range sides[0] {
-		sides[0][i] = dp.ProfileDict(c.A.Value(i, colA), d)
-	}
-	sides[1] = make([]any, c.B.Len())
-	for j := range sides[1] {
-		sides[1][j] = dp.ProfileDict(c.B.Value(j, colB), d)
-	}
+	sides[0], sides[1] = fp.side[0], fp.side[1]
 }
 
 // appendStreamProfiles append-encodes records added past (oldA, oldB)
@@ -436,26 +325,6 @@ func (c *Compiled) appendStreamProfiles(sides *[2][]any, em sim.IDEmitter, dp si
 	}
 	sides[0] = append(sides[0], newA...)
 	sides[1] = append(sides[1], newB...)
-	return true
-}
-
-// dictCovers reports whether d contains every token the profiler draws
-// from records appended past (oldA, oldB).
-func (c *Compiled) dictCovers(d *sim.Dict, dp sim.DictProfiler, colA, colB, oldA, oldB int) bool {
-	for i := oldA; i < c.A.Len(); i++ {
-		for _, tok := range dp.DictTokens(c.A.Value(i, colA)) {
-			if _, ok := d.ID(tok); !ok {
-				return false
-			}
-		}
-	}
-	for j := oldB; j < c.B.Len(); j++ {
-		for _, tok := range dp.DictTokens(c.B.Value(j, colB)) {
-			if _, ok := d.ID(tok); !ok {
-				return false
-			}
-		}
-	}
 	return true
 }
 

@@ -11,8 +11,14 @@ import (
 )
 
 // buildSession compiles baseFunc against the fixture tables and starts
-// a session with the given core options (no initial run).
-func buildSession(t testing.TB, a, b *table.Table, pairs []table.Pair, opts ...core.Option) *Session {
+// a session with the default configuration (no initial run).
+func buildSession(t testing.TB, a, b *table.Table, pairs []table.Pair) *Session {
+	t.Helper()
+	return NewSession(compileBase(t, a, b), pairs)
+}
+
+// compileBase compiles baseFunc against the fixture tables.
+func compileBase(t testing.TB, a, b *table.Table) *core.Compiled {
 	t.Helper()
 	f, err := rule.ParseFunction(baseFunc)
 	if err != nil {
@@ -22,7 +28,7 @@ func buildSession(t testing.TB, a, b *table.Table, pairs []table.Pair, opts ...c
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSession(c, pairs, opts...)
+	return c
 }
 
 // A cancelled full re-run must leave the previous materialized state
@@ -92,10 +98,13 @@ func TestSweepThresholdParallelCtx(t *testing.T) {
 	mustVerify(t, s, "after cancelled sweep")
 }
 
-// Session.Run uses the worker count configured through core options.
+// Session.Run uses the worker count configured through core.Config.
 func TestSessionRunUsesConfiguredWorkers(t *testing.T) {
 	a, b, pairs := fixture(t)
-	s := buildSession(t, a, b, pairs, core.WithWorkers(0)) // 0 = GOMAXPROCS
+	cfg := core.DefaultConfig()
+	cfg.CheckCacheFirst = true
+	cfg.Workers = 0 // GOMAXPROCS
+	s := NewSessionConfig(compileBase(t, a, b), pairs, cfg)
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -71,14 +71,12 @@ type OpReport struct {
 // NewSession compiles nothing itself: pass a compiled function (already
 // ordered if desired) and the candidate pairs. The session enables
 // dynamic memoing and check-cache-first, the paper's recommended
-// configuration for interactive debugging; core options refine the
-// rest (engine, workers, value cache, profile representation).
-func NewSession(c *core.Compiled, pairs []table.Pair, opts ...core.Option) *Session {
+// configuration for interactive debugging, and leaves the compiled
+// function's profile cache as it is. Any other configuration goes
+// through NewSessionConfig.
+func NewSession(c *core.Compiled, pairs []table.Pair) *Session {
 	cfg := core.ConfigFor(c)
 	cfg.CheckCacheFirst = true
-	for _, o := range opts {
-		o(&cfg)
-	}
 	return NewSessionConfig(c, pairs, cfg)
 }
 
@@ -168,20 +166,16 @@ func (s *Session) Run(ctx context.Context) error {
 }
 
 // Reconfigure applies the engine-level knobs of cfg to a live session:
-// execution engine, block size, worker count, value cache,
-// check-cache-first, and the compiled-level profile settings. The memo
-// and materialized state are kept — this is how a persist-loaded
-// session (always built with defaults) picks up a server or CLI
-// configuration without discarding the snapshot's warm state.
-// cfg.Memo is intentionally ignored: the incremental algorithms
+// execution engine, worker count, check-cache-first and the profile
+// cache. The memo and materialized state are kept — this is how a
+// persist-loaded session (always built with defaults) picks up a
+// server or CLI configuration without discarding the snapshot's warm
+// state. cfg.Memo is intentionally ignored: the incremental algorithms
 // require the memo the session already has.
 func (s *Session) Reconfigure(cfg core.Config) {
 	s.M.Engine = cfg.Engine
-	s.M.BlockSize = cfg.BlockSize
 	s.M.Workers = cfg.Workers
-	s.M.ValueCache = cfg.ValueCache
 	s.M.CheckCacheFirst = cfg.CheckCacheFirst
-	s.M.C.SetDictProfiles(cfg.DictProfiles)
 	s.M.C.SetProfileCache(cfg.ProfileCache)
 }
 

@@ -7,14 +7,14 @@
 //
 // Two on-disk formats exist:
 //
-//   - v1 (legacy): a raw encoding/gob stream. Still loadable, and still
-//     writable through the V1 save option, but it carries no integrity
-//     check — a torn or bit-flipped v1 file is detected only if the gob
-//     decoder or the structural validation happens to notice.
-//   - v2 (default): an 8-byte magic, a little-endian uint32 payload
-//     length, a CRC-32C (Castagnoli) of the payload, then the gob
-//     payload. Truncation and corruption anywhere in the file are
-//     detected before any state is built.
+//   - v1 (legacy): a raw encoding/gob stream. Still loadable, no longer
+//     written. It carries no integrity check — a torn or bit-flipped v1
+//     file is detected only if the gob decoder or the structural
+//     validation happens to notice.
+//   - v2 (the format Save writes): an 8-byte magic, a little-endian
+//     uint32 payload length, a CRC-32C (Castagnoli) of the payload,
+//     then the gob payload. Truncation and corruption anywhere in the
+//     file are detected before any state is built.
 //
 // SaveFile is crash-safe: the snapshot is written to a temporary file
 // in the destination directory, fsynced, atomically renamed over the
@@ -127,7 +127,6 @@ type Info struct {
 
 // saveConfig collects the SaveOption knobs.
 type saveConfig struct {
-	v1    bool
 	fsync bool
 	seq   uint64
 	epoch uint64
@@ -135,10 +134,6 @@ type saveConfig struct {
 
 // SaveOption tweaks Save/SaveFile behaviour.
 type SaveOption func(*saveConfig)
-
-// V1 writes the legacy raw-gob format instead of the framed v2 — the
-// escape hatch for tooling that still expects pre-framing snapshots.
-func V1() SaveOption { return func(c *saveConfig) { c.v1 = true } }
 
 // NoFsync skips the fsync calls in SaveFile. The write is still
 // atomic with respect to process crashes (temp + rename), but the
@@ -234,24 +229,16 @@ func writeFramed(w io.Writer, payload []byte) error {
 	return err
 }
 
-// Save writes the session snapshot to w in the v2 framed format (or
-// legacy v1 with the V1 option). The session must have run (RunFull)
-// at least once.
+// Save writes the session snapshot to w in the v2 framed format. The
+// session must have run (RunFull) at least once.
 func Save(w io.Writer, s *incremental.Session, opts ...SaveOption) error {
 	cfg := saveConfig{fsync: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	version := versionV2
-	if cfg.v1 {
-		version = versionV1
-	}
-	snap, err := buildSnapshot(s, version, cfg.seq, cfg.epoch)
+	snap, err := buildSnapshot(s, versionV2, cfg.seq, cfg.epoch)
 	if err != nil {
 		return err
-	}
-	if cfg.v1 {
-		return gob.NewEncoder(w).Encode(snap)
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {

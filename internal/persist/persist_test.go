@@ -278,12 +278,12 @@ func TestSaveLoadEngineInvariant(t *testing.T) {
 }
 
 // TestSaveLoadProfileModeInvariant pins that the snapshot is also
-// independent of the profile representation that built the session:
-// profile-less, map-profile and dictionary-encoded runs produce
+// independent of the profile cache that built the session: a
+// profile-less run (raw Fn.Sim) and a profiled run produce
 // byte-identical snapshots, and a restored snapshot replays with a
-// fully warm memo — zero recomputes — under either profile mode.
+// fully warm memo — zero recomputes — with the cache on or off.
 func TestSaveLoadProfileModeInvariant(t *testing.T) {
-	build := func(profiles, dict bool) (*incremental.Session, []byte) {
+	build := func(profiles bool) (*incremental.Session, []byte) {
 		a, b, pairs := buildTables(t)
 		f, err := rule.ParseFunction(sessionFunc)
 		if err != nil {
@@ -293,10 +293,7 @@ func TestSaveLoadProfileModeInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetDictProfiles(dict)
-		if profiles {
-			c.EnableProfileCache()
-		}
+		c.SetProfileCache(profiles)
 		s := incremental.NewSession(c, pairs)
 		s.RunFull()
 		var buf bytes.Buffer
@@ -305,33 +302,28 @@ func TestSaveLoadProfileModeInvariant(t *testing.T) {
 		}
 		return s, buf.Bytes()
 	}
-	plain, plainBytes := build(false, false)
-	_, mapBytes := build(true, false)
-	_, dictBytes := build(true, true)
-	if !bytes.Equal(plainBytes, mapBytes) {
-		t.Error("map-profile snapshot differs from profile-less snapshot")
-	}
-	if !bytes.Equal(plainBytes, dictBytes) {
-		t.Error("dictionary-profile snapshot differs from profile-less snapshot")
+	plain, plainBytes := build(false)
+	_, profiledBytes := build(true)
+	if !bytes.Equal(plainBytes, profiledBytes) {
+		t.Error("profiled snapshot differs from profile-less snapshot")
 	}
 
-	// Replay the dictionary-built snapshot under both profile modes: the
-	// warm memo satisfies every lookup, so nothing is recomputed.
-	for _, dict := range []bool{true, false} {
+	// Replay the profiled snapshot with the cache on and off: the warm
+	// memo satisfies every lookup, so nothing is recomputed.
+	for _, profiles := range []bool{true, false} {
 		a, b, _ := buildTables(t)
-		got, err := Load(bytes.NewReader(dictBytes), sim.Standard(), a, b)
+		got, err := Load(bytes.NewReader(profiledBytes), sim.Standard(), a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got.M.C.SetDictProfiles(dict)
-		got.M.C.EnableProfileCache()
+		got.M.C.SetProfileCache(profiles)
 		before := got.M.Stats
 		got.RunFullWithMemo()
 		if computed := got.M.Stats.FeatureComputes - before.FeatureComputes; computed != 0 {
-			t.Errorf("dict=%v: restored session recomputed %d features", dict, computed)
+			t.Errorf("profiles=%v: restored session recomputed %d features", profiles, computed)
 		}
 		if !got.St.Equal(plain.St) {
-			t.Errorf("dict=%v: replay state differs", dict)
+			t.Errorf("profiles=%v: replay state differs", profiles)
 		}
 		if err := got.VerifyDeep(); err != nil {
 			t.Fatal(err)
@@ -450,41 +442,26 @@ func TestSaveEmitsV2LoadInfoReportsVersion(t *testing.T) {
 	}
 }
 
-func TestSaveV1EscapeHatchRoundTrips(t *testing.T) {
-	s, a, b := buildSession(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, s, V1()); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.HasPrefix(buf.Bytes(), []byte(magicV2)) {
-		t.Fatal("V1 save emitted the v2 magic")
-	}
-	got, info, err := LoadInfo(bytes.NewReader(buf.Bytes()), sim.Standard(), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != versionV1 {
-		t.Fatalf("version = %d, want 1", info.Version)
-	}
-	if !got.St.Equal(s.St) {
-		t.Error("v1 round-trip state differs")
-	}
-}
-
-// TestLoadLegacyV1Bytes pins that a pre-framing snapshot — a raw gob
-// stream exactly as the previous release wrote it — still loads.
-func TestLoadLegacyV1Bytes(t *testing.T) {
-	s, a, b := buildSession(t)
+// legacyV1Bytes encodes s as a pre-framing snapshot — a raw gob stream
+// exactly as releases before the v2 framing wrote it.
+func legacyV1Bytes(t *testing.T, s *incremental.Session) []byte {
+	t.Helper()
 	snap, err := buildSnapshot(s, versionV1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Seq = 0
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	got, info, err := LoadInfo(&buf, sim.Standard(), a, b)
+	return buf.Bytes()
+}
+
+// TestLoadLegacyV1Bytes pins that a v1 snapshot already on disk still
+// loads.
+func TestLoadLegacyV1Bytes(t *testing.T) {
+	s, a, b := buildSession(t)
+	got, info, err := LoadInfo(bytes.NewReader(legacyV1Bytes(t, s)), sim.Standard(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,11 +568,7 @@ func TestLoadCorruptInputsTable(t *testing.T) {
 
 	// And v1: truncation must error too (gob streams do not decode
 	// partially).
-	var v1buf bytes.Buffer
-	if err := Save(&v1buf, s, V1()); err != nil {
-		t.Fatal(err)
-	}
-	v1 := v1buf.Bytes()
+	v1 := legacyV1Bytes(t, s)
 	for off := 0; off < len(v1); off += 1024 {
 		if _, err := Load(bytes.NewReader(v1[:off]), sim.Standard(), a, b); err == nil {
 			t.Errorf("v1 truncate at %d: torn snapshot loaded", off)

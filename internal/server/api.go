@@ -9,7 +9,9 @@ import "rulematch/internal/core"
 // tables + rules + blocking (a cold start: the server compiles, runs
 // the full materializing pass and holds the state), or from a persist
 // snapshot (base64 in JSON) taken by emmatch -save, emdebug save or a
-// previous GET .../snapshot — then only the tables are needed.
+// previous GET .../snapshot — then only the tables are needed. Every
+// session runs the server's engine configuration; there is no
+// per-session override.
 type CreateSessionRequest struct {
 	Name string `json:"name"`
 	// Tenant optionally attributes the session to a tenant for
@@ -29,49 +31,6 @@ type CreateSessionRequest struct {
 	// Snapshot is a persist-format session snapshot; encoding/json
 	// transports []byte as base64.
 	Snapshot []byte `json:"snapshot,omitempty"`
-	// Config optionally overrides the server's engine defaults for
-	// this session.
-	Config *ConfigPatch `json:"config,omitempty"`
-}
-
-// ConfigPatch is a partial engine configuration: nil fields keep the
-// server default.
-type ConfigPatch struct {
-	Parallel     *int  `json:"parallel,omitempty"`
-	Batch        *bool `json:"batch,omitempty"`
-	DictProfiles *bool `json:"dictProfiles,omitempty"`
-	ValueCache   *bool `json:"valueCache,omitempty"`
-	Profiles     *bool `json:"profiles,omitempty"`
-	BlockSize    *int  `json:"blockSize,omitempty"`
-}
-
-// Apply overlays the patch on cfg.
-func (p *ConfigPatch) Apply(cfg *core.Config) {
-	if p == nil {
-		return
-	}
-	if p.Parallel != nil {
-		cfg.Workers = *p.Parallel
-	}
-	if p.Batch != nil {
-		if *p.Batch {
-			cfg.Engine = core.EngineBatch
-		} else {
-			cfg.Engine = core.EngineScalar
-		}
-	}
-	if p.DictProfiles != nil {
-		cfg.DictProfiles = *p.DictProfiles
-	}
-	if p.ValueCache != nil {
-		cfg.ValueCache = *p.ValueCache
-	}
-	if p.Profiles != nil {
-		cfg.ProfileCache = *p.Profiles
-	}
-	if p.BlockSize != nil {
-		cfg.BlockSize = *p.BlockSize
-	}
 }
 
 // timeLayout formats lifecycle timestamps on the wire.

@@ -65,9 +65,6 @@ func (s *Server) hCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("tableB: %w", err))
 		return
 	}
-	cfg := s.cfg
-	req.Config.Apply(&cfg)
-
 	var sess *incremental.Session
 	if len(req.Snapshot) > 0 {
 		// Warm start: the snapshot carries function, pairs, memo and
@@ -77,9 +74,9 @@ func (s *Server) hCreate(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
 			return
 		}
-		sess.Reconfigure(cfg)
+		sess.Reconfigure(s.cfg)
 	} else {
-		sess, err = s.buildSession(r.Context(), a, b, cfg, &req)
+		sess, err = s.buildSession(r.Context(), a, b, &req)
 		if err != nil {
 			writeOpErr(w, err)
 			return
@@ -103,7 +100,7 @@ func (s *Server) hCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildSession is the cold-start path: parse, block, compile, run.
-func (s *Server) buildSession(ctx context.Context, a, b *table.Table, cfg core.Config, req *CreateSessionRequest) (*incremental.Session, error) {
+func (s *Server) buildSession(ctx context.Context, a, b *table.Table, req *CreateSessionRequest) (*incremental.Session, error) {
 	if req.Rules == "" {
 		return nil, errors.New("rules (or a snapshot) are required")
 	}
@@ -128,7 +125,7 @@ func (s *Server) buildSession(ctx context.Context, a, b *table.Table, cfg core.C
 	if err != nil {
 		return nil, err
 	}
-	sess := incremental.NewSessionConfig(c, pairs, cfg)
+	sess := incremental.NewSessionConfig(c, pairs, s.cfg)
 	// Keep the blocker on the session so the records endpoint can block
 	// appended records incrementally.
 	sess.Blocker = blocker
@@ -561,30 +558,21 @@ func decodeCursor(s string) (int, error) {
 
 // hMatches pages through the matched pairs. Pagination is by opaque
 // cursor: pass a response's nextCursor back as ?cursor= until it comes
-// back empty. The legacy numeric ?offset= (a bare pair index) is still
-// accepted for one release and answered with a Deprecation header.
+// back empty. The removed numeric ?offset= is rejected, so an old
+// client fails loudly instead of re-reading the first page forever.
 func (s *Server) hMatches(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	start, limit := 0, 100
 	var err error
-	cursorParam, offsetParam := q.Get("cursor"), q.Get("offset")
-	switch {
-	case cursorParam != "" && offsetParam != "":
-		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("cursor and offset are mutually exclusive"))
+	if q.Has("offset") {
+		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("offset pagination was removed; page with cursor (pass nextCursor back as ?cursor=)"))
 		return
-	case cursorParam != "":
-		if start, err = decodeCursor(cursorParam); err != nil {
+	}
+	if v := q.Get("cursor"); v != "" {
+		if start, err = decodeCursor(v); err != nil {
 			writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
 			return
 		}
-	case offsetParam != "":
-		if start, err = strconv.Atoi(offsetParam); err != nil || start < 0 {
-			writeErr(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("bad offset %q", offsetParam))
-			return
-		}
-		// Per the IETF Deprecation header draft: the parameter is
-		// deprecated now; switch to the opaque cursor.
-		w.Header().Set("Deprecation", "true")
 	}
 	if v := q.Get("limit"); v != "" {
 		if limit, err = strconv.Atoi(v); err != nil || limit < 1 {

@@ -126,7 +126,6 @@ func routes() []routeSpec {
 			Query: append([]querySpec{
 				{Name: "cursor", Type: "string", Doc: "opaque page token from a previous response's nextCursor"},
 				{Name: "limit", Type: "integer", Doc: "page size (default 100)"},
-				{Name: "offset", Type: "integer", Doc: "deprecated: numeric pair-index offset; answered with a Deprecation header"},
 			}, consistentQuery()...),
 			ErrCodes: []string{CodeInvalidRequest, CodeNotFound, CodeUnavailable, CodeInternal},
 			handler:  func(s *Server) http.HandlerFunc { return s.hMatches },

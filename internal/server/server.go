@@ -46,8 +46,8 @@ const DefaultMaxBodyBytes = 8 << 20
 
 // Server hosts named debug sessions. Create with New, mount Handler.
 type Server struct {
-	// cfg is the engine configuration new sessions start from;
-	// per-session ConfigPatch overrides individual knobs.
+	// cfg is the engine configuration every session on this server
+	// runs; the store applies the same value on reload and recovery.
 	cfg core.Config
 	// MaxBodyBytes caps request bodies; set before Handler is called.
 	MaxBodyBytes int64

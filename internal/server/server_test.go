@@ -226,7 +226,7 @@ func TestEditSequenceAgreesWithBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := core.NewMatcher(c, sess.M.Pairs, core.WithEngine(core.EngineBatch))
+	fresh := core.NewMatcher(c, sess.M.Pairs) // the zero Engine: batch
 	if !sess.St.Matched.Equal(fresh.MatchBits()) {
 		t.Fatal("HTTP edit sequence bitmap differs from the from-scratch batch run")
 	}
@@ -539,18 +539,13 @@ func TestMatchPagination(t *testing.T) {
 		t.Fatalf("pagination saw %d of %d matches over %d pages", len(seen), total, pages)
 	}
 
-	// The deprecated numeric offset still works, flagged as deprecated.
-	resp, err := http.Get(ts.URL + "/v1/sessions/pg/matches?offset=0&limit=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-		t.Fatalf("offset page: status %d, Deprecation %q", resp.StatusCode, resp.Header.Get("Deprecation"))
-	}
-	// Mixing the two addressing schemes is rejected.
-	var e ErrorResponse
-	if code := doJSON(t, "GET", ts.URL+"/v1/sessions/pg/matches?offset=0&cursor=x", nil, &e); code != http.StatusBadRequest || e.Error.Code != CodeInvalidRequest {
-		t.Fatalf("mixed cursor+offset: status %d code %q", code, e.Error.Code)
+	// The removed numeric offset is rejected, alone or mixed with a
+	// cursor, with an error that points at the cursor.
+	for _, q := range []string{"offset=0&limit=2", "offset=0&cursor=" + cursor} {
+		var e ErrorResponse
+		code := doJSON(t, "GET", ts.URL+"/v1/sessions/pg/matches?"+q, nil, &e)
+		if code != http.StatusBadRequest || e.Error.Code != CodeInvalidRequest || !strings.Contains(e.Error.Message, "cursor") {
+			t.Fatalf("%s: status %d error %+v", q, code, e.Error)
+		}
 	}
 }
