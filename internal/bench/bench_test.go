@@ -372,13 +372,16 @@ func TestReplaySession(t *testing.T) {
 	if res.Incremental <= 0 || res.FullRerun <= 0 || res.ColdRerun <= 0 {
 		t.Fatalf("degenerate totals %+v", res)
 	}
-	// The whole point: the incremental session is cheaper than both
-	// re-run regimes.
-	if res.Incremental >= res.FullRerun {
-		t.Errorf("incremental %v not < full rerun %v", res.Incremental, res.FullRerun)
+	// The whole point: the incremental session does less work than both
+	// re-run regimes. Compared on the deterministic work counters — the
+	// wall-clock totals are ~20 ms apart by tens of percent and swap
+	// order under package-parallel load.
+	inc, full, cold := res.IncrementalWork, res.FullRerunWork, res.ColdRerunWork
+	if inc.PredEvals >= full.PredEvals || inc.FeatureComputes > full.FeatureComputes {
+		t.Errorf("incremental work %+v not below full rerun %+v", inc, full)
 	}
-	if res.Incremental >= res.ColdRerun {
-		t.Errorf("incremental %v not < cold rerun %v", res.Incremental, res.ColdRerun)
+	if inc.PredEvals >= cold.PredEvals || inc.FeatureComputes >= cold.FeatureComputes {
+		t.Errorf("incremental work %+v not below cold rerun %+v", inc, cold)
 	}
 	if len(tbl.Rows) != 3 {
 		t.Errorf("rows = %d", len(tbl.Rows))

@@ -30,6 +30,14 @@ type ReplayResult struct {
 	// multiplied by the iteration count), the workflow the paper's
 	// introduction describes analysts suffering today.
 	ColdRerun time.Duration
+	// IncrementalWork, FullRerunWork and ColdRerunWork are the engine
+	// work counters of the three regimes over the whole session
+	// (ColdRerunWork is one measured rudimentary run's counters times
+	// the iteration count, like ColdRerun). Unlike the wall times they
+	// repeat exactly, so tests compare regimes on them.
+	IncrementalWork core.Stats
+	FullRerunWork   core.Stats
+	ColdRerunWork   core.Stats
 }
 
 // Replay simulates an analyst debugging session of `steps` edits drawn
@@ -107,10 +115,10 @@ func Replay(task *Task, startRules, steps int, seed int64) (*Table, *ReplayResul
 		}
 	}
 
-	runSession := func(incrementalMode bool) (time.Duration, []ReplayOp, error) {
+	runSession := func(incrementalMode bool) (time.Duration, core.Stats, []ReplayOp, error) {
 		c, err := task.CompileSubset(startRules)
 		if err != nil {
-			return 0, nil, err
+			return 0, core.Stats{}, nil, err
 		}
 		s := incremental.NewSession(c, task.Pairs())
 		var total time.Duration
@@ -129,22 +137,22 @@ func Replay(task *Task, startRules, steps int, seed int64) (*Table, *ReplayResul
 				})
 			}
 			if opErr != nil {
-				return 0, nil, fmt.Errorf("replay %s: %w", o.kind, opErr)
+				return 0, core.Stats{}, nil, fmt.Errorf("replay %s: %w", o.kind, opErr)
 			}
 			total += d
 			ops = append(ops, ReplayOp{Kind: o.kind, Dur: d})
 		}
 		if err := s.Verify(); err != nil {
-			return 0, nil, fmt.Errorf("replay diverged: %w", err)
+			return 0, core.Stats{}, nil, fmt.Errorf("replay diverged: %w", err)
 		}
-		return total, ops, nil
+		return total, s.M.Stats, ops, nil
 	}
 
-	incTotal, ops, err := runSession(true)
+	incTotal, incWork, ops, err := runSession(true)
 	if err != nil {
 		return nil, nil, err
 	}
-	fullTotal, _, err := runSession(false)
+	fullTotal, fullWork, _, err := runSession(false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -156,18 +164,26 @@ func Replay(task *Task, startRules, steps int, seed int64) (*Table, *ReplayResul
 	m := &core.Matcher{C: cCold, Pairs: task.Pairs()}
 	oneCold := timeIt(func() { m.MatchRudimentary() })
 	coldTotal := time.Duration(int64(oneCold) * int64(steps+1))
+	var coldWork core.Stats
+	for i := 0; i <= steps; i++ {
+		coldWork.Add(m.Stats)
+	}
 
-	res := &ReplayResult{Ops: ops, Incremental: incTotal, FullRerun: fullTotal, ColdRerun: coldTotal}
+	res := &ReplayResult{Ops: ops, Incremental: incTotal, FullRerun: fullTotal, ColdRerun: coldTotal,
+		IncrementalWork: incWork, FullRerunWork: fullWork, ColdRerunWork: coldWork}
 	out := &Table{
 		Title: fmt.Sprintf("Analyst session replay: %d edits from %d rules, %s",
 			steps, startRules, task.DS.Name),
-		Header: []string{"Regime", "total ms", "vs incremental"},
+		Header: []string{"Regime", "total ms", "vs incremental", "pred evals"},
 	}
-	out.AddRow("incremental (this library)", ms(res.Incremental), "1.0x")
+	out.AddRow("incremental (this library)", ms(res.Incremental), "1.0x",
+		fmt.Sprint(res.IncrementalWork.PredEvals))
 	out.AddRow("full re-run on warm memo", ms(res.FullRerun),
-		fmt.Sprintf("%.1fx", float64(res.FullRerun)/float64(res.Incremental)))
+		fmt.Sprintf("%.1fx", float64(res.FullRerun)/float64(res.Incremental)),
+		fmt.Sprint(res.FullRerunWork.PredEvals))
 	out.AddRow("rudimentary re-run each edit (est.)", ms(res.ColdRerun),
-		fmt.Sprintf("%.1fx", float64(res.ColdRerun)/float64(res.Incremental)))
+		fmt.Sprintf("%.1fx", float64(res.ColdRerun)/float64(res.Incremental)),
+		fmt.Sprint(res.ColdRerunWork.PredEvals))
 	out.Notes = append(out.Notes,
 		"the session script (adds, tightens, relaxes, predicate edits) is identical across regimes")
 	return out, res, nil

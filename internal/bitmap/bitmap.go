@@ -186,6 +186,27 @@ func (b *Bits) clearRange(lo, hi int) {
 	b.words[hiWord] &^= hiMask
 }
 
+// Gather returns a new bitset of len(keep) bits whose bit i is bit
+// keep[i] of b; b is not modified. Compacting a pair dimension passes
+// the surviving indices in ascending order, but any order works. Each
+// output word is assembled in a register and stored once.
+func (b *Bits) Gather(keep []int32) *Bits {
+	out := New(len(keep))
+	for wi := range out.words {
+		chunk := keep[wi<<6:]
+		if len(chunk) > 64 {
+			chunk = chunk[:64]
+		}
+		var w uint64
+		for j, k := range chunk {
+			b.check(int(k))
+			w |= (b.words[k>>6] >> (uint(k) & 63) & 1) << uint(j)
+		}
+		out.words[wi] = w
+	}
+	return out
+}
+
 // Equal reports whether two bitsets have identical length and contents.
 func (b *Bits) Equal(other *Bits) bool {
 	if b.n != other.n {

@@ -517,3 +517,60 @@ func TestFilterAgainstNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherAgainstNaive checks Gather bit by bit against Get over
+// random keep sets (ascending subsets, the compaction case, plus an
+// arbitrary order with repeats), and that the source is untouched.
+func TestGatherAgainstNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(300)
+		b := New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				b.Set(i)
+			}
+		}
+		orig := b.Clone()
+		var keep []int32
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				keep = append(keep, int32(i))
+			}
+		}
+		if trial%4 == 3 && n > 0 {
+			keep = keep[:0]
+			for k := rng.Intn(150); k > 0; k-- {
+				keep = append(keep, int32(rng.Intn(n)))
+			}
+		}
+		g := b.Gather(keep)
+		if g.Len() != len(keep) {
+			t.Fatalf("trial %d: Gather len %d, want %d", trial, g.Len(), len(keep))
+		}
+		for i, k := range keep {
+			if g.Get(i) != b.Get(int(k)) {
+				t.Fatalf("trial %d: bit %d (source %d) = %v", trial, i, k, g.Get(i))
+			}
+		}
+		// Unused high bits stay clear: Count sees exactly the kept bits.
+		want := 0
+		for _, k := range keep {
+			if b.Get(int(k)) {
+				want++
+			}
+		}
+		if g.Count() != want {
+			t.Fatalf("trial %d: Count %d, want %d", trial, g.Count(), want)
+		}
+		if !b.Equal(orig) {
+			t.Fatalf("trial %d: Gather modified its source", trial)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Gather of an out-of-range index did not panic")
+		}
+	}()
+	New(10).Gather([]int32{10})
+}

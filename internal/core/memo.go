@@ -24,6 +24,11 @@ type Memo interface {
 	// every stored value; the new pairs start absent. Growing to a
 	// smaller or equal size is a no-op.
 	ExtendPairs(numPairs int)
+	// KeepPairs compacts the pair dimension to len(keep) pairs: new
+	// pair i takes every stored value of old pair keep[i], and the
+	// values of pairs keep does not list are dropped. keep lists old
+	// pair indices in ascending order.
+	KeepPairs(keep []int32)
 }
 
 // ArrayMemo is the paper's dense two-dimensional array layout (§7.4):
@@ -126,6 +131,26 @@ func (m *ArrayMemo) ExtendPairs(numPairs int) {
 		m.present[fi].Grow(numPairs)
 	}
 	m.numPairs = numPairs
+}
+
+// KeepPairs implements Memo: every allocated feature row is rebuilt at
+// len(keep) values, so the memory of dropped pairs is released.
+func (m *ArrayMemo) KeepPairs(keep []int32) {
+	m.numPairs = len(keep)
+	m.slab = nil
+	m.entries = 0
+	for fi, old := range m.vals {
+		if old == nil {
+			continue
+		}
+		row := m.newRow()
+		for i, k := range keep {
+			row[i] = old[k]
+		}
+		m.vals[fi] = row
+		m.present[fi] = m.present[fi].Gather(keep)
+		m.entries += int64(m.present[fi].Count())
+	}
 }
 
 // column returns feature fi's value row and presence bitmap for bulk
@@ -248,6 +273,13 @@ func (m *OverlayMemo) Entries() int64 { return m.over.Entries() }
 // ExtendPairs implements Memo, growing the overlay's local pair space.
 func (m *OverlayMemo) ExtendPairs(numPairs int) { m.over.ExtendPairs(numPairs) }
 
+// KeepPairs implements Memo. An overlay lives for one parallel phase
+// over a fixed shard range and never backs a session, so nothing
+// compacts it; a call is a bug.
+func (m *OverlayMemo) KeepPairs(keep []int32) {
+	panic("core: KeepPairs on a shard overlay memo")
+}
+
 // HashMemo stores values in a hash map keyed by (feature, pair). It uses
 // memory proportional to the number of *computed* values — the
 // alternative §7.4 suggests when the dense array does not fit — at the
@@ -312,3 +344,26 @@ func (m *HashMemo) Entries() int64 { return int64(len(m.m)) }
 // ExtendPairs implements Memo: the map is unbounded in the pair
 // dimension already, so this is a no-op.
 func (m *HashMemo) ExtendPairs(numPairs int) {}
+
+// KeepPairs implements Memo: surviving entries are re-keyed into a
+// fresh map (a Go map never shrinks, so rebuilding is what releases
+// the dropped entries' buckets).
+func (m *HashMemo) KeepPairs(keep []int32) {
+	out := make(map[uint64]float64)
+	if len(keep) > 0 {
+		remap := make([]int32, keep[len(keep)-1]+1)
+		for i := range remap {
+			remap[i] = -1
+		}
+		for i, k := range keep {
+			remap[k] = int32(i)
+		}
+		for key, v := range m.m {
+			fi, pi := int(key>>32), int(uint32(key))
+			if pi < len(remap) && remap[pi] >= 0 {
+				out[hashKey(fi, int(remap[pi]))] = v
+			}
+		}
+	}
+	m.m = out
+}

@@ -236,3 +236,61 @@ func TestOverlayMemo(t *testing.T) {
 	}
 	testMemoBasics(t, NewOverlayMemo(nil, 0, 16))
 }
+
+// TestMemoKeepPairs checks both session memo layouts against a
+// reference map across a compaction of the pair dimension: surviving
+// entries move to their new index, dropped ones vanish, the entry
+// count and footprint shrink, and the compacted memo keeps growing.
+func TestMemoKeepPairs(t *testing.T) {
+	const numPairs = 300
+	for _, tc := range []struct {
+		name string
+		m    Memo
+	}{{"array", NewArrayMemo(numPairs)}, {"hash", NewHashMemo()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			ref := map[[2]int]float64{}
+			for i := 0; i < 900; i++ {
+				fi, pi, v := rng.Intn(6), rng.Intn(numPairs), rng.Float64()
+				tc.m.Put(fi, pi, v)
+				ref[[2]int{fi, pi}] = v
+			}
+			var keep []int32
+			for pi := 0; pi < numPairs; pi++ {
+				if rng.Intn(3) == 0 {
+					keep = append(keep, int32(pi))
+				}
+			}
+			before := tc.m.Bytes()
+			tc.m.KeepPairs(keep)
+			want := 0
+			for ni, opi := range keep {
+				for fi := 0; fi < 6; fi++ {
+					wv, wok := ref[[2]int{fi, int(opi)}]
+					gv, gok := tc.m.Get(fi, ni)
+					if wok != gok || (wok && gv != wv) {
+						t.Fatalf("memo[%d][%d] (old pair %d) = %v,%v want %v,%v", fi, ni, opi, gv, gok, wv, wok)
+					}
+					if wok {
+						want++
+					}
+				}
+			}
+			if tc.m.Entries() != int64(want) {
+				t.Fatalf("entries %d after KeepPairs, want %d", tc.m.Entries(), want)
+			}
+			if tc.m.Bytes() >= before {
+				t.Fatalf("footprint %d not below %d after dropping two thirds of the pairs", tc.m.Bytes(), before)
+			}
+			tc.m.ExtendPairs(len(keep) + 10)
+			tc.m.Put(5, len(keep)+9, 0.5)
+			if v, ok := tc.m.Get(5, len(keep)+9); !ok || v != 0.5 {
+				t.Fatalf("put after compaction and growth = %v,%v", v, ok)
+			}
+			tc.m.KeepPairs(nil)
+			if tc.m.Entries() != 0 {
+				t.Fatalf("entries %d after dropping every pair", tc.m.Entries())
+			}
+		})
+	}
+}

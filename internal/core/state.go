@@ -65,6 +65,27 @@ func (st *MatchState) ClearPairs(dead *bitmap.Bits) {
 	}
 }
 
+// Gather returns a new state over len(keep) pairs whose pair i carries
+// every bit of pair keep[i] of st (see bitmap.Bits.Gather); st is not
+// modified. Compacting the pair dimension — dead-pair reclamation in a
+// resident session, physical compaction at eviction — passes the
+// surviving old indices in ascending order.
+func (st *MatchState) Gather(keep []int32) *MatchState {
+	out := &MatchState{
+		Matched:   st.Matched.Gather(keep),
+		RuleTrue:  make([]*bitmap.Bits, len(st.RuleTrue)),
+		PredFalse: make([][]*bitmap.Bits, len(st.PredFalse)),
+	}
+	for ri := range st.RuleTrue {
+		out.RuleTrue[ri] = st.RuleTrue[ri].Gather(keep)
+		out.PredFalse[ri] = make([]*bitmap.Bits, len(st.PredFalse[ri]))
+		for pj, pb := range st.PredFalse[ri] {
+			out.PredFalse[ri][pj] = pb.Gather(keep)
+		}
+	}
+	return out
+}
+
 // Bytes returns the approximate memory footprint of the bitmaps.
 func (st *MatchState) Bytes() int64 {
 	b := st.Matched.Bytes()

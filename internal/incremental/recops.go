@@ -14,6 +14,12 @@ import (
 // re-evaluation. Both leave the materialized state satisfying the
 // three session invariants over live pairs.
 //
+// Tombstoned pairs are reclaimed in place once they outnumber the live
+// ones (see DeleteRecords), so pair indices are not stable across
+// deletes: callers that hold a position across operations key it by
+// record IDs. Tombstoned records and their IDs stay in the tables until
+// an eviction compacts the session (persist.Compact).
+//
 // Parity contract for appends (differential-tested): evaluating only
 // the delta range leaves state, memo and per-pair stats byte-identical
 // to a cold full run over the same pair list — the engines' per-pair
@@ -142,9 +148,11 @@ func validateBatch(t *table.Table, recs []table.Record) error {
 // the pairs they participate in — no re-evaluation is needed: removing
 // a record can never make another pair match or unmatch, it only
 // removes its own pairs from the result. The record slots (and their
-// IDs) stay reserved so pair indices remain stable; the tombstoned
-// pairs are excluded from every later operation via the dead bitmap.
-// The whole batch is validated before anything is mutated.
+// IDs) stay reserved; the tombstoned pairs are excluded from every
+// later operation via the dead bitmap until they outnumber the live
+// pairs, when the batch ends by reclaiming them (reclaimDead) and
+// reporting the count as OpReport.PairsReclaimed. The whole batch is
+// validated before anything is mutated.
 func (s *Session) DeleteRecords(aIDs, bIDs []string) error {
 	if err := s.checkState(); err != nil {
 		return err
@@ -199,7 +207,50 @@ func (s *Session) DeleteRecords(aIDs, bIDs []string) error {
 		}
 	}
 	s.LastOp = OpReport{Op: "delete_records", PairsExamined: removed, PairsRemoved: removed}
+	if s.NumDead() > s.LivePairCount() {
+		s.LastOp.PairsReclaimed = s.reclaimDead()
+	}
 	return nil
+}
+
+// reclaimDead compacts the pair dimension in place down to the live
+// pairs, in order: the pair list, the memo, every state bitmap and the
+// owner bookkeeping, then drops the dead mask. It returns the number of
+// pairs reclaimed. Nothing is evaluated, so the work counters, feature
+// values and matches stay as they are; tables, tombstoned records and
+// the blocker are untouched.
+//
+// The trigger (more dead than live pairs) caps pair-indexed state at
+// twice the live pairs and keeps the gather's cost amortized O(1) per
+// deleted pair. It is a pure function of session state, so a replica
+// applying the same WAL records, or a restart replaying them, reclaims
+// at the same operation and serializes to the same snapshot bytes.
+func (s *Session) reclaimDead() int {
+	n := len(s.M.Pairs)
+	keep := make([]int32, 0, s.LivePairCount())
+	for pi := 0; pi < n; pi++ {
+		if !s.dead.Get(pi) {
+			keep = append(keep, int32(pi))
+		}
+	}
+	pairs := make([]table.Pair, len(keep))
+	for i, pi := range keep {
+		pairs[i] = s.M.Pairs[pi]
+	}
+	s.M.Pairs = pairs
+	if s.M.Memo != nil {
+		s.M.Memo.KeepPairs(keep)
+	}
+	s.St = s.St.Gather(keep)
+	if s.owners != nil {
+		owners := make([]int32, len(keep))
+		for i, pi := range keep {
+			owners[i] = s.owners[pi]
+		}
+		s.owners = owners
+	}
+	s.dead = nil
+	return n - len(keep)
 }
 
 // resolveLive maps IDs to live record indices, failing on unknown or

@@ -3,6 +3,8 @@ package incremental
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"rulematch/internal/block"
@@ -316,16 +318,24 @@ func matchedIDSet(s *Session) map[[2]string]bool {
 // and final rules — the data-side dual of the paper's edit-parity
 // property.
 func TestInterleavedOpsParity(t *testing.T) {
-	for trial := 0; trial < 5; trial++ {
+	for trial := 0; trial < 6; trial++ {
 		trial := trial
+		// The last trial is delete-heavy: three ops in four are deletes,
+		// so dead pairs come to outnumber live ones and get reclaimed.
+		deleteHeavy := trial == 5
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
 			a, b := streamTables(t, rng, 10, 12)
 			s := blockedSession(t, a, b, scalarCfg())
 
 			nextA, nextB := a.Len(), b.Len()
+			reclaimed := 0
 			for step := 0; step < 12; step++ {
-				switch rng.Intn(4) {
+				op := rng.Intn(4)
+				if deleteHeavy && op >= 2 {
+					op = 1
+				}
+				switch op {
 				case 0: // append a small batch
 					var aRecs, bRecs []table.Record
 					for i := 0; i < 1+rng.Intn(3); i++ {
@@ -344,6 +354,7 @@ func TestInterleavedOpsParity(t *testing.T) {
 						if err := s.DeleteRecords([]string{id}, nil); err != nil {
 							t.Fatal(err)
 						}
+						reclaimed += s.LastOp.PairsReclaimed
 					}
 				case 2: // threshold wiggle
 					ri := rng.Intn(len(s.M.C.Rules))
@@ -376,57 +387,218 @@ func TestInterleavedOpsParity(t *testing.T) {
 					t.Fatalf("step %d: %v", step, err)
 				}
 			}
-
-			// From-scratch oracle: current rules over the final tables,
-			// blocked fresh (deleted records skipped at the source).
-			var f rule.Function
-			for ri := range s.M.C.Rules {
-				cr := &s.M.C.Rules[ri]
-				r := rule.Rule{Name: cr.Name}
-				for _, cp := range cr.Preds {
-					r.Preds = append(r.Preds, rule.Predicate{
-						Feature:   s.M.C.Features[cp.Feat].Feature,
-						Op:        cp.Op,
-						Threshold: cp.Threshold,
-					})
-				}
-				f.Rules = append(f.Rules, r)
+			if deleteHeavy && reclaimed == 0 {
+				t.Fatal("delete-heavy trial never reclaimed dead pairs")
 			}
-			c2, err := core.Compile(f, sim.Standard(), a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blk := block.AttrEquivalence{Attr: "city"}
-			pairs, err := blk.Pairs(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold := NewSession(c2, pairs)
-			cold.RunFull()
-
-			gotLive := livePairIDSet(s)
-			wantLive := make(map[[2]string]bool, len(pairs))
-			for _, p := range pairs {
-				wantLive[[2]string{a.Records[p.A].ID, b.Records[p.B].ID}] = true
-			}
-			if len(gotLive) != len(wantLive) {
-				t.Fatalf("live candidate sets differ: %d vs %d", len(gotLive), len(wantLive))
-			}
-			for k := range wantLive {
-				if !gotLive[k] {
-					t.Fatalf("cold candidate %v missing from live session pairs", k)
-				}
-			}
-			got, want := matchedIDSet(s), matchedIDSet(cold)
-			if len(got) != len(want) {
-				t.Fatalf("matched sets differ in size: %d vs %d", len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("cold match %v missing from interleaved session", k)
-				}
-			}
+			assertColdParity(t, s)
 		})
+	}
+}
+
+// assertColdParity checks a session's live candidate pairs and matches,
+// by record IDs, against a from-scratch oracle: the session's current
+// rules over its final tables, blocked fresh (deleted records skipped
+// at the source).
+func assertColdParity(t *testing.T, s *Session) {
+	t.Helper()
+	a, b := s.M.C.A, s.M.C.B
+	var f rule.Function
+	for ri := range s.M.C.Rules {
+		cr := &s.M.C.Rules[ri]
+		r := rule.Rule{Name: cr.Name}
+		for _, cp := range cr.Preds {
+			r.Preds = append(r.Preds, rule.Predicate{
+				Feature:   s.M.C.Features[cp.Feat].Feature,
+				Op:        cp.Op,
+				Threshold: cp.Threshold,
+			})
+		}
+		f.Rules = append(f.Rules, r)
+	}
+	c2, err := core.Compile(f, sim.Standard(), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := block.AttrEquivalence{Attr: "city"}
+	pairs, err := blk.Pairs(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := NewSession(c2, pairs)
+	cold.RunFull()
+
+	gotLive := livePairIDSet(s)
+	wantLive := make(map[[2]string]bool, len(pairs))
+	for _, p := range pairs {
+		wantLive[[2]string{a.Records[p.A].ID, b.Records[p.B].ID}] = true
+	}
+	if len(gotLive) != len(wantLive) {
+		t.Fatalf("live candidate sets differ: %d vs %d", len(gotLive), len(wantLive))
+	}
+	for k := range wantLive {
+		if !gotLive[k] {
+			t.Fatalf("cold candidate %v missing from live session pairs", k)
+		}
+	}
+	got, want := matchedIDSet(s), matchedIDSet(cold)
+	if len(got) != len(want) {
+		t.Fatalf("matched sets differ in size: %d vs %d", len(got), len(want))
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("cold match %v missing from interleaved session", k)
+		}
+	}
+}
+
+// pairRecord is everything a session holds for one candidate pair:
+// its state bits and its memo entries.
+type pairRecord struct {
+	matched   bool
+	ruleTrue  []bool
+	predFalse [][]bool
+	memo      map[int]float64 // feature index -> memoized value
+}
+
+// pairRecords captures every pair's state bits and memo entries, keyed
+// by record IDs so the capture survives renumbering.
+func pairRecords(s *Session) map[[2]string]pairRecord {
+	a, b := s.M.C.A, s.M.C.B
+	out := make(map[[2]string]pairRecord, len(s.M.Pairs))
+	for pi, p := range s.M.Pairs {
+		r := pairRecord{matched: s.St.Matched.Get(pi), memo: map[int]float64{}}
+		for ri := range s.St.RuleTrue {
+			r.ruleTrue = append(r.ruleTrue, s.St.RuleTrue[ri].Get(pi))
+			var pf []bool
+			for _, pb := range s.St.PredFalse[ri] {
+				pf = append(pf, pb.Get(pi))
+			}
+			r.predFalse = append(r.predFalse, pf)
+		}
+		for fi := range s.M.C.Features {
+			if v, ok := s.M.Memo.Get(fi, pi); ok {
+				r.memo[fi] = v
+			}
+		}
+		out[[2]string{a.Records[p.A].ID, b.Records[p.B].ID}] = r
+	}
+	return out
+}
+
+// assertOwners checks the owner bookkeeping mirrors the state: one
+// entry per pair, holding the rule whose RuleTrue bit covers the pair
+// or -1.
+func assertOwners(t *testing.T, s *Session, step int) {
+	t.Helper()
+	if len(s.owners) != len(s.M.Pairs) {
+		t.Fatalf("step %d: %d owner entries for %d pairs", step, len(s.owners), len(s.M.Pairs))
+	}
+	for pi, got := range s.owners {
+		want := int32(-1)
+		for ri := range s.St.RuleTrue {
+			if s.St.RuleTrue[ri].Get(pi) {
+				want = int32(ri)
+			}
+		}
+		if got != want {
+			t.Fatalf("step %d: pair %d owned by %d, state says %d", step, pi, got, want)
+		}
+	}
+}
+
+// TestReclaimDeadPairs drives a seeded append/delete/edit stream on
+// both engines and both memo layouts until deletes have reclaimed dead
+// pairs at least twice. Across each reclaiming delete every surviving
+// pair keeps its state bits and memo entries at its new index, the
+// work counters do not move, and after every delete dead pairs never
+// outnumber live ones. The final state passes VerifyDeep and matches a
+// cold run over the live tables.
+func TestReclaimDeadPairs(t *testing.T) {
+	for _, eng := range []struct {
+		name string
+		cfg  core.Config
+	}{{"scalar", scalarCfg()}, {"batch", batchCfg()}} {
+		for _, memo := range []string{"array", "hash"} {
+			t.Run(eng.name+"/"+memo, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(77))
+				a, b := streamTables(t, rng, 12, 14)
+				s := blockedSession(t, a, b, eng.cfg)
+				if memo == "hash" {
+					s.M.Memo = core.NewHashMemo()
+					s.RunFull()
+				}
+				s.ensureOwners() // so every reclamation has owners to gather
+				nextA, nextB := a.Len(), b.Len()
+				reclaims := 0
+				for step := 0; step < 36; step++ {
+					switch step % 3 {
+					case 0:
+						var aRecs, bRecs []table.Record
+						for i := 0; i < 3; i++ {
+							aRecs = append(aRecs, streamRecord(rng, fmt.Sprintf("a%d", nextA)))
+							bRecs = append(bRecs, streamRecord(rng, fmt.Sprintf("b%d", nextB)))
+							nextA++
+							nextB++
+						}
+						if err := s.AddRecords(aRecs, bRecs); err != nil {
+							t.Fatal(err)
+						}
+					case 1:
+						var delA, delB []string
+						for i := 0; i < 3; i++ {
+							if id, ok := pickLive(rng, a); ok && !slices.Contains(delA, id) {
+								delA = append(delA, id)
+							}
+						}
+						if id, ok := pickLive(rng, b); ok {
+							delB = append(delB, id)
+						}
+						before, stats, nPairs := pairRecords(s), s.M.Stats, len(s.M.Pairs)
+						if err := s.DeleteRecords(delA, delB); err != nil {
+							t.Fatal(err)
+						}
+						if s.M.Stats != stats {
+							t.Fatalf("step %d: delete moved the work counters: %+v -> %+v", step, stats, s.M.Stats)
+						}
+						if s.NumDead() > s.LivePairCount() {
+							t.Fatalf("step %d: %d dead pairs outnumber %d live ones", step, s.NumDead(), s.LivePairCount())
+						}
+						if n := s.LastOp.PairsReclaimed; n > 0 {
+							reclaims++
+							if s.DeadPairs() != nil || len(s.M.Pairs) != nPairs-n {
+								t.Fatalf("step %d: reclaimed %d of %d pairs, left %d pairs, dead mask %v",
+									step, n, nPairs, len(s.M.Pairs), s.DeadPairs() != nil)
+							}
+							after := pairRecords(s)
+							for k, got := range after {
+								want, ok := before[k]
+								if !ok {
+									t.Fatalf("step %d: pair %v appeared during reclamation", step, k)
+								}
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("step %d: pair %v state moved across reclamation:\n got %+v\nwant %+v", step, k, got, want)
+								}
+							}
+						}
+					default:
+						ri := rng.Intn(len(s.M.C.Rules))
+						pj := rng.Intn(len(s.M.C.Rules[ri].Preds))
+						thr := s.M.C.Rules[ri].Preds[pj].Threshold
+						if err := s.SetThreshold(ri, pj, thr+0.04*float64(rng.Intn(3)-1)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := s.VerifyDeep(); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					assertOwners(t, s, step)
+				}
+				if reclaims < 2 {
+					t.Fatalf("stream reclaimed %d times, want at least 2", reclaims)
+				}
+				assertColdParity(t, s)
+			})
+		}
 	}
 }
 

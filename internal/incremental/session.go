@@ -66,6 +66,7 @@ type OpReport struct {
 	OwnershipMoves int        // pairs whose owning rule changed
 	PairsAdded     int        // new candidate pairs (record appends)
 	PairsRemoved   int        // tombstoned pairs (record deletes)
+	PairsReclaimed int        // tombstoned pairs compacted away (record deletes)
 }
 
 // NewSession compiles nothing itself: pass a compiled function (already

@@ -67,25 +67,7 @@ func Compact(s *incremental.Session, lib *sim.Library) (*incremental.Session, er
 		return nil, fmt.Errorf("persist: re-compile for compaction: %w", err)
 	}
 	s2 := incremental.NewSession(c2, pairs)
-
-	st := core.NewMatchState(len(pairs), c2.Rules)
-	for ni, opi := range liveIdx {
-		pi := int(opi)
-		if s.St.Matched.Get(pi) {
-			st.Matched.Set(ni)
-		}
-		for ri := range c2.Rules {
-			if s.St.RuleTrue[ri].Get(pi) {
-				st.RuleTrue[ri].Set(ni)
-			}
-			for pj := range st.PredFalse[ri] {
-				if s.St.PredFalse[ri][pj].Get(pi) {
-					st.PredFalse[ri][pj].Set(ni)
-				}
-			}
-		}
-	}
-	s2.St = st
+	s2.St = s.St.Gather(liveIdx)
 
 	// Copy the memo per bound feature. BindFeature re-appends features
 	// that rule edits left bound but unused, exactly as Load does; the

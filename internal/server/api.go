@@ -120,6 +120,7 @@ type OpReport struct {
 	OwnershipMoves int        `json:"ownershipMoves"`
 	PairsAdded     int        `json:"pairsAdded,omitempty"`
 	PairsRemoved   int        `json:"pairsRemoved,omitempty"`
+	PairsReclaimed int        `json:"pairsReclaimed,omitempty"`
 	Stats          core.Stats `json:"stats"`
 }
 
@@ -189,7 +190,10 @@ type SweepResponse struct {
 
 // MatchedPair is one matched candidate pair.
 type MatchedPair struct {
-	Pair int    `json:"pair"` // candidate pair index
+	// Pair is the pair's current candidate index. It is a position, not
+	// an identity: record deletes that reclaim dead pairs, and eviction's
+	// compaction, renumber pairs. Key matches by IDA and IDB.
+	Pair int    `json:"pair"`
 	IDA  string `json:"idA"`
 	IDB  string `json:"idB"`
 	// Rule is the name of the owning rule (the first rule that
@@ -199,8 +203,9 @@ type MatchedPair struct {
 
 // MatchPage is one page of matched pairs. NextCursor is an opaque
 // token: pass it back as ?cursor= for the next page; empty on the last
-// page. The token survives session eviction/reload and replica
-// failover — it addresses state both nodes hold identically.
+// page. The token names its pair by record IDs, so it survives pair
+// renumbering (dead-pair reclamation, eviction/reload) and replica
+// failover; once its pair is deleted it answers 410 cursor_expired.
 type MatchPage struct {
 	Matches    []MatchedPair `json:"matches"`
 	NextCursor string        `json:"nextCursor,omitempty"`

@@ -52,6 +52,11 @@ const (
 	// CodeUnauthorized: the admin endpoint requires the bearer token
 	// the server was started with.
 	CodeUnauthorized = "unauthorized"
+	// CodeCursorExpired: the match cursor can no longer be resumed —
+	// the pair it addresses was deleted and reclaimed or compacted
+	// away, or the token is in the retired v1 format. Restart the walk
+	// without a cursor.
+	CodeCursorExpired = "cursor_expired"
 )
 
 // ErrorBody is the envelope payload of every non-2xx JSON response.

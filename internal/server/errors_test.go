@@ -32,6 +32,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"records/empty-batch", "POST", "/v1/sessions/s1/records", RecordsRequest{}, 400, CodeInvalidRequest},
 		{"sweep/bad-rule", "POST", "/v1/sessions/s1/sweep", SweepRequest{RuleName: "nope"}, 400, CodeInvalidRequest},
 		{"matches/bad-cursor", "GET", "/v1/sessions/s1/matches?cursor=@@", nil, 400, CodeInvalidRequest},
+		{"matches/cursor-trailing-byte", "GET", "/v1/sessions/s1/matches?cursor=AgQMfvqW0byUHAA", nil, 400, CodeInvalidRequest},
 		{"matches/bad-limit", "GET", "/v1/sessions/s1/matches?limit=0", nil, 400, CodeInvalidRequest},
 
 		// not_found: the {name} wildcard misses.
@@ -54,6 +55,11 @@ func TestErrorEnvelope(t *testing.T) {
 		{"create/duplicate", "POST", "/v1/sessions", CreateSessionRequest{Name: "s1", TableA: tableACSV, TableB: tableBCSV, Rules: rulesDSL, Block: "cat"}, 409, CodeConflict},
 		{"wal/not-durable", "GET", "/v1/sessions/s1/wal", nil, 409, CodeNotDurable},
 		{"bootstrap/not-durable", "GET", "/v1/sessions/s1/bootstrap", nil, 409, CodeNotDurable},
+
+		// cursor_expired: a well-formed token in the retired v1 (JSON,
+		// index-only) format. Expiry of a v2 token whose pair was
+		// reclaimed is TestCursorAcrossReclamation's.
+		{"matches/v1-cursor", "GET", "/v1/sessions/s1/matches?cursor=eyJ2IjoxLCJwIjoyfQ", nil, 410, CodeCursorExpired},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -463,6 +465,7 @@ func reportOf(op incremental.OpReport) OpReport {
 		OwnershipMoves: op.OwnershipMoves,
 		PairsAdded:     op.PairsAdded,
 		PairsRemoved:   op.PairsRemoved,
+		PairsReclaimed: op.PairsReclaimed,
 		Stats:          op.Stats,
 	}
 }
@@ -526,34 +529,100 @@ func (s *Server) hSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// matchCursor is the decoded form of the opaque page token: a format
-// version and the candidate pair index the next page starts at. The
-// pair index is stable across eviction/reload (reload rebuilds the
-// identical pair order) and across replica failover (a caught-up
-// replica's state is byte-identical), so a client can resume a page
-// walk against a different node.
+// matchCursor is the decoded form of the opaque page token: the
+// candidate pair the next page starts at, as its index plus a
+// fingerprint of its record IDs. Pair indices are not stable: record
+// deletes reclaim dead pairs in a resident session, and eviction
+// compacts them away, both renumbering the survivors to lower indices
+// in the same order. So a resume starts at the index when the pair
+// there carries the fingerprint and otherwise scans down from it; a
+// pair that is gone expires the cursor (410 cursor_expired). A
+// caught-up replica's state is byte-identical to the primary's, so a
+// client can also resume a walk against a different node.
+//
+// Wire form: unpadded base64url of the version byte cursorVersion, the
+// pair index as a minimal uvarint and the big-endian 64-bit FNV-1a hash
+// of idA, 0x00, idB. The v1 form (JSON {"v":1,"p":N}) carried only an
+// index, which renumbering silently shifts; v1 tokens expire.
 type matchCursor struct {
-	V int `json:"v"`
-	P int `json:"p"`
+	pair int
+	fp   uint64
 }
 
-// encodeCursor packs a pair index into the opaque wire token.
-func encodeCursor(p int) string {
-	b, _ := json.Marshal(matchCursor{V: 1, P: p})
-	return base64.RawURLEncoding.EncodeToString(b)
+const cursorVersion = 2
+
+// errCursorExpired is decodeCursor's answer to a v1 token.
+var errCursorExpired = errors.New("cursor expired: v1 cursors are retired; restart the walk without a cursor")
+
+// pairFingerprint is FNV-1a 64 (hash/fnv's New64a) over idA, a zero
+// byte and idB, inlined so the resume scan allocates nothing.
+func pairFingerprint(idA, idB string) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(idA); i++ {
+		h = (h ^ uint64(idA[i])) * prime64
+	}
+	h *= prime64 // the separator: h ^ 0 == h
+	for i := 0; i < len(idB); i++ {
+		h = (h ^ uint64(idB[i])) * prime64
+	}
+	return h
 }
 
-// decodeCursor unpacks a wire token from encodeCursor.
-func decodeCursor(s string) (int, error) {
+// encodeCursor packs a cursor into the opaque wire token.
+func encodeCursor(c matchCursor) string {
+	buf := make([]byte, 0, 1+binary.MaxVarintLen64+8)
+	buf = append(buf, cursorVersion)
+	buf = binary.AppendUvarint(buf, uint64(c.pair))
+	buf = binary.BigEndian.AppendUint64(buf, c.fp)
+	return base64.RawURLEncoding.EncodeToString(buf)
+}
+
+// decodeCursor unpacks a wire token from encodeCursor. It accepts only
+// canonical tokens — the ones encodeCursor produces — and answers
+// errCursorExpired for a v1 token.
+func decodeCursor(s string) (matchCursor, error) {
+	bad := fmt.Errorf("bad cursor %q", s)
 	raw, err := base64.RawURLEncoding.DecodeString(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad cursor %q", s)
+	if err != nil || base64.RawURLEncoding.EncodeToString(raw) != s || len(raw) == 0 {
+		return matchCursor{}, bad
 	}
-	var c matchCursor
-	if err := json.Unmarshal(raw, &c); err != nil || c.V != 1 || c.P < 0 {
-		return 0, fmt.Errorf("bad cursor %q", s)
+	if raw[0] == '{' {
+		var v1 struct {
+			V int `json:"v"`
+			P int `json:"p"`
+		}
+		if json.Unmarshal(raw, &v1) == nil && v1.V == 1 && v1.P >= 0 {
+			return matchCursor{}, errCursorExpired
+		}
+		return matchCursor{}, bad
 	}
-	return c.P, nil
+	if raw[0] != cursorVersion {
+		return matchCursor{}, bad
+	}
+	p, n := binary.Uvarint(raw[1:])
+	if n <= 0 || n != len(binary.AppendUvarint(nil, p)) || p > math.MaxInt32 || len(raw) != 1+n+8 {
+		return matchCursor{}, bad
+	}
+	return matchCursor{pair: int(p), fp: binary.BigEndian.Uint64(raw[1+n:])}, nil
+}
+
+// cursorAt builds the cursor addressing pair pi.
+func cursorAt(sess *incremental.Session, a, b *table.Table, pi int) matchCursor {
+	p := sess.M.Pairs[pi]
+	return matchCursor{pair: pi, fp: pairFingerprint(a.Records[p.A].ID, b.Records[p.B].ID)}
+}
+
+// resumeAt finds the pair a cursor addresses: at its index when the
+// fingerprint still matches there, otherwise at the nearest lower index
+// that carries it (renumbering only ever moves pairs down).
+func resumeAt(sess *incremental.Session, a, b *table.Table, c matchCursor) (int, bool) {
+	for pi := min(c.pair, len(sess.M.Pairs)-1); pi >= 0; pi-- {
+		if cursorAt(sess, a, b, pi).fp == c.fp {
+			return pi, true
+		}
+	}
+	return 0, false
 }
 
 // hMatches pages through the matched pairs. Pagination is by opaque
@@ -562,19 +631,26 @@ func decodeCursor(s string) (int, error) {
 // client fails loudly instead of re-reading the first page forever.
 func (s *Server) hMatches(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	start, limit := 0, 100
-	var err error
+	limit := 100
+	var cur *matchCursor
 	if q.Has("offset") {
 		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("offset pagination was removed; page with cursor (pass nextCursor back as ?cursor=)"))
 		return
 	}
 	if v := q.Get("cursor"); v != "" {
-		if start, err = decodeCursor(v); err != nil {
+		c, err := decodeCursor(v)
+		switch {
+		case errors.Is(err, errCursorExpired):
+			writeErr(w, http.StatusGone, CodeCursorExpired, err)
+			return
+		case err != nil:
 			writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
 			return
 		}
+		cur = &c
 	}
 	if v := q.Get("limit"); v != "" {
+		var err error
 		if limit, err = strconv.Atoi(v); err != nil || limit < 1 {
 			writeErr(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("bad limit %q", v))
 			return
@@ -590,13 +666,21 @@ func (s *Server) hMatches(w http.ResponseWriter, r *http.Request) {
 	defer h.Release()
 	sess := h.Session()
 	a, b := h.Tables()
+	start := 0
+	if cur != nil {
+		if start, ok = resumeAt(sess, a, b, *cur); !ok {
+			writeErr(w, http.StatusGone, CodeCursorExpired,
+				errors.New("cursor expired: the pair it addresses was deleted; restart the walk without a cursor"))
+			return
+		}
+	}
 	page := MatchPage{Matches: []MatchedPair{}, Total: sess.MatchCount()}
 	for pi := start; pi < len(sess.M.Pairs); pi++ {
 		if !sess.St.Matched.Get(pi) {
 			continue
 		}
 		if len(page.Matches) == limit {
-			page.NextCursor = encodeCursor(pi)
+			page.NextCursor = encodeCursor(cursorAt(sess, a, b, pi))
 			break
 		}
 		p := sess.M.Pairs[pi]

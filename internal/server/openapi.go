@@ -225,6 +225,7 @@ func validateRouteCodes(rts []routeSpec) error {
 		CodeQuotaExceeded: true, CodeNotPrimary: true, CodeNotDurable: true,
 		CodeWalRotated: true, CodeCancelled: true, CodeInternal: true,
 		CodeUnavailable: true, CodeStaleEpoch: true, CodeUnauthorized: true,
+		CodeCursorExpired: true,
 	}
 	for _, rt := range rts {
 		for _, c := range rt.ErrCodes {

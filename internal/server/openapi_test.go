@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -91,54 +92,56 @@ func TestOpenAPICoversRoutes(t *testing.T) {
 // TestCursorStableAcrossEvictReload proves an opaque cursor handed out
 // before a session was evicted still addresses the same position after
 // the transparent reload: the walk sees every match exactly once even
-// though the session left memory mid-walk.
+// though the session left memory mid-walk. In the tombstone case the
+// eviction compacts a deleted record's pairs away, so every pair after
+// them comes back at a lower index.
 func TestCursorStableAcrossEvictReload(t *testing.T) {
-	ts, srv := newDurableServer(t, t.TempDir(), nil)
-	createSession(t, ts, "cur")
-
-	var first MatchPage
-	if code := doJSON(t, "GET", ts.URL+"/v1/sessions/cur/matches?limit=2", nil, &first); code != http.StatusOK {
-		t.Fatalf("first page: status %d", code)
-	}
-	if first.NextCursor == "" {
-		t.Fatal("fixture too small: one page holds everything")
-	}
-
-	// Force the session out of memory: budget for ~1.5 sessions, then
-	// admit another so the LRU evictor pushes cur out.
-	per := listSessions(t, ts)["cur"].ResidentBytes
-	if per == 0 {
-		t.Fatal("test setup: zero resident bytes")
-	}
-	srv.SetLimits(0, per+per/2, 0)
-	createSession(t, ts, "pressure")
-	if st := listSessions(t, ts)["cur"].State; st != "evicted" {
-		t.Fatalf("session cur is %q under budget pressure, want evicted", st)
-	}
-
-	// The pre-eviction cursor resumes the walk over the reloaded state.
-	seen := map[int]bool{}
-	for _, m := range first.Matches {
-		seen[m.Pair] = true
-	}
-	cursor := first.NextCursor
-	for cursor != "" {
-		var page MatchPage
-		if code := doJSON(t, "GET", ts.URL+"/v1/sessions/cur/matches?limit=2&cursor="+cursor, nil, &page); code != http.StatusOK {
-			t.Fatalf("page after reload: status %d", code)
-		}
-		for _, m := range page.Matches {
-			if seen[m.Pair] {
-				t.Fatalf("pair %d returned twice across the eviction", m.Pair)
+	for _, tc := range []struct {
+		name    string
+		deleteA []string
+		limit   int
+	}{
+		{"plain", nil, 2},
+		{"tombstone", []string{"a0"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, srv := newDurableServer(t, t.TempDir(), nil)
+			createSession(t, ts, "cur")
+			if tc.deleteA != nil {
+				deleteRecords(t, ts, "cur", tc.deleteA)
 			}
-			seen[m.Pair] = true
-		}
-		if len(seen) == first.Total {
-			break
-		}
-		cursor = page.NextCursor
-	}
-	if len(seen) != first.Total {
-		t.Fatalf("walk across eviction saw %d of %d matches", len(seen), first.Total)
+
+			var first MatchPage
+			url := fmt.Sprintf("%s/v1/sessions/cur/matches?limit=%d", ts.URL, tc.limit)
+			if code := doJSON(t, "GET", url, nil, &first); code != http.StatusOK {
+				t.Fatalf("first page: status %d", code)
+			}
+			if first.NextCursor == "" {
+				t.Fatal("fixture too small: one page holds everything")
+			}
+
+			// Force the session out of memory: budget for ~1.5 sessions,
+			// then admit another so the LRU evictor pushes cur out.
+			per := listSessions(t, ts)["cur"].ResidentBytes
+			if per == 0 {
+				t.Fatal("test setup: zero resident bytes")
+			}
+			srv.SetLimits(0, per+per/2, 0)
+			createSession(t, ts, "pressure")
+			if st := listSessions(t, ts)["cur"].State; st != "evicted" {
+				t.Fatalf("session cur is %q under budget pressure, want evicted", st)
+			}
+
+			// The pre-eviction cursor resumes the walk over the reloaded
+			// state.
+			seen := map[[2]string]bool{}
+			for _, m := range first.Matches {
+				seen[matchKey(m)] = true
+			}
+			resumeWalk(t, ts, "cur", first.NextCursor, tc.limit, seen)
+			if len(seen) != first.Total {
+				t.Fatalf("walk across eviction saw %d of %d matches", len(seen), first.Total)
+			}
+		})
 	}
 }

@@ -127,7 +127,7 @@ func routes() []routeSpec {
 				{Name: "cursor", Type: "string", Doc: "opaque page token from a previous response's nextCursor"},
 				{Name: "limit", Type: "integer", Doc: "page size (default 100)"},
 			}, consistentQuery()...),
-			ErrCodes: []string{CodeInvalidRequest, CodeNotFound, CodeUnavailable, CodeInternal},
+			ErrCodes: []string{CodeInvalidRequest, CodeNotFound, CodeCursorExpired, CodeUnavailable, CodeInternal},
 			handler:  func(s *Server) http.HandlerFunc { return s.hMatches },
 		},
 		{
