@@ -8,6 +8,7 @@
 package rulematch
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -40,6 +41,14 @@ func benchTask(b testing.TB) *bench.Task {
 		b.Fatal(taskErr)
 	}
 	return taskVal
+}
+
+// mustRun runs the session's full materializing run.
+func mustRun(tb testing.TB, s *incremental.Session) {
+	tb.Helper()
+	if err := s.Run(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 func compileN(b testing.TB, task *bench.Task, n int) *core.Compiled {
@@ -233,7 +242,7 @@ func BenchmarkFig5CAddRule(b *testing.B) {
 	newSession := func(b *testing.B, n int) *incremental.Session {
 		c := compileN(b, task, n)
 		s := incremental.NewSession(c, task.Pairs())
-		s.RunFull()
+		mustRun(b, s)
 		return s
 	}
 	const base = 20
@@ -259,7 +268,7 @@ func BenchmarkFig5CAddRule(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.RunFullWithMemo()
+			mustRun(b, s)
 		}
 	})
 }
@@ -271,7 +280,7 @@ func BenchmarkFig6Incremental(b *testing.B) {
 	setup := func(b *testing.B) *incremental.Session {
 		c := compileN(b, task, 25)
 		s := incremental.NewSession(c, task.Pairs())
-		s.RunFull()
+		mustRun(b, s)
 		return s
 	}
 	pred := rule.Predicate{

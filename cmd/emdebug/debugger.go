@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -25,12 +26,15 @@ import (
 
 // debugger holds one interactive debugging session.
 type debugger struct {
-	out     io.Writer
-	task    *bench.Task
-	sess    *incremental.Session
-	workers int           // shard workers for full runs and sweeps (1 = serial)
-	last    time.Duration // duration of the most recent state-changing op
-	undo    [][]byte      // session snapshots, most recent last
+	out  io.Writer
+	task *bench.Task
+	sess *incremental.Session
+	// cfg is the engine configuration (the -parallel flag) every
+	// session is built or reconfigured with, including the ones undo
+	// and restore load from snapshots.
+	cfg  core.Config
+	last time.Duration // duration of the most recent state-changing op
+	undo [][]byte      // session snapshots, most recent last
 	// saveOpts configures how the save command writes snapshots
 	// (-fsync on the command line).
 	saveOpts []persist.SaveOption
@@ -66,22 +70,22 @@ func (d *debugger) undoLast() error {
 	if err != nil {
 		return fmt.Errorf("undo failed: %w", err)
 	}
-	s.M.C.EnableProfileCache()
+	s.Reconfigure(d.cfg)
 	d.sess = s
 	fmt.Fprintf(d.out, "undone: back to %d rules, %d matches\n", len(s.M.C.Rules), s.MatchCount())
 	return nil
 }
 
-func newDebugger(out io.Writer) *debugger { return &debugger{out: out, workers: 1} }
+func newDebugger(out io.Writer, cfg core.Config) *debugger {
+	return &debugger{out: out, cfg: cfg}
+}
 
-// runFull bootstraps (or re-runs) the session, sharding the
-// materializing run over the configured workers when more than one.
-func (d *debugger) runFull() {
-	if d.workers != 1 {
-		d.sess.RunFullParallel(d.workers)
-		return
-	}
-	d.sess.RunFull()
+// runFull bootstraps (or re-runs) the session on its configured
+// workers, recording the run's duration.
+func (d *debugger) runFull() error {
+	var err error
+	d.last = timeOp(func() { err = d.sess.Run(context.TODO()) })
+	return err
 }
 
 // load generates the synthetic dataset and starts a session with either
@@ -115,25 +119,27 @@ func (d *debugger) load(dataset string, scale float64, mined bool) error {
 	if err != nil {
 		return err
 	}
-	c.EnableProfileCache() // interactive sessions want the fastest cold run
-	d.sess = incremental.NewSession(c, task.Pairs())
+	d.sess = incremental.NewSessionConfig(c, task.Pairs(), d.cfg)
 	d.sess.Blocker = task.DS.Blocker()
-	runDur := timeOp(func() { d.runFull() })
-	d.last = runDur
+	if err := d.runFull(); err != nil {
+		return err
+	}
 	fmt.Fprintf(d.out, "loaded %s: %d + %d records, %d candidate pairs, %d gold matches (prepared in %v)\n",
 		dataset, task.DS.A.Len(), task.DS.B.Len(), len(task.Pairs()), len(task.DS.Gold),
 		time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(d.out, "initial run%s: %d matches in %v with %d rules\n",
-		d.workersTag(), d.sess.MatchCount(), runDur.Round(time.Microsecond), len(c.Rules))
+		d.workersTag(), d.sess.MatchCount(), d.last.Round(time.Microsecond), len(c.Rules))
 	return nil
 }
 
-// workersTag annotates run reports when the session is sharded.
+// workersTag annotates run reports when the session has more than one
+// worker.
 func (d *debugger) workersTag() string {
-	if d.workers == 1 {
+	w := core.NormalizeWorkers(d.sess.M.Workers)
+	if w == 1 {
 		return ""
 	}
-	return fmt.Sprintf(" (%d workers)", d.workers)
+	return fmt.Sprintf(" (%d workers)", w)
 }
 
 func timeOp(fn func()) time.Duration {
@@ -175,11 +181,12 @@ func (d *debugger) loadCSV(dir, blockAttr string) error {
 	if err != nil {
 		return err
 	}
-	c.EnableProfileCache()
 	d.task = &bench.Task{DS: ds, Lib: lib, Rules: f.Rules}
-	d.sess = incremental.NewSession(c, ds.Pairs)
+	d.sess = incremental.NewSessionConfig(c, ds.Pairs, d.cfg)
 	d.sess.Blocker = ds.Blocker()
-	d.last = timeOp(func() { d.runFull() })
+	if err := d.runFull(); err != nil {
+		return err
+	}
 	fmt.Fprintf(d.out, "loaded %s: %d + %d records, %d candidate pairs, %d gold matches\n",
 		dir, a.Len(), b.Len(), len(ds.Pairs), len(ds.Gold))
 	fmt.Fprintf(d.out, "initial run%s: %d matches in %v with %d rules\n",
@@ -278,16 +285,11 @@ func (d *debugger) exec(line string) (quit bool, err error) {
 			fmt.Fprintln(d.out, fd.String())
 		}
 	case "run":
-		dur := timeOp(func() {
-			if d.workers != 1 {
-				d.sess.RunFullParallel(d.workers)
-			} else {
-				d.sess.RunFullWithMemo()
-			}
-		})
-		d.last = dur
+		if err := d.runFull(); err != nil {
+			return false, err
+		}
 		fmt.Fprintf(d.out, "full re-run%s: %d matches in %v\n",
-			d.workersTag(), d.sess.MatchCount(), dur.Round(time.Microsecond))
+			d.workersTag(), d.sess.MatchCount(), d.last.Round(time.Microsecond))
 	case "quality":
 		d.printQuality()
 	case "stats":
@@ -382,7 +384,7 @@ func (d *debugger) printRules() {
 // sweep prints the what-if match counts and quality across candidate
 // thresholds for one predicate, powered by the warm memo.
 func (d *debugger) sweep(ri, pj int) error {
-	points, err := d.sess.SweepThresholdParallel(ri, pj, incremental.DefaultSweep(9), d.workers)
+	points, err := d.sess.SweepThresholdParallelCtx(context.TODO(), ri, pj, incremental.DefaultSweep(9), d.sess.M.Workers)
 	if err != nil {
 		return err
 	}
@@ -625,7 +627,7 @@ func (d *debugger) restore(path string) error {
 	if err != nil {
 		return err
 	}
-	s.M.C.EnableProfileCache()
+	s.Reconfigure(d.cfg)
 	d.sess = s
 	fmt.Fprintf(d.out, "restored session from %s: %d rules, %d matches, %d memo entries\n",
 		path, len(s.M.C.Rules), s.MatchCount(), s.M.Memo.Entries())

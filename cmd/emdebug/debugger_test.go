@@ -1,12 +1,15 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"rulematch/internal/cliflags"
 	"rulematch/internal/table"
 )
 
@@ -39,11 +42,24 @@ func writeTask(t *testing.T) string {
 	return dir
 }
 
+// newTestDebugger builds a debugger as main does, from the engine
+// flags in args (e.g. "-parallel", "3").
+func newTestDebugger(t *testing.T, out io.Writer, args ...string) *debugger {
+	t.Helper()
+	eng := cliflags.NewEngine()
+	fs := flag.NewFlagSet("emdebug", flag.ContinueOnError)
+	eng.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return newDebugger(out, eng.Config())
+}
+
 // run executes commands against a fresh debugger, returning its output.
 func run(t *testing.T, cmds ...string) string {
 	t.Helper()
 	var sb strings.Builder
-	d := newDebugger(&sb)
+	d := newTestDebugger(t, &sb)
 	dir := writeTask(t)
 	if err := d.loadCSV(dir, "cat"); err != nil {
 		t.Fatal(err)
@@ -117,7 +133,7 @@ func TestDebuggerInspection(t *testing.T) {
 
 func TestDebuggerSaveRestore(t *testing.T) {
 	var sb strings.Builder
-	d := newDebugger(&sb)
+	d := newTestDebugger(t, &sb)
 	dir := writeTask(t)
 	if err := d.loadCSV(dir, "cat"); err != nil {
 		t.Fatal(err)
@@ -143,7 +159,7 @@ func TestDebuggerSaveRestore(t *testing.T) {
 
 func TestDebuggerErrors(t *testing.T) {
 	var sb strings.Builder
-	d := newDebugger(&sb)
+	d := newTestDebugger(t, &sb)
 	if _, err := d.exec("quality"); err == nil {
 		t.Error("command without session accepted")
 	}
@@ -176,7 +192,7 @@ func TestDebuggerSweepAndPerRuleQuality(t *testing.T) {
 
 func TestDebuggerUndo(t *testing.T) {
 	var sb strings.Builder
-	d := newDebugger(&sb)
+	d := newTestDebugger(t, &sb)
 	if err := d.loadCSV(writeTask(t), "cat"); err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +236,14 @@ func TestDebuggerLint(t *testing.T) {
 	}
 }
 
-// A parallel debugger session must produce the same results as a serial
-// one: same match counts, working sweeps and incremental ops.
+// A -parallel 3 debugger session must produce the same results as a
+// one-worker one: same match counts, working sweeps and incremental
+// ops. Sessions undo and restore load from snapshots keep the
+// command-line engine configuration.
 func TestDebuggerParallelWorkers(t *testing.T) {
-	serialOut := run(t, "quality")
+	oneWorkerOut := run(t, "quality")
 	var sb strings.Builder
-	d := newDebugger(&sb)
-	d.workers = 3
+	d := newTestDebugger(t, &sb, "-parallel", "3")
 	dir := writeTask(t)
 	if err := d.loadCSV(dir, "cat"); err != nil {
 		t.Fatal(err)
@@ -234,22 +251,43 @@ func TestDebuggerParallelWorkers(t *testing.T) {
 	if !strings.Contains(sb.String(), "(3 workers)") {
 		t.Errorf("workers tag missing from load banner:\n%s", sb.String())
 	}
-	for _, cmd := range []string{"quality", "sweep 0 0", "run", "set 0 0 0.9"} {
+	assertConfigured := func(after string) {
+		t.Helper()
+		if d.sess.M.Workers != 3 || !d.sess.M.C.ProfileCacheEnabled() {
+			t.Fatalf("after %s: workers %d, profile cache %v; want 3 and on",
+				after, d.sess.M.Workers, d.sess.M.C.ProfileCacheEnabled())
+		}
+	}
+	assertConfigured("load")
+	path := filepath.Join(t.TempDir(), "s.gob")
+	for _, cmd := range []string{"quality", "sweep 0 0", "run", "save " + path, "set 0 0 0.9", "undo"} {
 		if _, err := d.exec(cmd); err != nil {
 			t.Fatalf("%s: %v", cmd, err)
 		}
 	}
+	assertConfigured("undo")
+	if _, err := d.exec("restore " + path); err != nil {
+		t.Fatal(err)
+	}
+	assertConfigured("restore")
+	if _, err := d.exec("run"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "full re-run (3 workers)") {
+		t.Errorf("workers tag missing from re-run report:\n%s", sb.String())
+	}
 	if err := d.sess.VerifyDeep(); err != nil {
 		t.Fatal(err)
 	}
-	// The quality line (P/R/F1 before any edit) matches the serial run.
+	// The quality line (P/R/F1 before any edit) matches the one-worker
+	// run.
 	want := ""
-	for _, line := range strings.Split(serialOut, "\n") {
+	for _, line := range strings.Split(oneWorkerOut, "\n") {
 		if strings.Contains(line, "precision") {
 			want = line
 		}
 	}
 	if want == "" || !strings.Contains(sb.String(), want) {
-		t.Errorf("parallel quality differs from serial:\nwant %q in\n%s", want, sb.String())
+		t.Errorf("3-worker quality differs from one worker:\nwant %q in\n%s", want, sb.String())
 	}
 }

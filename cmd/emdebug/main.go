@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"rulematch/internal/cliflags"
-	"rulematch/internal/core"
 )
 
 func main() {
@@ -33,8 +32,7 @@ func main() {
 	snap := cliflags.NewSnapshot()
 	snap.Register(flag.CommandLine)
 	flag.Parse()
-	d := newDebugger(os.Stdout)
-	d.workers = core.NormalizeWorkers(eng.Parallel)
+	d := newDebugger(os.Stdout, eng.Config())
 	d.saveOpts = snap.Options()
 	if *dataset != "" {
 		if err := d.load(*dataset, *scale, *mined); err != nil {

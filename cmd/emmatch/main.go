@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -80,29 +81,25 @@ func run(o options, diag io.Writer) error {
 		matched *bitmap.Bits
 		sess    *incremental.Session
 	)
+	ctx := context.TODO()
 	start := time.Now()
 	if o.save != "" {
-		// The snapshot path materializes the full incremental state
-		// (sharded across workers when -parallel != 1) so emdebug and
-		// emserve can resume from a warm session.
+		// The snapshot path materializes the full incremental state so
+		// emdebug and emserve can resume from a warm session.
 		sess = incremental.NewSessionConfig(c, in.Pairs, cfg)
 		// Carry the blocker so resumed sessions accept record appends.
 		sess.Blocker = in.Blocker
-		if o.eng.Parallel != 1 {
-			sess.RunFullParallel(o.eng.Parallel)
-		} else {
-			sess.RunFull()
+		if err := sess.Run(ctx); err != nil {
+			return err
 		}
 		m = sess.M
 		matched = sess.St.Matched
 	} else {
+		// Marks-only run: the output needs the match set, not the
+		// materialized per-predicate state.
 		m = cfg.NewMatcher(c, in.Pairs)
-		if o.eng.Parallel != 1 {
-			matched = m.MatchParallel(o.eng.Parallel)
-		} else {
-			// Marks-only run: the output needs the match set, not the
-			// materialized per-predicate state.
-			matched = m.MatchBits()
+		if matched, err = m.MatchParallelCtx(ctx, cfg.Workers); err != nil {
+			return err
 		}
 	}
 	matchTime := time.Since(start)

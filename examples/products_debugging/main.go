@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -48,7 +49,9 @@ func main() {
 
 	// Iteration 0: first full run (cold memo) — the only slow step.
 	start := time.Now()
-	s.RunFull()
+	if err := s.Run(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 	report("initial run (3 rules, cold memo)", time.Since(start))
 
 	// Iteration 1: explore a looser title threshold on r1.

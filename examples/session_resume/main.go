@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -40,7 +41,9 @@ func main() {
 	// --- Sitting 1: cold run, one refinement, save. ---
 	s := incremental.NewSession(c, ds.Pairs)
 	start := time.Now()
-	s.RunFull()
+	if err := s.Run(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 	cold := time.Since(start)
 	fmt.Printf("sitting 1: cold run over %d pairs: %v, %d matches\n",
 		len(ds.Pairs), cold.Round(time.Microsecond), s.MatchCount())
@@ -70,7 +73,10 @@ func main() {
 		restored.MatchCount(), restored.M.Memo.Entries())
 
 	start = time.Now()
-	restored.RunFullWithMemo() // full re-check is now memo-only
+	// The full re-check is now memo-only.
+	if err := restored.Run(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("sitting 2: full re-check with restored memo: %v (cold was %v)\n",
 		time.Since(start).Round(time.Microsecond), cold.Round(time.Microsecond))
 

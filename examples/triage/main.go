@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,7 +31,9 @@ func main() {
 		log.Fatal(err)
 	}
 	s := incremental.NewSession(c, task.Pairs())
-	s.RunFull()
+	if err := s.Run(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 	rep := quality.Evaluate(task.Pairs(), s.St.Matched, task.DS.Gold, nil)
 	fmt.Printf("start: %d rules, P=%.3f R=%.3f F1=%.3f\n\n",
 		len(c.Rules), rep.Precision(), rep.Recall(), rep.F1())
@@ -95,7 +98,7 @@ func main() {
 	// 4. Sweep a threshold of the noisiest rule before committing to it.
 	if worst >= 0 {
 		fmt.Printf("\nthreshold sweep on %s predicate 0:\n", c.Rules[worst].Name)
-		points, err := s.SweepThreshold(worst, 0, incremental.DefaultSweep(5))
+		points, err := s.SweepThresholdParallelCtx(context.Background(), worst, 0, incremental.DefaultSweep(5), s.M.Workers)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@ package rulematch
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -37,8 +38,10 @@ func TestEndToEndPipeline(t *testing.T) {
 	dm := core.NewMatcher(c, task.Pairs())
 	dm.CheckCacheFirst = true
 	st := dm.Match()
-	par := core.NewMatcher(c, task.Pairs())
-	parBits := par.MatchParallel(4)
+	parBits, err := core.NewMatcher(c, task.Pairs()).MatchParallelCtx(context.Background(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	adaptive := core.NewMatcher(c, task.Pairs())
 	adaptiveBits := order.MatchAdaptive(adaptive, costmodel.New(c, est), 0)
 	for pi := range task.Pairs() {
@@ -70,7 +73,7 @@ func TestIncrementalSessionOnRealTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := incremental.NewSession(c, task.Pairs())
-	s.RunFull()
+	mustRun(t, s)
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func TestPersistOnRealTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := incremental.NewSession(c, task.Pairs())
-	s.RunFull()
+	mustRun(t, s)
 	var buf bytes.Buffer
 	if err := persist.Save(&buf, s); err != nil {
 		t.Fatal(err)

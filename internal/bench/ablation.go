@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -180,10 +181,10 @@ func AblationValueCache(task *Task) (*Table, error) {
 	return out, nil
 }
 
-// AblationParallel measures the sharded execution paths over worker
-// counts against the serial materializing baseline: MatchParallel
-// (match marks only) and MatchStateParallel (full incremental state,
-// the Fig 5C cold-start task).
+// AblationParallel measures the sharded runs over worker counts
+// against the serial Match baseline (Algorithm 4): MatchParallelCtx
+// (match marks only) and MatchStateParallelCtx (full incremental
+// state, the Fig 5C cold-start task).
 func AblationParallel(task *Task) (*Table, error) {
 	c, err := task.CompileSubset(len(task.Rules))
 	if err != nil {
@@ -199,9 +200,15 @@ func AblationParallel(task *Task) (*Table, error) {
 	out.AddRow("serial", "-", ms(serial), "1.00x")
 	for _, w := range []int{1, 2, 4, 8} {
 		m := core.NewMatcher(c, pairs)
-		dMarks := timeIt(func() { m.MatchParallel(w) })
+		dMarks := timeIt(func() { _, err = m.MatchParallelCtx(context.TODO(), w) })
+		if err != nil {
+			return nil, err
+		}
 		mSt := core.NewMatcher(c, pairs)
-		dState := timeIt(func() { mSt.MatchStateParallel(w) })
+		dState := timeIt(func() { _, err = mSt.MatchStateParallelCtx(context.TODO(), w) })
+		if err != nil {
+			return nil, err
+		}
 		speedup := "-"
 		if dState > 0 {
 			speedup = fmt.Sprintf("%.2fx", serial.Seconds()/dState.Seconds())
@@ -256,8 +263,10 @@ func AblationBatch(task *Task) (*Table, error) {
 	for _, w := range []int{2, 4, 8} {
 		m := core.NewMatcher(c, pairs)
 		m.Engine = core.EngineBatch
-		row(fmt.Sprintf("batch+par/%d", w),
-			func(m *core.Matcher) *core.MatchState { return m.MatchStateParallel(w) }, m)
+		row(fmt.Sprintf("batch+par/%d", w), func(m *core.Matcher) *core.MatchState {
+			st, _ := m.MatchStateParallelCtx(context.TODO(), w) // never cancelled, so no error
+			return st
+		}, m)
 	}
 	out.Notes = append(out.Notes,
 		"parity: batch MatchState byte-identical to the scalar reference (match marks, rule sets, per-predicate false bits)",

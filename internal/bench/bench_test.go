@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -246,12 +247,12 @@ func TestFig5CParallelBootstrap(t *testing.T) {
 	}
 	found := false
 	for _, n := range tbl.Notes {
-		if strings.Contains(n, "cold start sharded over 2 workers") {
+		if strings.Contains(n, "sharded over 2 worker(s)") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("missing cold-start comparison note, have %q", tbl.Notes)
+		t.Errorf("missing worker-count note, have %q", tbl.Notes)
 	}
 }
 
@@ -327,7 +328,7 @@ func TestAblations(t *testing.T) {
 }
 
 // BenchmarkParallelMaterialize measures the sharded materializing run
-// (MatchStateParallel) against the serial Match baseline — the Fig 5C
+// (MatchStateParallelCtx) against the serial Match baseline — the Fig 5C
 // k=1 cold-start cost. A fresh matcher per iteration keeps the memo
 // cold.
 func BenchmarkParallelMaterialize(b *testing.B) {
@@ -354,7 +355,9 @@ func BenchmarkParallelMaterialize(b *testing.B) {
 		b.Run(fmt.Sprintf("workers_%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := core.NewMatcher(c, pairs)
-				m.MatchStateParallel(w)
+				if _, err := m.MatchStateParallelCtx(context.Background(), w); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -24,13 +24,16 @@ func AblationDurability(task *Task) (*Table, error) {
 	}
 	pairs := task.Pairs()
 	sess := incremental.NewSession(c, pairs)
-	var coldRun = timeIt(func() { sess.RunFull() })
+	coldRun, err := timeRun(sess)
+	if err != nil {
+		return nil, err
+	}
 
 	out := &Table{
 		Title:  fmt.Sprintf("Durability: snapshot + journal recovery cost, %s", task.DS.Name),
 		Header: []string{"Operation", "ms", "bytes"},
 	}
-	out.AddRow("cold RunFull (baseline)", ms(coldRun), "")
+	out.AddRow("cold Run (baseline)", ms(coldRun), "")
 
 	// In-memory encode/decode: the format cost without any I/O.
 	var v2 bytes.Buffer

@@ -120,62 +120,57 @@ type AddRulePoint struct {
 // Fig5C grows the rule set one rule at a time (k = 1..maxK) and
 // measures, at each step, the cost of the "precomputation variation"
 // (re-evaluating the whole function with the warm memo) versus the
-// fully incremental Algorithm 10. With workers != 1 both sessions
-// bootstrap via the sharded RunFullParallel — attacking the paper's
-// slow k=1 cold start — and a serial cold start is measured on a
-// scratch session for comparison.
+// fully incremental Algorithm 10. Both sessions run their full runs on
+// `workers` shard workers (core.NormalizeWorkers semantics); more than
+// one attacks the paper's slow k=1 cold start.
 func Fig5C(task *Task, maxK, workers int) (*Table, []AddRulePoint, error) {
 	if maxK <= 0 || maxK > len(task.Rules) {
 		maxK = len(task.Rules)
 	}
 	pairs := task.Pairs()
-
-	// Fully incremental session starts with rule 1.
-	cInc, err := task.CompileSubset(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	inc := incremental.NewSession(cInc, pairs)
-
-	// Precompute-variation session: same growth, but each step is a
-	// full re-run with the warm memo.
-	cPre, err := task.CompileSubset(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	pre := incremental.NewSession(cPre, pairs)
-
-	var results []AddRulePoint
-	var t0, t0p time.Duration
-	var coldNote string
-	if workers == 1 {
-		t0 = timeIt(func() { inc.RunFull() })
-		t0p = timeIt(func() { pre.RunFull() })
-	} else {
-		cSer, err := task.CompileSubset(1)
+	// Both sessions start with rule 1: the fully incremental one grows
+	// by Algorithm 10, the precompute-variation one by a full re-run
+	// with the warm memo after each added rule.
+	newSession := func() (*incremental.Session, error) {
+		c, err := task.CompileSubset(1)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		scratch := incremental.NewSession(cSer, pairs)
-		serialCold := timeIt(func() { scratch.RunFull() })
-		t0 = timeIt(func() { inc.RunFullParallel(workers) })
-		t0p = timeIt(func() { pre.RunFullParallel(workers) })
-		coldNote = fmt.Sprintf("cold start sharded over %d workers: serial %s ms vs parallel %s ms (%.2fx)",
-			workers, ms(serialCold), ms(t0), serialCold.Seconds()/t0.Seconds())
+		cfg := core.ConfigFor(c)
+		cfg.CheckCacheFirst = true
+		cfg.Workers = workers
+		return incremental.NewSessionConfig(c, pairs, cfg), nil
 	}
-	results = append(results, AddRulePoint{K: 1, Precompute: t0p, Incremental: t0})
+	inc, err := newSession()
+	if err != nil {
+		return nil, nil, err
+	}
+	pre, err := newSession()
+	if err != nil {
+		return nil, nil, err
+	}
+	t0, err := timeRun(inc)
+	if err != nil {
+		return nil, nil, err
+	}
+	t0p, err := timeRun(pre)
+	if err != nil {
+		return nil, nil, err
+	}
+	results := []AddRulePoint{{K: 1, Precompute: t0p, Incremental: t0}}
 	for k := 2; k <= maxK; k++ {
 		r := task.Rules[k-1]
-		var dInc time.Duration
-		err := error(nil)
-		dInc = timeIt(func() { err = inc.AddRule(r) })
+		dInc := timeIt(func() { err = inc.AddRule(r) })
 		if err != nil {
 			return nil, nil, err
 		}
 		if err := pre.M.C.AddRule(r); err != nil {
 			return nil, nil, err
 		}
-		dPre := timeIt(func() { pre.RunFullWithMemo() })
+		dPre, err := timeRun(pre)
+		if err != nil {
+			return nil, nil, err
+		}
 		results = append(results, AddRulePoint{K: k, Precompute: dPre, Incremental: dInc})
 	}
 	if err := inc.Verify(); err != nil {
@@ -188,9 +183,7 @@ func Fig5C(task *Task, maxK, workers int) (*Table, []AddRulePoint, error) {
 	for _, r := range results {
 		out.AddRow(fmt.Sprint(r.K), ms(r.Precompute), ms(r.Incremental))
 	}
-	out.Notes = append(out.Notes, "k=1 is the cold start (empty memo): both variations are slow, as in the paper")
-	if coldNote != "" {
-		out.Notes = append(out.Notes, coldNote)
-	}
+	out.Notes = append(out.Notes, "k=1 is the cold start (empty memo): both variations are slow, as in the paper",
+		fmt.Sprintf("full runs sharded over %d worker(s)", core.NormalizeWorkers(workers)))
 	return out, results, nil
 }

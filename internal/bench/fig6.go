@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -31,7 +32,9 @@ func Fig6(task *Task, trials int, seed int64) (*Table, []ChangeTiming, error) {
 		return nil, nil, err
 	}
 	s := incremental.NewSession(c, task.Pairs())
-	s.RunFull()
+	if err := s.Run(context.TODO()); err != nil {
+		return nil, nil, err
+	}
 	rng := rand.New(rand.NewSource(seed))
 	pool := task.DS.Domain.FeaturePool()
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"rulematch/internal/incremental"
@@ -15,7 +16,9 @@ func MemoryReport(task *Task) (*Table, error) {
 		return nil, err
 	}
 	s := incremental.NewSession(c, task.Pairs())
-	s.RunFull()
+	if err := s.Run(context.TODO()); err != nil {
+		return nil, err
+	}
 	memo, bitmaps := s.MemoryBytes()
 	out := &Table{
 		Title:  fmt.Sprintf("Section 7.4: memory consumption, %s", task.DS.Name),

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -121,9 +122,11 @@ func Replay(task *Task, startRules, steps int, seed int64) (*Table, *ReplayResul
 			return 0, core.Stats{}, nil, err
 		}
 		s := incremental.NewSession(c, task.Pairs())
-		var total time.Duration
 		var ops []ReplayOp
-		total += timeIt(func() { s.RunFull() })
+		total, err := timeRun(s)
+		if err != nil {
+			return 0, core.Stats{}, nil, err
+		}
 		for _, o := range script {
 			var d time.Duration
 			var opErr error
@@ -132,7 +135,7 @@ func Replay(task *Task, startRules, steps int, seed int64) (*Table, *ReplayResul
 			} else {
 				d = timeIt(func() {
 					if opErr = o.do(s); opErr == nil {
-						s.RunFullWithMemo()
+						opErr = s.Run(context.TODO())
 					}
 				})
 			}

@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
 	"time"
+
+	"rulematch/internal/incremental"
 )
 
 // Table is a simple printable result table shared by all experiments.
@@ -61,4 +64,11 @@ func timeIt(fn func()) time.Duration {
 	start := time.Now()
 	fn()
 	return time.Since(start)
+}
+
+// timeRun measures one full materializing run of the session.
+func timeRun(s *incremental.Session) (time.Duration, error) {
+	var err error
+	d := timeIt(func() { err = s.Run(context.TODO()) })
+	return d, err
 }

@@ -95,7 +95,10 @@ func Stream(task *Task, cfg StreamConfig) (*Table, error) {
 	}
 	sess := incremental.NewSession(c, pairs)
 	sess.Blocker = blocker
-	coldBase := timeIt(func() { sess.RunFull() })
+	coldBase, err := timeRun(sess)
+	if err != nil {
+		return nil, err
+	}
 
 	out := &Table{
 		Title: fmt.Sprintf("Streaming appends: %d batches x %d rows into %s (%d base pairs)",
@@ -135,7 +138,10 @@ func Stream(task *Task, cfg StreamConfig) (*Table, error) {
 		return nil, err
 	}
 	cold := incremental.NewSession(cFull, fullPairs)
-	coldFull := timeIt(func() { cold.RunFull() })
+	coldFull, err := timeRun(cold)
+	if err != nil {
+		return nil, err
+	}
 	if sess.MatchCount() != cold.MatchCount() {
 		return nil, fmt.Errorf("bench: streamed session found %d matches, cold run %d",
 			sess.MatchCount(), cold.MatchCount())

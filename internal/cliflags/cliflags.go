@@ -32,7 +32,7 @@ type Engine struct {
 	Profiles bool
 }
 
-// NewEngine returns the shared defaults: serial, profile cache on.
+// NewEngine returns the shared defaults: one worker, profile cache on.
 func NewEngine() *Engine {
 	return &Engine{Parallel: 1, Profiles: true}
 }

@@ -116,17 +116,21 @@ type BatchEvaluator struct {
 	order      []int // reused predicate-order buffer
 }
 
-// Batch returns a block evaluator over the matcher's pairs. The block
-// size is m.BlockSize (0 = DefaultBlockSize), rounded up to a multiple
-// of 64 so block boundaries fall on bitmap words and every OrRange
-// stitch is whole-word.
+// Batch returns a block evaluator over the matcher's pairs, in blocks
+// of blockSize pairs.
 func (m *Matcher) Batch() *BatchEvaluator {
+	return &BatchEvaluator{m: m, blockSize: m.blockSize()}
+}
+
+// blockSize is the batch engine's pairs-per-block: m.BlockSize (0 =
+// DefaultBlockSize) rounded up to a multiple of 64, so block boundaries
+// fall on bitmap words and every OrRange stitch is whole-word.
+func (m *Matcher) blockSize() int {
 	bs := m.BlockSize
 	if bs <= 0 {
 		bs = DefaultBlockSize
 	}
-	bs = (bs + 63) &^ 63
-	return &BatchEvaluator{m: m, blockSize: bs}
+	return (bs + 63) &^ 63
 }
 
 // MatchState materializes the full incremental state (match marks,
@@ -169,7 +173,7 @@ func (e *BatchEvaluator) block(st *MatchState, matched *bitmap.Bits, lo, hi int)
 	m.Stats.PairEvals += int64(nb)
 	// Check-cache-first is only applied on marks-only runs; the
 	// materializing run keeps the static order so recorded false bits
-	// are deterministic (the same choice MatchStateParallel makes).
+	// are deterministic (the same choice MatchStateParallelCtx makes).
 	useCacheFirst := st == nil && m.CheckCacheFirst && m.Memo != nil
 	for ri := range m.C.Rules {
 		remaining := e.notMatched.Count()
@@ -239,7 +243,7 @@ func (e *BatchEvaluator) featureColumn(fi, lo int) {
 	switch memo := m.Memo.(type) {
 	case *ArrayMemo:
 		e.columnArray(memo, fi, lo)
-	case *OverlayMemo:
+	case *overlayMemo:
 		e.columnOverlay(memo, fi, lo)
 	case nil:
 		for i := active.NextSet(0); i >= 0; i = active.NextSet(i + 1) {
@@ -288,8 +292,8 @@ func (e *BatchEvaluator) columnArray(am *ArrayMemo, fi, lo int) {
 // columnOverlay reads the shard overlay column first, falls back to the
 // (read-only, concurrently shared) warm base at the shard offset, and
 // writes misses to the overlay column — the batch analogue of
-// OverlayMemo.Get/Put.
-func (e *BatchEvaluator) columnOverlay(om *OverlayMemo, fi, lo int) {
+// overlayMemo.Get/Put.
+func (e *BatchEvaluator) columnOverlay(om *overlayMemo, fi, lo int) {
 	m := e.m
 	active := e.active
 	over := om.over

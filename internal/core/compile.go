@@ -199,12 +199,12 @@ func (c *Compiled) RemoveRule(i int) {
 	c.Rules = append(c.Rules[:i], c.Rules[i+1:]...)
 }
 
-// CloneForEval returns a copy whose Rules (and their predicate slices)
+// cloneForEval returns a copy whose Rules (and their predicate slices)
 // are private, while the bound features, corpora and profile caches
-// remain shared read-only. Parallel what-if evaluation uses it: each
-// worker mutates thresholds on its own clone without synchronizing.
-// The clone must not bind new features or add rules.
-func (c *Compiled) CloneForEval() *Compiled {
+// remain shared read-only. The sweep kernel uses it: each chunk
+// mutates thresholds on its own clone without synchronizing. The
+// clone must not bind new features or add rules.
+func (c *Compiled) cloneForEval() *Compiled {
 	cc := *c
 	cc.Rules = make([]CompiledRule, len(c.Rules))
 	for i, r := range c.Rules {

@@ -12,14 +12,14 @@ import (
 // server all take it.
 //
 // The zero value is NOT the default configuration — use DefaultConfig
-// (batch engine, dynamic memoing on, serial) or ConfigFor (which also
+// (batch engine, dynamic memoing on, one worker) or ConfigFor (which also
 // mirrors a compiled function's current profile cache setting).
 type Config struct {
 	// Engine selects the whole-run execution strategy (see Engine).
 	Engine Engine
-	// Workers is the shard worker count for the parallel paths. The
+	// Workers is the shard worker count for full runs and sweeps. The
 	// normalization contract is NormalizeWorkers: <= 0 means
-	// GOMAXPROCS, 1 is serial.
+	// GOMAXPROCS.
 	Workers int
 	// Memo enables pair-level dynamic memoing (array memo) — the
 	// paper's recommended configuration.
@@ -32,7 +32,7 @@ type Config struct {
 }
 
 // DefaultConfig is the configuration NewMatcher uses: batch engine,
-// dynamic memoing on, everything else off, serial.
+// dynamic memoing on, everything else off, one worker.
 func DefaultConfig() Config {
 	return Config{Workers: 1, Memo: true}
 }
@@ -67,10 +67,9 @@ func (cfg Config) NewMatcher(c *Compiled, pairs []table.Pair) *Matcher {
 }
 
 // NormalizeWorkers is the single place that defines worker-count
-// semantics for every parallel path (MatchParallel,
-// MatchStateParallel, the incremental session runs and sweeps, and the
-// server): n <= 0 selects runtime.GOMAXPROCS(0), any positive value is
-// used as given (1 = serial).
+// semantics for the sharded methods (and through them the incremental
+// session's runs and sweeps, the CLIs and the server): n <= 0 selects
+// runtime.GOMAXPROCS(0), any positive value is used as given.
 func NormalizeWorkers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)

@@ -169,30 +169,33 @@ func TestSetProfileCacheDisable(t *testing.T) {
 }
 
 func TestChunkRanges(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 1}, {63, 8}, {64, 1}, {1024, 4}, {100_000, 8}, {5000, 3},
+	for _, tc := range []struct{ n, workers, block int }{
+		{0, 4, 1024}, {1, 1, 1024}, {63, 8, 64}, {64, 1, 64}, {1024, 4, 1024},
+		{100_000, 8, 1024}, {5000, 3, 1024}, {5000, 1, 1024}, {5000, 1, 320}, {9000, 2, 4096},
 	} {
-		ranges := ChunkRanges(tc.n, tc.workers)
+		ranges := chunkRanges(tc.n, tc.workers, tc.block)
 		covered := 0
 		for i, rg := range ranges {
-			if rg.Hi <= rg.Lo {
-				t.Fatalf("n=%d w=%d: empty range %v", tc.n, tc.workers, rg)
+			if rg.hi <= rg.lo {
+				t.Fatalf("%+v: empty range %v", tc, rg)
 			}
-			if rg.Lo != covered {
-				t.Fatalf("n=%d w=%d: gap before range %d", tc.n, tc.workers, i)
+			if rg.lo != covered {
+				t.Fatalf("%+v: gap before range %d", tc, i)
 			}
-			if i < len(ranges)-1 && rg.Len()%64 != 0 {
-				t.Fatalf("n=%d w=%d: interior chunk %v not word-aligned", tc.n, tc.workers, rg)
+			// Every chunk starts on a block boundary, so batch blocks
+			// fall where a whole-range run puts them.
+			if rg.lo%tc.block != 0 {
+				t.Fatalf("%+v: chunk %v does not start on a block boundary", tc, rg)
 			}
-			covered = rg.Hi
+			covered = rg.hi
 		}
 		if covered != tc.n {
-			t.Fatalf("n=%d w=%d: ranges cover %d pairs", tc.n, tc.workers, covered)
+			t.Fatalf("%+v: ranges cover %d pairs", tc, covered)
 		}
 	}
 }
 
-// A cancelled context must abort the parallel runs with the matcher
+// A cancelled context must abort the sharded runs with the matcher
 // untouched; a background context must be byte-identical to the serial
 // run.
 func TestMatchStateParallelCtx(t *testing.T) {
@@ -206,7 +209,7 @@ func TestMatchStateParallelCtx(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !st.Equal(want) {
-		t.Fatal("parallel ctx state differs from serial")
+		t.Fatal("sharded state differs from serial")
 	}
 	if m.Stats != serial.Stats {
 		t.Fatalf("stats differ: %+v vs %+v", m.Stats, serial.Stats)
@@ -224,5 +227,11 @@ func TestMatchStateParallelCtx(t *testing.T) {
 	}
 	if _, err := m2.MatchParallelCtx(cancelled, 4); err != context.Canceled {
 		t.Fatalf("MatchParallelCtx err = %v, want context.Canceled", err)
+	}
+	if _, err := m2.SweepParallelCtx(cancelled, 4, 0, 0, []float64{0.5}); err != context.Canceled {
+		t.Fatalf("SweepParallelCtx err = %v, want context.Canceled", err)
+	}
+	if m2.Stats != statsBefore || m2.Memo.Entries() != 0 {
+		t.Fatal("cancelled marks-only run or sweep mutated the matcher")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -141,7 +142,10 @@ func TestBatchDifferentialParity(t *testing.T) {
 
 		for _, workers := range []int{1, 2, 3, 8} {
 			m := newMatcher(EngineBatch, 64)
-			got := m.MatchStateParallel(workers)
+			got, err := m.MatchStateParallelCtx(context.Background(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !got.Equal(want) {
 				t.Fatalf("trial %d workers=%d: parallel batch state diverges from scalar\n%s", trial, workers, f.String())
 			}

@@ -44,10 +44,12 @@ type Matcher struct {
 	// Algorithm 2 ("a hash table mapping pairs of attribute values to
 	// similarity function outputs"). Candidate pairs frequently repeat
 	// attribute values (the same B record appears in many pairs), so
-	// identical inputs are computed once across all pairs.
+	// identical inputs are computed once across all pairs. Each chunk
+	// of a sharded run keeps its own value map, so there a value is
+	// computed once per chunk.
 	ValueCache bool
 	// Engine selects the whole-run execution strategy for MatchState,
-	// MatchBits and the parallel paths: EngineBatch (the zero value)
+	// MatchBits and the sharded methods: EngineBatch (the zero value)
 	// or EngineScalar. Per-pair entry points (Match, EvalPair,
 	// EvalRule, FeatureValue) are always scalar.
 	Engine Engine
@@ -58,21 +60,16 @@ type Matcher struct {
 	// bookkeeping.
 	BlockSize int
 	// Workers is the configured shard worker count that callers (the
-	// incremental session, the debug server) pass to the parallel
-	// paths. It is carried configuration, not a cap: the parallel
+	// incremental session, the debug server) pass to the sharded
+	// methods. It is carried configuration, not a cap: the sharded
 	// methods take an explicit count and normalize it through
-	// NormalizeWorkers (<= 0 means GOMAXPROCS, 1 is serial).
+	// NormalizeWorkers (<= 0 means GOMAXPROCS).
 	Workers int
 	// Stats accumulates work counters across Match calls.
 	Stats Stats
 
 	scratch   []int // reused predicate-order buffer for CheckCacheFirst
 	valueMemo map[valueKey]float64
-	// sharedVals, when non-nil, replaces valueMemo with a concurrency-
-	// safe compute-once store shared across shard matchers, so B records
-	// repeating across shards still hit the value cache. Installed by
-	// the parallel paths and kept for later serial operations.
-	sharedVals *sharedValueCache
 }
 
 type valueKey struct {
@@ -124,9 +121,6 @@ func (m *Matcher) computeRaw(fi, pi int) float64 {
 	f := &m.C.Features[fi]
 	p := m.Pairs[pi]
 	k := valueKey{fi: fi, a: m.C.A.Value(int(p.A), f.ColA), b: m.C.B.Value(int(p.B), f.ColB)}
-	if m.sharedVals != nil {
-		return m.sharedVals.resolve(f.Fn, k, &m.Stats)
-	}
 	if v, ok := m.valueMemo[k]; ok {
 		m.Stats.ValueCacheHits++
 		return v

@@ -168,12 +168,12 @@ func (m *ArrayMemo) column(fi int, alloc bool) ([]float64, *bitmap.Bits) {
 	return m.vals[fi], m.present[fi]
 }
 
-// AbsorbRange merges a shard memo src — built over the contiguous pair
+// absorbRange merges a shard memo src — built over the contiguous pair
 // range [at, at+srcPairs) of m's pair space, locally indexed from 0 —
 // into m at that offset. Presence bitmaps merge word-level
 // (bitmap.OrRange); values are copied entry-wise, so warm entries of m
 // outside src's presence set are preserved.
-func (m *ArrayMemo) AbsorbRange(src *ArrayMemo, at int) {
+func (m *ArrayMemo) absorbRange(src *ArrayMemo, at int) {
 	if at < 0 || at+src.numPairs > m.numPairs {
 		panic(fmt.Sprintf("core: memo absorb range [%d,%d) out of bounds [0,%d)",
 			at, at+src.numPairs, m.numPairs))
@@ -209,12 +209,12 @@ func (m *ArrayMemo) forEachEntry(fn func(fi, pi int, v float64)) {
 	}
 }
 
-// AbsorbMemoRange merges a shard memo (over the pair range [at,
+// absorbMemoRange merges a shard memo (over the pair range [at,
 // at+shard pairs) of dst's space) into any Memo implementation, taking
 // the word-level ArrayMemo fast path when both sides allow it.
-func AbsorbMemoRange(dst Memo, src *ArrayMemo, at int) {
+func absorbMemoRange(dst Memo, src *ArrayMemo, at int) {
 	if am, ok := dst.(*ArrayMemo); ok {
-		am.AbsorbRange(src, at)
+		am.absorbRange(src, at)
 		return
 	}
 	src.forEachEntry(func(fi, pi int, v float64) {
@@ -222,30 +222,26 @@ func AbsorbMemoRange(dst Memo, src *ArrayMemo, at int) {
 	})
 }
 
-// OverlayMemo presents a base memo shifted by a pair offset, with all
+// overlayMemo presents a base memo shifted by a pair offset, with all
 // writes diverted to a private shard-local overlay. Shard workers use
 // it to read a warm session memo concurrently without synchronizing:
 // the base is never written during the parallel phase, and each
 // worker's misses land in its own overlay, absorbed into the base after
 // the workers join.
-type OverlayMemo struct {
+type overlayMemo struct {
 	base Memo
 	off  int
 	over *ArrayMemo
 }
 
-// NewOverlayMemo wraps base (may be nil for a cold start) at pair
+// newOverlayMemo wraps base (may be nil for a cold start) at pair
 // offset off with a private overlay sized for numPairs local pairs.
-func NewOverlayMemo(base Memo, off, numPairs int) *OverlayMemo {
-	return &OverlayMemo{base: base, off: off, over: NewArrayMemo(numPairs)}
+func newOverlayMemo(base Memo, off, numPairs int) *overlayMemo {
+	return &overlayMemo{base: base, off: off, over: NewArrayMemo(numPairs)}
 }
 
-// Overlay returns the private write store, for absorbing into the base
-// once the parallel phase is over.
-func (m *OverlayMemo) Overlay() *ArrayMemo { return m.over }
-
 // Get implements Memo.
-func (m *OverlayMemo) Get(fi, pi int) (float64, bool) {
+func (m *overlayMemo) Get(fi, pi int) (float64, bool) {
 	if v, ok := m.over.Get(fi, pi); ok {
 		return v, ok
 	}
@@ -256,27 +252,27 @@ func (m *OverlayMemo) Get(fi, pi int) (float64, bool) {
 }
 
 // Has implements Memo.
-func (m *OverlayMemo) Has(fi, pi int) bool {
+func (m *overlayMemo) Has(fi, pi int) bool {
 	return m.over.Has(fi, pi) || (m.base != nil && m.base.Has(fi, pi+m.off))
 }
 
 // Put implements Memo: writes go to the overlay only.
-func (m *OverlayMemo) Put(fi, pi int, v float64) { m.over.Put(fi, pi, v) }
+func (m *overlayMemo) Put(fi, pi int, v float64) { m.over.Put(fi, pi, v) }
 
 // Bytes implements Memo, counting only the overlay (the base is shared
 // across workers and would be multiply counted).
-func (m *OverlayMemo) Bytes() int64 { return m.over.Bytes() }
+func (m *overlayMemo) Bytes() int64 { return m.over.Bytes() }
 
 // Entries implements Memo, counting only the overlay.
-func (m *OverlayMemo) Entries() int64 { return m.over.Entries() }
+func (m *overlayMemo) Entries() int64 { return m.over.Entries() }
 
 // ExtendPairs implements Memo, growing the overlay's local pair space.
-func (m *OverlayMemo) ExtendPairs(numPairs int) { m.over.ExtendPairs(numPairs) }
+func (m *overlayMemo) ExtendPairs(numPairs int) { m.over.ExtendPairs(numPairs) }
 
-// KeepPairs implements Memo. An overlay lives for one parallel phase
-// over a fixed shard range and never backs a session, so nothing
-// compacts it; a call is a bug.
-func (m *OverlayMemo) KeepPairs(keep []int32) {
+// KeepPairs implements Memo. An overlay lives for one sharded run over
+// a fixed chunk and never backs a session, so nothing compacts it; a
+// call is a bug.
+func (m *overlayMemo) KeepPairs(keep []int32) {
 	panic("core: KeepPairs on a shard overlay memo")
 }
 

@@ -160,7 +160,7 @@ func TestArrayMemoAbsorbRange(t *testing.T) {
 	shard := NewArrayMemo(80) // covers pairs [65, 145)
 	shard.Put(0, 1, 0.9)      // global pair 66
 	shard.Put(2, 79, 0.3)     // global pair 144
-	full.AbsorbRange(shard, 65)
+	full.absorbRange(shard, 65)
 	for _, tc := range []struct {
 		fi, pi int
 		v      float64
@@ -183,7 +183,7 @@ func TestArrayMemoAbsorbRangeBounds(t *testing.T) {
 			t.Error("out-of-range absorb did not panic")
 		}
 	}()
-	NewArrayMemo(10).AbsorbRange(NewArrayMemo(8), 5)
+	NewArrayMemo(10).absorbRange(NewArrayMemo(8), 5)
 }
 
 func TestAbsorbMemoRangeHashFallback(t *testing.T) {
@@ -191,7 +191,7 @@ func TestAbsorbMemoRangeHashFallback(t *testing.T) {
 	shard := NewArrayMemo(16)
 	shard.Put(1, 3, 0.25)
 	shard.Put(0, 15, 0.75)
-	AbsorbMemoRange(dst, shard, 32)
+	absorbMemoRange(dst, shard, 32)
 	if v, ok := dst.Get(1, 35); !ok || v != 0.25 {
 		t.Errorf("hash absorb Get(1,35) = %v,%v", v, ok)
 	}
@@ -206,7 +206,7 @@ func TestAbsorbMemoRangeHashFallback(t *testing.T) {
 func TestOverlayMemo(t *testing.T) {
 	base := NewArrayMemo(100)
 	base.Put(0, 42, 0.42) // global pair 42 = local pair 2 at offset 40
-	om := NewOverlayMemo(base, 40, 30)
+	om := newOverlayMemo(base, 40, 30)
 	if v, ok := om.Get(0, 2); !ok || v != 0.42 {
 		t.Errorf("base read through overlay = %v,%v", v, ok)
 	}
@@ -230,11 +230,11 @@ func TestOverlayMemo(t *testing.T) {
 		t.Errorf("overlay did not shadow base: %v", v)
 	}
 	// Nil base: pure shard-local memo.
-	cold := NewOverlayMemo(nil, 0, 10)
+	cold := newOverlayMemo(nil, 0, 10)
 	if _, ok := cold.Get(0, 0); ok {
 		t.Error("cold overlay has a value")
 	}
-	testMemoBasics(t, NewOverlayMemo(nil, 0, 16))
+	testMemoBasics(t, newOverlayMemo(nil, 0, 16))
 }
 
 // TestMemoKeepPairs checks both session memo layouts against a

@@ -6,45 +6,25 @@ import (
 	"sync/atomic"
 
 	"rulematch/internal/bitmap"
-	"rulematch/internal/sim"
 )
 
-// Range is a contiguous half-open pair range [Lo, Hi) owned by one
-// shard worker.
-type Range struct{ Lo, Hi int }
+// pairRange is a contiguous half-open pair range [lo, hi) owned by one
+// shard.
+type pairRange struct{ lo, hi int }
 
-// Len returns the number of pairs in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
+func (r pairRange) len() int { return r.hi - r.lo }
 
-// ShardRanges splits n pairs into at most workers contiguous ranges of
-// near-equal size. It returns nil when n is 0.
-func ShardRanges(n, workers int) []Range {
-	if n <= 0 || workers <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	ranges := make([]Range, 0, workers)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		ranges = append(ranges, Range{Lo: lo, Hi: hi})
-	}
-	return ranges
-}
-
-// ChunkRanges splits n pairs into contiguous work-queue chunks for the
-// cancellable parallel paths: several chunks per worker so cancellation
-// is prompt and stragglers rebalance, but no chunk smaller than a
-// floor (rounded up to bitmap words) so per-chunk bookkeeping — shard
-// state, overlay memo — stays negligible. Merged results are identical
-// to any other contiguous decomposition: stitches are offset-based and
-// per-pair work is deterministic.
-func ChunkRanges(n, workers int) []Range {
+// chunkRanges splits n pairs into contiguous work-queue chunks for the
+// shard driver: several chunks per worker so cancellation is prompt and
+// stragglers rebalance, but no chunk smaller than a floor so per-chunk
+// bookkeeping — shard state, overlay memo — stays negligible. Chunk
+// sizes are multiples of blockSize (the batch engine's block size,
+// itself a multiple of 64), so batch blocks start at the same pair
+// indices for every worker count as in one whole-range run — with
+// check-cache-first, the per-block predicate order and with it every
+// Stats counter of a marks-only run or sweep is independent of the
+// worker count — and every stitch is whole-word.
+func chunkRanges(n, workers, blockSize int) []pairRange {
 	if n <= 0 || workers <= 0 {
 		return nil
 	}
@@ -56,175 +36,20 @@ func ChunkRanges(n, workers int) []Range {
 	if chunk < minChunk {
 		chunk = minChunk
 	}
-	chunk = (chunk + 63) &^ 63
-	ranges := make([]Range, 0, (n+chunk-1)/chunk)
+	chunk = (chunk + blockSize - 1) / blockSize * blockSize
+	ranges := make([]pairRange, 0, (n+chunk-1)/chunk)
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		ranges = append(ranges, Range{Lo: lo, Hi: hi})
+		ranges = append(ranges, pairRange{lo: lo, hi: min(lo+chunk, n)})
 	}
 	return ranges
-}
-
-// sharedValueCache is the concurrency-safe variant of the value-level
-// cache (Algorithm 2's storage scheme): a compute-once map keyed by
-// (feature, attribute values). sync.Once per entry guarantees each
-// distinct key is computed exactly once across all shard workers, so
-// parallel runs lose no value-cache hits relative to a serial run.
-type sharedValueCache struct {
-	m sync.Map // valueKey -> *sharedValue
-}
-
-type sharedValue struct {
-	once sync.Once
-	v    float64
-}
-
-// resolve returns the cached similarity for k, computing it (exactly
-// once across all workers) on first request. Stats are attributed to
-// the caller: the computing worker counts a feature compute, everyone
-// else a value-cache hit.
-func (c *sharedValueCache) resolve(fn sim.Func, k valueKey, stats *Stats) float64 {
-	ei, ok := c.m.Load(k)
-	if !ok {
-		ei, _ = c.m.LoadOrStore(k, &sharedValue{})
-	}
-	e := ei.(*sharedValue)
-	computed := false
-	e.once.Do(func() {
-		e.v = fn.Sim(k.a, k.b)
-		computed = true
-	})
-	if computed {
-		stats.FeatureComputes++
-	} else {
-		stats.ValueCacheHits++
-	}
-	return e.v
-}
-
-// shardMatcher returns the reusable shard evaluator: a Matcher that
-// evaluates the parent's compiled function over the pair range rg with
-// private mutable state. The compiled function, profile cache and
-// shared value cache are shared read-only; the memo (when the parent
-// memoizes) is an OverlayMemo reading the parent's warm memo at the
-// range offset and writing to a private shard store.
-func (m *Matcher) shardMatcher(rg Range) *Matcher {
-	sm := &Matcher{
-		C:               m.C,
-		Pairs:           m.Pairs[rg.Lo:rg.Hi],
-		CheckCacheFirst: m.CheckCacheFirst,
-		ValueCache:      m.ValueCache,
-		Engine:          m.Engine,
-		BlockSize:       m.BlockSize,
-		sharedVals:      m.sharedVals,
-	}
-	if m.Memo != nil {
-		sm.Memo = NewOverlayMemo(m.Memo, rg.Lo, rg.Len())
-	}
-	return sm
-}
-
-// ShardEvaluator returns a shard matcher over the pair range rg,
-// evaluating the compiled function c (nil = the parent's own), sharing
-// the parent's value cache and reading its warm memo at the range
-// offset through a private overlay. Pass a CloneForEval'd c when the
-// shard will mutate thresholds (parallel what-if sweeps). Call from one
-// goroutine before launching workers: it installs the shared value
-// cache on the parent.
-func (m *Matcher) ShardEvaluator(rg Range, c *Compiled) *Matcher {
-	m.ensureSharedValues()
-	sm := m.shardMatcher(rg)
-	if c != nil {
-		sm.C = c
-	}
-	return sm
-}
-
-// ensureSharedValues installs the concurrency-safe value cache before a
-// parallel phase, migrating any entries the serial map already holds.
-func (m *Matcher) ensureSharedValues() {
-	if !m.ValueCache || m.sharedVals != nil {
-		return
-	}
-	m.sharedVals = &sharedValueCache{}
-	for k, v := range m.valueMemo {
-		e := &sharedValue{v: v}
-		e.once.Do(func() {}) // mark resolved so workers see it as a hit
-		m.sharedVals.m.Store(k, e)
-	}
-	m.valueMemo = nil
-}
-
-// MatchParallel evaluates the function over the pairs with early exit
-// and dynamic memoing across `workers` goroutines (NormalizeWorkers
-// semantics: 0 = GOMAXPROCS), returning only the match marks — the
-// cheapest parallel path when the materialized state is not needed
-// (batch matching). Use MatchStateParallel when the full incremental
-// state should survive.
-//
-// The Compiled function must not be mutated during the call. The
-// matcher's Stats are incremented by the aggregate work of all
-// workers. With ValueCache enabled, workers share one compute-once
-// value store, so attribute values repeating across shards are still
-// computed only once.
-func (m *Matcher) MatchParallel(workers int) *bitmap.Bits {
-	bits, _ := m.MatchParallelCtx(context.Background(), workers)
-	return bits
-}
-
-// MatchParallelCtx is MatchParallel under a context: shard workers
-// drain a queue of contiguous pair chunks (ChunkRanges) and check ctx
-// between chunks, so a cancelled request stops computing promptly. On
-// cancellation it returns ctx's error, the matcher's Memo and Stats
-// are left untouched, and the partial marks are discarded.
-func (m *Matcher) MatchParallelCtx(ctx context.Context, workers int) (*bitmap.Bits, error) {
-	workers = NormalizeWorkers(workers)
-	n := len(m.Pairs)
-	matched := bitmap.New(n)
-	if n == 0 {
-		return matched, ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m.ensureSharedValues()
-	ranges := ChunkRanges(n, workers)
-	outs := make([]shardResult, len(ranges))
-	runShards(ctx, workers, ranges, func(i int, rg Range) {
-		// Each shard runs the configured engine over its range (the
-		// batch engine blocks within the shard).
-		local := m.shardMatcher(rg)
-		outs[i] = shardResult{bits: local.MatchBits(), stats: local.Stats}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, rg := range ranges {
-		matched.OrRange(outs[i].bits, rg.Lo)
-		m.Stats.Add(outs[i].stats)
-	}
-	return matched, nil
-}
-
-// shardResult carries one chunk's output back to the stitching loop.
-type shardResult struct {
-	bits  *bitmap.Bits
-	st    *MatchState
-	memo  *OverlayMemo
-	stats Stats
 }
 
 // runShards drains the range queue with `workers` goroutines, calling
 // fn(i, ranges[i]) for each chunk. Workers stop picking up new chunks
 // once ctx is cancelled; in-flight chunks run to completion (their
 // results are discarded by the caller on cancellation).
-func runShards(ctx context.Context, workers int, ranges []Range, fn func(i int, rg Range)) {
-	if workers > len(ranges) {
-		workers = len(ranges)
-	}
+func runShards(ctx context.Context, workers int, ranges []pairRange, fn func(i int, rg pairRange)) {
+	workers = min(workers, len(ranges))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -243,65 +68,155 @@ func runShards(ctx context.Context, workers int, ranges []Range, fn func(i int, 
 	wg.Wait()
 }
 
-// MatchStateParallel is the sharded materializing run: workers
-// (NormalizeWorkers semantics: 0 = GOMAXPROCS) drain a queue of
-// contiguous pair chunks, each evaluated into a shard of MatchState
-// plus a range-offset memo, and the shards are stitched into one full
-// state with word-level bitmap merges. The result feeds incremental sessions:
-// Matched and RuleTrue are byte-identical to a serial Match, and the
-// per-predicate false sets are deterministic across worker counts
-// because predicates are evaluated in their static order during
-// materialization (check-cache-first is suspended for the run; the
-// cache-first order depends on per-worker memo history and would make
-// the recorded exit points nondeterministic).
-//
-// On return the matcher's Memo (when non-nil) has absorbed every shard
-// memo, so the caller continues on fully warm state; a warm memo is
-// also read (not written) by the workers, making parallel re-runs
-// cheap. Stats aggregate the work of all workers.
-func (m *Matcher) MatchStateParallel(workers int) *MatchState {
-	st, _ := m.MatchStateParallelCtx(context.Background(), workers)
-	return st
+// shardMatcher returns a Matcher that evaluates the parent's compiled
+// function over the pair range rg with private mutable state: its own
+// value-cache map, and — when the parent memoizes — an overlayMemo that
+// reads the parent's warm memo at the range offset and writes to a
+// private shard store. The compiled function and profile cache are
+// shared read-only.
+func (m *Matcher) shardMatcher(rg pairRange) *Matcher {
+	sm := &Matcher{
+		C:               m.C,
+		Pairs:           m.Pairs[rg.lo:rg.hi],
+		CheckCacheFirst: m.CheckCacheFirst,
+		ValueCache:      m.ValueCache,
+		Engine:          m.Engine,
+		BlockSize:       m.BlockSize,
+	}
+	if m.Memo != nil {
+		sm.Memo = newOverlayMemo(m.Memo, rg.lo, rg.len())
+	}
+	return sm
 }
 
-// MatchStateParallelCtx is MatchStateParallel under a context: shard
-// workers drain a queue of contiguous pair chunks (ChunkRanges) and
-// check ctx between chunks. On cancellation it returns ctx's error and
-// the matcher is left exactly as before the call — no shard memo is
-// absorbed, no stats are added, and the partial state is discarded —
-// so an interactive session that timed out mid-run stays valid.
-func (m *Matcher) MatchStateParallelCtx(ctx context.Context, workers int) (*MatchState, error) {
-	workers = NormalizeWorkers(workers)
-	n := len(m.Pairs)
-	st := NewMatchState(n, m.C.Rules)
-	if n == 0 {
-		return st, ctx.Err()
-	}
+// shardOut carries one chunk's output back to the stitching loop.
+type shardOut[T any] struct {
+	v     T
+	memo  *ArrayMemo
+	stats Stats
+}
+
+// runSharded is the shard driver behind every sharded method: workers
+// (NormalizeWorkers semantics: <= 0 means GOMAXPROCS) drain the
+// chunkRanges queue, eval runs each chunk on a shardMatcher, and
+// once every chunk is done stitch receives each chunk's value at its
+// pair offset while the chunk's overlay memo is absorbed into m.Memo
+// and its Stats are added to m.Stats, in chunk order. Overlay reads of
+// the shared base are safe because nothing writes it until the workers
+// have joined.
+//
+// ctx is checked between chunks. On cancellation runSharded returns
+// ctx's error without stitching, absorbing or counting anything, so m
+// is exactly as before the call.
+func runSharded[T any](ctx context.Context, m *Matcher, workers int, eval func(sm *Matcher) T, stitch func(v T, lo int)) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	m.ensureSharedValues()
-	ranges := ChunkRanges(n, workers)
-	outs := make([]shardResult, len(ranges))
-	runShards(ctx, workers, ranges, func(i int, rg Range) {
-		local := m.shardMatcher(rg)
-		// Static predicate order: deterministic false bits. (The
-		// batch engine materializes in static order by construction;
-		// this pins the scalar engine too.)
-		local.CheckCacheFirst = false
-		shardSt := local.MatchState()
-		om, _ := local.Memo.(*OverlayMemo)
-		outs[i] = shardResult{st: shardSt, memo: om, stats: local.Stats}
+	workers = NormalizeWorkers(workers)
+	ranges := chunkRanges(len(m.Pairs), workers, m.blockSize())
+	outs := make([]shardOut[T], len(ranges))
+	runShards(ctx, workers, ranges, func(i int, rg pairRange) {
+		sm := m.shardMatcher(rg)
+		outs[i].v = eval(sm)
+		outs[i].stats = sm.Stats
+		if om, ok := sm.Memo.(*overlayMemo); ok {
+			outs[i].memo = om.over
+		}
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	for i, rg := range ranges {
-		st.MergeAt(outs[i].st, rg.Lo)
-		if m.Memo != nil && outs[i].memo != nil {
-			AbsorbMemoRange(m.Memo, outs[i].memo.Overlay(), rg.Lo)
+		stitch(outs[i].v, rg.lo)
+		if outs[i].memo != nil {
+			absorbMemoRange(m.Memo, outs[i].memo, rg.lo)
 		}
 		m.Stats.Add(outs[i].stats)
 	}
+	return nil
+}
+
+// MatchParallelCtx evaluates the function over the pairs with early
+// exit and dynamic memoing on `workers` shard workers (NormalizeWorkers
+// semantics), returning only the match marks — the cheapest full run
+// when the materialized state is not needed (batch matching). Each
+// chunk runs MatchBits, so check-cache-first applies as configured.
+//
+// The Compiled function must not be mutated during the call. On
+// return the matcher's Memo has absorbed every value the workers
+// computed and its Stats hold their aggregate work; on cancellation
+// it returns ctx's error and the matcher is untouched.
+func (m *Matcher) MatchParallelCtx(ctx context.Context, workers int) (*bitmap.Bits, error) {
+	matched := bitmap.New(len(m.Pairs))
+	err := runSharded(ctx, m, workers, (*Matcher).MatchBits, func(bits *bitmap.Bits, lo int) {
+		matched.OrRange(bits, lo)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return matched, nil
+}
+
+// MatchStateParallelCtx is the materializing run on `workers` shard
+// workers: each chunk is evaluated into a shard of MatchState, and the
+// shards are stitched into one full state with word-level bitmap
+// merges. The result feeds incremental sessions. Predicates are
+// evaluated in their static order (check-cache-first is suspended for
+// the run: its order depends on memo history, and so would the
+// recorded exit points), so the state is byte-identical to a
+// static-order scalar Match for every worker count and block size.
+//
+// A warm memo is read (not written) by the workers, making re-runs
+// cheap; on return it has absorbed every shard memo. On cancellation
+// it returns ctx's error and the matcher is left exactly as before the
+// call — no shard memo is absorbed, no stats are added — so an
+// interactive session that timed out mid-run stays valid.
+func (m *Matcher) MatchStateParallelCtx(ctx context.Context, workers int) (*MatchState, error) {
+	st := NewMatchState(len(m.Pairs), m.C.Rules)
+	err := runSharded(ctx, m, workers, func(sm *Matcher) *MatchState {
+		sm.CheckCacheFirst = false
+		return sm.MatchState()
+	}, func(shard *MatchState, lo int) {
+		st.MergeAt(shard, lo)
+	})
+	if err != nil {
+		return nil, err
+	}
 	return st, nil
+}
+
+// SweepParallelCtx is the what-if threshold sweep: for each candidate
+// threshold it returns the match marks of the function with that
+// threshold substituted into predicate pj of rule ri (which must
+// exist), leaving m.C untouched. Each chunk evaluates every threshold
+// in order with MatchBits on a private clone of the compiled function,
+// so a later point reads the features an earlier one memoized, and
+// ctx is also checked between threshold points. Memo, Stats and
+// cancellation behave as in MatchParallelCtx.
+func (m *Matcher) SweepParallelCtx(ctx context.Context, workers, ri, pj int, thresholds []float64) ([]*bitmap.Bits, error) {
+	out := make([]*bitmap.Bits, len(thresholds))
+	for ti := range out {
+		out[ti] = bitmap.New(len(m.Pairs))
+	}
+	err := runSharded(ctx, m, workers, func(sm *Matcher) []*bitmap.Bits {
+		sm.C = sm.C.cloneForEval()
+		p := &sm.C.Rules[ri].Preds[pj]
+		bits := make([]*bitmap.Bits, len(thresholds))
+		for ti, thr := range thresholds {
+			if ctx.Err() != nil {
+				return nil
+			}
+			p.Threshold = thr
+			bits[ti] = sm.MatchBits()
+		}
+		return bits
+	}, func(bits []*bitmap.Bits, lo int) {
+		for ti := range out {
+			out[ti].OrRange(bits[ti], lo)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -1,46 +1,74 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"rulematch/internal/bitmap"
 	"rulematch/internal/rule"
 	"rulematch/internal/sim"
 	"rulematch/internal/table"
 )
 
+// TestMatchParallelAgreesWithSerial: the sharded marks-only run equals
+// a static-order serial Match in marks, Stats and memo contents, for
+// every worker count.
 func TestMatchParallelAgreesWithSerial(t *testing.T) {
 	c, pairs := mustCompile(t, testFunc)
 	serial := NewMatcher(c, pairs)
 	want := serial.Match()
 	for _, workers := range []int{1, 2, 3, 8, 100} {
 		m := NewMatcher(c, pairs)
-		got := m.MatchParallel(workers)
-		for pi := range pairs {
-			if got.Get(pi) != want.Matched.Get(pi) {
-				t.Fatalf("workers=%d pair %d: parallel=%v serial=%v",
-					workers, pi, got.Get(pi), want.Matched.Get(pi))
-			}
+		got, err := m.MatchParallelCtx(context.Background(), workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.Stats.PairEvals != int64(len(pairs)) {
-			t.Errorf("workers=%d: %d pair evals, want %d", workers, m.Stats.PairEvals, len(pairs))
+		if !got.Equal(want.Matched) {
+			t.Fatalf("workers=%d: marks differ from serial Match", workers)
 		}
+		if m.Stats != serial.Stats {
+			t.Errorf("workers=%d: stats %+v, serial %+v", workers, m.Stats, serial.Stats)
+		}
+		assertMemoEqual(t, m.Memo, serial.Memo, len(c.Features), len(pairs))
 	}
 }
 
 func TestMatchParallelEmptyAndZeroWorkers(t *testing.T) {
 	c, pairs := mustCompile(t, testFunc)
 	m := &Matcher{C: c, Pairs: nil}
-	if got := m.MatchParallel(4); got.Count() != 0 {
-		t.Errorf("empty pairs matched %d", got.Count())
+	got, err := m.MatchParallelCtx(context.Background(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 0 {
+		t.Errorf("empty pairs: %d marks", got.Len())
 	}
 	m2 := NewMatcher(c, pairs)
-	got := m2.MatchParallel(0) // 0 = GOMAXPROCS
+	got, err = m2.MatchParallelCtx(context.Background(), 0) // 0 = GOMAXPROCS
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := (&Matcher{C: c, Pairs: pairs}).MatchRudimentary()
-	for pi := range pairs {
-		if got.Get(pi) != want.Get(pi) {
-			t.Fatalf("default-workers parallel disagrees at pair %d", pi)
+	if !got.Equal(want) {
+		t.Fatal("default-workers run disagrees with Algorithm 1")
+	}
+}
+
+// assertMemoEqual fails unless both memos hold exactly the same values.
+func assertMemoEqual(t *testing.T, got, want Memo, numFeatures, numPairs int) {
+	t.Helper()
+	if got.Entries() != want.Entries() {
+		t.Fatalf("memo entries %d, want %d", got.Entries(), want.Entries())
+	}
+	for fi := 0; fi < numFeatures; fi++ {
+		for pi := 0; pi < numPairs; pi++ {
+			gv, gok := got.Get(fi, pi)
+			wv, wok := want.Get(fi, pi)
+			if gok != wok || gv != wv {
+				t.Fatalf("memo (%d,%d) = %v,%v want %v,%v", fi, pi, gv, gok, wv, wok)
+			}
 		}
 	}
 }
@@ -160,13 +188,13 @@ func TestProfileCacheAgreesAndHelps(t *testing.T) {
 		t.Fatal("no entries")
 	}
 	_ = fi
-	// Parallel matching over the shared read-only cache.
-	mp := NewMatcher(c, pairs)
-	got := mp.MatchParallel(4)
-	for pi := range pairs {
-		if got.Get(pi) != want.Get(pi) {
-			t.Fatalf("parallel+profiles disagrees at pair %d", pi)
-		}
+	// Sharded matching over the shared read-only cache.
+	got, err := NewMatcher(c, pairs).MatchParallelCtx(context.Background(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("sharded run with profiles disagrees with Algorithm 1")
 	}
 }
 
@@ -174,7 +202,7 @@ func TestProfileCacheAgreesAndHelps(t *testing.T) {
 // the sharded materializing run: over random rule sets, every worker
 // count must produce Matched/RuleTrue byte-equal to the serial Match,
 // PredFalse byte-equal to a static-order serial Match, a memo with
-// identical contents, and state passing Validate.
+// identical contents, the same Stats, and state passing Validate.
 func TestMatchStateParallelMatchesSerial(t *testing.T) {
 	a, b, pairs := fixture(t)
 	lib := sim.Standard()
@@ -216,7 +244,10 @@ func TestMatchStateParallelMatchesSerial(t *testing.T) {
 		wantCF := cacheFirst.Match()
 		for _, workers := range []int{1, 2, 3, 8} {
 			m := NewMatcher(c, pairs)
-			got := m.MatchStateParallel(workers)
+			got, err := m.MatchStateParallelCtx(context.Background(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !got.Matched.Equal(want.Matched) {
 				t.Fatalf("trial %d workers=%d: Matched diverges from serial\n%s", trial, workers, f.String())
 			}
@@ -235,18 +266,9 @@ func TestMatchStateParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}
 			// The stitched memo holds exactly the serial memo's values.
-			for fi := range c.Features {
-				for pi := range pairs {
-					sv, sok := serial.Memo.Get(fi, pi)
-					pv, pok := m.Memo.Get(fi, pi)
-					if sok != pok || sv != pv {
-						t.Fatalf("trial %d workers=%d: memo (%d,%d) = %v,%v want %v,%v",
-							trial, workers, fi, pi, pv, pok, sv, sok)
-					}
-				}
-			}
-			if m.Stats.PairEvals != int64(len(pairs)) {
-				t.Errorf("trial %d workers=%d: %d pair evals, want %d", trial, workers, m.Stats.PairEvals, len(pairs))
+			assertMemoEqual(t, m.Memo, serial.Memo, len(c.Features), len(pairs))
+			if m.Stats != serial.Stats {
+				t.Errorf("trial %d workers=%d: stats %+v, serial %+v", trial, workers, m.Stats, serial.Stats)
 			}
 		}
 	}
@@ -255,77 +277,150 @@ func TestMatchStateParallelMatchesSerial(t *testing.T) {
 func TestMatchStateParallelEmpty(t *testing.T) {
 	c, _ := mustCompile(t, testFunc)
 	m := &Matcher{C: c, Pairs: nil, Memo: NewArrayMemo(0)}
-	st := m.MatchStateParallel(4)
+	st, err := m.MatchStateParallelCtx(context.Background(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Matched.Len() != 0 || len(st.RuleTrue) != len(c.Rules) {
-		t.Errorf("empty parallel state malformed")
+		t.Errorf("empty sharded state malformed")
 	}
 }
 
-// TestSharedValueCacheHitParity asserts the cross-shard fix: with the
-// shared compute-once store, a parallel materializing run loses no
-// value-cache hits relative to the serial run — B records repeating
-// across shard boundaries are still computed exactly once.
-func TestSharedValueCacheHitParity(t *testing.T) {
-	c, pairs := dupFixture(t)
+// gapFixture builds 80 x 80 records — 6,400 candidate pairs, several
+// chunks at every worker count — whose names repeat across records.
+// Codes differ on every pair except two: r1 computes the name feature
+// for every pair but those, so at r2's entry the name column is
+// memo-resident across a whole batch block exactly when the block holds
+// neither gap, and check-cache-first orders r2 by it.
+func gapFixture(t *testing.T) (*Compiled, []table.Pair) {
+	t.Helper()
+	names := []string{"ann lee", "anne lee", "bo kim", "bob kim", "cy wu", "dee jones", "dee jonas"}
+	cities := []string{"madison", "madson", "chicago", "chicag0", "seattle"}
+	a := table.MustNew("A", []string{"name", "city", "code"})
+	b := table.MustNew("B", []string{"name", "city", "code"})
+	for i := 0; i < 80; i++ {
+		a.Append(fmt.Sprintf("a%d", i), names[i%len(names)], cities[i%len(cities)], fmt.Sprintf("a%d", i))
+		code := fmt.Sprintf("b%d", i)
+		switch i {
+		case 3: // gap at pair 3*80+3
+			code = "a3"
+		case 60: // gap at pair 33*80+60
+			code = "a33"
+		}
+		b.Append(fmt.Sprintf("b%d", i), names[(i*3)%len(names)], cities[(i*2)%len(cities)], code)
+	}
+	f, err := rule.ParseFunction(`
+rule r1: exact_match(code, code) < 1 and jaro_winkler(name, name) >= 0.97
+rule r2: trigram(city, city) >= 0.5 and jaro_winkler(name, name) >= 0.8
+rule r3: levenshtein(city, city) >= 0.7 and jaccard(name, name) >= 0.4`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(f, sim.Standard(), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs []table.Pair
+	for i := 0; i < a.Len(); i++ {
+		for j := 0; j < b.Len(); j++ {
+			pairs = append(pairs, table.Pair{A: int32(i), B: int32(j)})
+		}
+	}
+	return c, pairs
+}
+
+// TestShardValueCachePrivate: each chunk of a sharded run keeps its own
+// value map (run under -race, shared writes would be flagged), outcomes
+// equal the serial run, and every feature resolution is either a
+// compute or a value-cache hit.
+func TestShardValueCachePrivate(t *testing.T) {
+	c, pairs := gapFixture(t)
 	serial := NewMatcher(c, pairs)
-	serial.ValueCache = true
-	serial.Match()
-	if serial.Stats.ValueCacheHits == 0 {
-		t.Fatal("fixture has no repeated attribute values")
-	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		par := NewMatcher(c, pairs)
-		par.ValueCache = true
-		st := par.MatchStateParallel(workers)
-		if st.Matched.Count() == 0 {
-			t.Fatal("degenerate fixture: nothing matched")
+	want := serial.Match()
+	for _, workers := range []int{1, 4} {
+		m := NewMatcher(c, pairs)
+		m.ValueCache = true
+		got, err := m.MatchStateParallelCtx(context.Background(), workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if par.Stats.FeatureComputes != serial.Stats.FeatureComputes {
-			t.Errorf("workers=%d: %d feature computes, serial %d — cross-shard value hits lost",
-				workers, par.Stats.FeatureComputes, serial.Stats.FeatureComputes)
+		if !got.Equal(want) {
+			t.Fatalf("workers=%d: value-cached sharded state differs from serial", workers)
 		}
-		if par.Stats.ValueCacheHits != serial.Stats.ValueCacheHits {
-			t.Errorf("workers=%d: %d value-cache hits, serial %d",
-				workers, par.Stats.ValueCacheHits, serial.Stats.ValueCacheHits)
+		if m.Stats.ValueCacheHits == 0 {
+			t.Errorf("workers=%d: no value-cache hits despite repeated values", workers)
 		}
-	}
-	// MatchParallel (bits-only path) shares the same store.
-	par := NewMatcher(c, pairs)
-	par.ValueCache = true
-	par.MatchParallel(4)
-	if par.Stats.FeatureComputes != serial.Stats.FeatureComputes {
-		t.Errorf("MatchParallel: %d feature computes, serial %d",
-			par.Stats.FeatureComputes, serial.Stats.FeatureComputes)
-	}
-	// Serial continuation after a parallel run keeps hitting the shared
-	// store: a full re-match resolves every value without recomputing.
-	par.ResetStats()
-	par.Memo = NewArrayMemo(len(pairs)) // drop the pair memo, keep values
-	par.Match()
-	if par.Stats.FeatureComputes != 0 {
-		t.Errorf("serial re-run after parallel recomputed %d features", par.Stats.FeatureComputes)
+		if m.Stats.FeatureComputes+m.Stats.ValueCacheHits != serial.Stats.FeatureComputes {
+			t.Errorf("workers=%d: compute accounting off: %d + %d != %d", workers,
+				m.Stats.FeatureComputes, m.Stats.ValueCacheHits, serial.Stats.FeatureComputes)
+		}
 	}
 }
 
-func TestShardRanges(t *testing.T) {
-	for _, tc := range []struct{ n, workers, want int }{
-		{10, 3, 3}, {10, 1, 1}, {3, 8, 3}, {0, 4, 0}, {64, 4, 4},
-	} {
-		ranges := ShardRanges(tc.n, tc.workers)
-		if len(ranges) != tc.want {
-			t.Errorf("ShardRanges(%d,%d) = %d ranges, want %d", tc.n, tc.workers, len(ranges), tc.want)
+// TestShardedWorkIndependentOfWorkers: chunks are whole batch blocks, so
+// the per-block check-cache-first order — and with it every counter of
+// a sweep and of a marks-only run over the memo the sweep left — is the
+// same at every worker count, as is the memo.
+func TestShardedWorkIndependentOfWorkers(t *testing.T) {
+	c, pairs := gapFixture(t)
+	thresholds := []float64{0.95, 0.5, 0.8, 0.2, 0.65}
+	type result struct {
+		sweep, marks Stats
+		entries      int64
+		points       []*bitmap.Bits
+	}
+	var ref *result
+	for _, workers := range []int{1, 2, 3, 4} {
+		m := NewMatcher(c, pairs)
+		m.CheckCacheFirst = true
+		points, err := m.SweepParallelCtx(context.Background(), workers, 1, 0, thresholds)
+		if err != nil {
+			t.Fatal(err)
 		}
-		covered := 0
-		prev := 0
-		for _, rg := range ranges {
-			if rg.Lo != prev {
-				t.Errorf("ShardRanges(%d,%d): gap at %d", tc.n, tc.workers, rg.Lo)
+		got := &result{sweep: m.Stats, entries: m.Memo.Entries(), points: points}
+		m.ResetStats()
+		if _, err := m.MatchParallelCtx(context.Background(), workers); err != nil {
+			t.Fatal(err)
+		}
+		got.marks = m.Stats
+		if ref == nil {
+			ref = got
+			continue
+		}
+		if got.sweep != ref.sweep || got.marks != ref.marks || got.entries != ref.entries {
+			t.Errorf("workers=%d: sweep %+v marks %+v entries %d; workers=1: %+v %+v %d",
+				workers, got.sweep, got.marks, got.entries, ref.sweep, ref.marks, ref.entries)
+		}
+		for ti := range points {
+			if !points[ti].Equal(ref.points[ti]) {
+				t.Errorf("workers=%d: point %d differs", workers, ti)
 			}
-			covered += rg.Len()
-			prev = rg.Hi
 		}
-		if covered != tc.n {
-			t.Errorf("ShardRanges(%d,%d) covers %d pairs", tc.n, tc.workers, covered)
+	}
+}
+
+// TestSweepParallelMatchesFreshEvaluation: every sweep point equals a
+// from-scratch evaluation with that threshold, and the sweep leaves the
+// compiled function's thresholds as they were.
+func TestSweepParallelMatchesFreshEvaluation(t *testing.T) {
+	c, pairs := gapFixture(t)
+	thresholds := []float64{0.1, 0.5, 0.9, 1}
+	orig := c.Rules[0].Preds[1].Threshold
+	m := NewMatcher(c, pairs)
+	m.CheckCacheFirst = true
+	points, err := m.SweepParallelCtx(context.Background(), 3, 0, 1, thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Rules[0].Preds[1].Threshold != orig {
+		t.Fatal("sweep left a threshold mutated")
+	}
+	for ti, thr := range thresholds {
+		fc := c.cloneForEval()
+		fc.Rules[0].Preds[1].Threshold = thr
+		want := (&Matcher{C: fc, Pairs: pairs}).MatchRudimentary()
+		if !points[ti].Equal(want) {
+			t.Errorf("threshold %v: sweep point differs from a fresh evaluation", thr)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // weights). A record participates in many candidate pairs, so caching
 // its profile amortizes tokenization and vector construction across all
 // of them. Profiles are built eagerly when the cache is enabled (and
-// for features bound afterwards), so matching — including MatchParallel
-// — only reads them.
+// for features bound afterwards), so matching — including the sharded
+// methods — only reads them.
 //
 // Similarities that additionally implement sim.DictProfiler and have an
 // ID emitter (sim.EmitterFor) are cached in dictionary-encoded form: a

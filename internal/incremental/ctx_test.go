@@ -10,13 +10,6 @@ import (
 	"rulematch/internal/table"
 )
 
-// buildSession compiles baseFunc against the fixture tables and starts
-// a session with the default configuration (no initial run).
-func buildSession(t testing.TB, a, b *table.Table, pairs []table.Pair) *Session {
-	t.Helper()
-	return NewSession(compileBase(t, a, b), pairs)
-}
-
 // compileBase compiles baseFunc against the fixture tables.
 func compileBase(t testing.TB, a, b *table.Table) *core.Compiled {
 	t.Helper()
@@ -31,71 +24,84 @@ func compileBase(t testing.TB, a, b *table.Table) *core.Compiled {
 	return c
 }
 
-// A cancelled full re-run must leave the previous materialized state
-// standing and valid.
+// memoBytes is the session memo's footprint.
+func memoBytes(s *Session) int64 {
+	memo, _ := s.MemoryBytes()
+	return memo
+}
+
+// A cancelled full re-run must leave the previous materialized state,
+// Stats and memo standing and valid, at one worker as at several.
 func TestRunFullParallelCtxCancelled(t *testing.T) {
-	s := newSession(t, baseFunc)
-	wantMatches := s.MatchCount()
-	statsBefore := s.M.Stats
+	for _, workers := range []int{1, 4} {
+		s := newSession(t, baseFunc)
+		s.M.Workers = workers
+		stateBefore := s.St
+		statsBefore := s.M.Stats
+		entries, bytes := s.M.Memo.Entries(), memoBytes(s)
 
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := s.RunFullParallelCtx(cancelled, 4); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if s.MatchCount() != wantMatches {
-		t.Fatal("cancelled run changed the match set")
-	}
-	if s.M.Stats != statsBefore {
-		t.Fatal("cancelled run added stats")
-	}
-	mustVerify(t, s, "after cancelled full run")
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := s.Run(cancelled); err != context.Canceled {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if s.St != stateBefore {
+			t.Fatalf("workers=%d: cancelled run replaced the state", workers)
+		}
+		if s.M.Stats != statsBefore {
+			t.Fatalf("workers=%d: cancelled run added stats", workers)
+		}
+		if s.M.Memo.Entries() != entries || memoBytes(s) != bytes {
+			t.Fatalf("workers=%d: cancelled run changed the memo", workers)
+		}
+		mustVerify(t, s, "after cancelled full run")
 
-	// And a live context still works, byte-identically to serial.
-	if err := s.RunFullParallelCtx(context.Background(), 4); err != nil {
-		t.Fatal(err)
+		// And a live context still works.
+		wantMatches := s.MatchCount()
+		mustRun(t, s)
+		if s.MatchCount() != wantMatches {
+			t.Fatalf("workers=%d: re-run changed the match set", workers)
+		}
+		mustVerify(t, s, "after live full run")
 	}
-	if s.MatchCount() != wantMatches {
-		t.Fatal("parallel re-run changed the match set")
-	}
-	mustVerify(t, s, "after live full run")
 }
 
 // A cancelled sweep must leave the session untouched (thresholds,
-// memo, stats) and still valid; an uncancelled ctx sweep must agree
-// with the serial sweep.
+// memo, stats) and still valid, at one worker as at several; an
+// uncancelled sweep must agree with a from-scratch evaluation.
 func TestSweepThresholdParallelCtx(t *testing.T) {
-	s := newSession(t, baseFunc)
 	thresholds := DefaultSweep(9)
-	want, err := s.SweepThreshold(0, 0, thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, workers := range []int{1, 4} {
+		s := newSession(t, baseFunc)
+		thrBefore := s.M.C.Rules[0].Preds[0].Threshold
+		statsBefore := s.M.Stats
+		entries, bytes := s.M.Memo.Entries(), memoBytes(s)
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := s.SweepThresholdParallelCtx(cancelled, 0, 0, thresholds, workers); err != context.Canceled {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if s.M.C.Rules[0].Preds[0].Threshold != thrBefore {
+			t.Fatalf("workers=%d: cancelled sweep moved a live threshold", workers)
+		}
+		if s.M.Stats != statsBefore {
+			t.Fatalf("workers=%d: cancelled sweep added stats", workers)
+		}
+		if s.M.Memo.Entries() != entries || memoBytes(s) != bytes {
+			t.Fatalf("workers=%d: cancelled sweep changed the memo", workers)
+		}
+		mustVerify(t, s, "after cancelled sweep")
 
-	got, err := s.SweepThresholdParallelCtx(context.Background(), 0, 0, thresholds, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !got[i].Matched.Equal(want[i].Matched) {
-			t.Fatalf("ctx sweep point %d differs from serial", i)
+		got, err := s.SweepThresholdParallelCtx(context.Background(), 0, 0, thresholds, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, thr := range thresholds {
+			if !got[i].Matched.Equal(freshSweepPoint(t, s, 0, 0, thr)) {
+				t.Fatalf("workers=%d: sweep point %d differs from a fresh evaluation", workers, i)
+			}
 		}
 	}
-
-	thrBefore := s.M.C.Rules[0].Preds[0].Threshold
-	statsBefore := s.M.Stats
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.SweepThresholdParallelCtx(cancelled, 0, 0, thresholds, 3); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if s.M.C.Rules[0].Preds[0].Threshold != thrBefore {
-		t.Fatal("cancelled sweep moved a live threshold")
-	}
-	if s.M.Stats != statsBefore {
-		t.Fatal("cancelled sweep added stats")
-	}
-	mustVerify(t, s, "after cancelled sweep")
 }
 
 // Session.Run uses the worker count configured through core.Config.
@@ -110,12 +116,8 @@ func TestSessionRunUsesConfiguredWorkers(t *testing.T) {
 	}
 	mustVerify(t, s, "after Run with GOMAXPROCS workers")
 
-	ref := buildSession(t, a, b, pairs)
-	ref.RunFull()
-	if s.MatchCount() != ref.MatchCount() {
-		t.Fatalf("Run matches %d, serial %d", s.MatchCount(), ref.MatchCount())
-	}
-	if !s.St.Equal(ref.St) {
-		t.Fatal("Run state differs from serial materialization")
+	want := core.NewMatcher(compileBase(t, a, b), pairs).Match()
+	if !s.St.Equal(want) {
+		t.Fatal("Run state differs from the static-order scalar Match")
 	}
 }

@@ -1,6 +1,7 @@
 package incremental_test
 
 import (
+	"context"
 	"fmt"
 
 	"rulematch/internal/core"
@@ -26,7 +27,10 @@ func Example() {
 	pairs := []table.Pair{{A: 0, B: 0}, {A: 0, B: 1}, {A: 1, B: 0}, {A: 1, B: 1}}
 
 	s := incremental.NewSession(c, pairs)
-	s.RunFull() // the one cold run; everything after is incremental
+	// The one cold run; everything after is incremental.
+	if err := s.Run(context.Background()); err != nil {
+		panic(err)
+	}
 	fmt.Println("initial matches:", s.MatchCount())
 
 	// The threshold is too strict — relax it. Only the pairs whose

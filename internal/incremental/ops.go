@@ -9,7 +9,7 @@ import (
 )
 
 // owner returns the index of the rule that matched pair pi, or -1.
-// Ownership is tracked lazily: built on first use after RunFull and
+// Ownership is tracked lazily: built on first use after Run and
 // updated by every operation.
 func (s *Session) ownerOf(pi int) int {
 	s.ensureOwners()

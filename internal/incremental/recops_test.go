@@ -87,7 +87,7 @@ func blockedSession(t testing.TB, a, b *table.Table, cfg core.Config) *Session {
 	}
 	s := NewSessionConfig(c, pairs, cfg)
 	s.Blocker = blk
-	s.RunFull()
+	mustRun(t, s)
 	return s
 }
 
@@ -193,7 +193,7 @@ func TestAddRecordsDeltaParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			cold := NewSessionConfig(c2, append([]table.Pair(nil), s.M.Pairs...), cfg.cfg)
-			cold.RunFull()
+			mustRun(t, cold)
 			assertStateParity(t, s, cold, "stream vs cold")
 			assertMemoParity(t, s, cold, "stream vs cold")
 		})
@@ -288,10 +288,7 @@ func TestDeleteRecords(t *testing.T) {
 	if err := s.VerifyDeep(); err != nil {
 		t.Fatalf("after relax: %v", err)
 	}
-	pts, err := s.SweepThreshold(0, 0, []float64{0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(t, s, 0, 0, []float64{0.1})
 	for pi := 0; pi < len(s.M.Pairs); pi++ {
 		if dead.Get(pi) && pts[0].Matched.Get(pi) {
 			t.Fatalf("sweep reported dead pair %d as matched", pi)
@@ -425,7 +422,7 @@ func assertColdParity(t *testing.T, s *Session) {
 		t.Fatal(err)
 	}
 	cold := NewSession(c2, pairs)
-	cold.RunFull()
+	mustRun(t, cold)
 
 	gotLive := livePairIDSet(s)
 	wantLive := make(map[[2]string]bool, len(pairs))
@@ -525,7 +522,7 @@ func TestReclaimDeadPairs(t *testing.T) {
 				s := blockedSession(t, a, b, eng.cfg)
 				if memo == "hash" {
 					s.M.Memo = core.NewHashMemo()
-					s.RunFull()
+					mustRun(t, s)
 				}
 				s.ensureOwners() // so every reclamation has owners to gather
 				nextA, nextB := a.Len(), b.Len()

@@ -88,82 +88,35 @@ func NewSessionConfig(c *core.Compiled, pairs []table.Pair, cfg core.Config) *Se
 	return &Session{M: cfg.NewMatcher(c, pairs), baseA: c.A.Len(), baseB: c.B.Len()}
 }
 
-// RunFull evaluates the function from scratch (with memoing) and
-// materializes the state. Call once before incremental operations; the
-// memo persists, so later full runs are cheaper too.
+// Run evaluates the function from scratch over every pair and
+// materializes the state, sharded over the session's configured worker
+// count (core.Config.Workers, carried on the matcher; one worker is
+// the same run on a single goroutine). Call it once before incremental
+// operations; the memo persists, so later full runs are cheaper too —
+// a re-run on the warm memo is the "precomputation variation" of §7.6.
 //
-// The run goes through the matcher's configured execution engine
-// (normally the columnar batch engine), which materializes in static
-// predicate order — the recorded false bits are therefore
-// deterministic and identical across RunFull, RunFullParallel and
-// every block size. Check-cache-first resumes for the per-pair
-// incremental operations that follow.
-func (s *Session) RunFull() {
-	before := s.M.Stats
-	s.St = s.M.MatchState()
-	s.clearDead()
-	s.owners = nil // rebuilt lazily from the fresh state
-	s.LastOp = OpReport{Op: "full", PairsExamined: len(s.M.Pairs), Stats: diffStats(before, s.M.Stats)}
-}
-
-// clearDead strips tombstoned pairs out of a freshly materialized
-// state: full runs evaluate every pair (the engines are oblivious to
-// liveness), and a dead pair must carry no state bits.
-func (s *Session) clearDead() {
-	if s.dead != nil {
-		s.St.ClearPairs(s.dead)
-	}
-}
-
-// RunFullWithMemo is the "precomputation variation" of §7.6: it
-// re-evaluates every rule for every pair with early exit and the warm
-// memo, rebuilding state, rather than computing the minimal delta.
-func (s *Session) RunFullWithMemo() {
-	s.RunFull()
-	s.LastOp.Op = "full_memo"
-}
-
-// RunFullParallel is the sharded materializing run: workers goroutines
-// (0 = GOMAXPROCS) each evaluate a contiguous pair range into a shard
-// of state plus a range-offset memo, stitched into the same full
-// MatchState and memo a serial RunFull produces. This removes the
-// paper's slow cold-start iteration (Fig 5C, k=1) from the interactive
-// loop; Algorithms 7–10 then operate on the warm merged state exactly
-// as after a serial run.
-//
-// Materialization uses the static predicate order so the recorded
-// false bits are deterministic across worker counts (check-cache-first
-// resumes for the incremental operations that follow). A warm memo is
-// reused read-only by the workers, so parallel re-runs are cheap too.
-func (s *Session) RunFullParallel(workers int) {
-	_ = s.RunFullParallelCtx(context.Background(), workers)
-}
-
-// RunFullParallelCtx is RunFullParallel under a context. On
+// Materialization uses the static predicate order, so the recorded
+// false bits are deterministic and identical across worker counts and
+// block sizes; check-cache-first resumes for the per-pair incremental
+// operations that follow. ctx is checked between chunks: on
 // cancellation the session is left exactly as before the call — the
 // previous materialized state, memo and stats all stand, so
-// Verify/VerifyDeep still pass — and ctx's error is returned. Worker
-// semantics are core.NormalizeWorkers (0 = GOMAXPROCS).
-func (s *Session) RunFullParallelCtx(ctx context.Context, workers int) error {
+// Verify/VerifyDeep still pass — and ctx's error is returned.
+func (s *Session) Run(ctx context.Context) error {
 	before := s.M.Stats
-	st, err := s.M.MatchStateParallelCtx(ctx, workers)
+	st, err := s.M.MatchStateParallelCtx(ctx, s.M.Workers)
 	if err != nil {
 		return err
 	}
 	s.St = st
-	s.clearDead()
+	// Full runs evaluate every pair (the engine is oblivious to
+	// liveness), and a dead pair must carry no state bits.
+	if s.dead != nil {
+		s.St.ClearPairs(s.dead)
+	}
 	s.owners = nil // rebuilt lazily from the fresh state
 	s.LastOp = OpReport{Op: "full_parallel", PairsExamined: len(s.M.Pairs), Stats: diffStats(before, s.M.Stats)}
 	return nil
-}
-
-// Run executes a full materializing run with the session's configured
-// worker count (core.Config.Workers, carried on the matcher), under a
-// context: the cancellable sharded path regardless of count, so a
-// request-scoped timeout can stop even a serial-width run between
-// chunks. This is the entry point the debug server uses.
-func (s *Session) Run(ctx context.Context) error {
-	return s.RunFullParallelCtx(ctx, s.M.Workers)
 }
 
 // Reconfigure applies the engine-level knobs of cfg to a live session:
@@ -197,10 +150,10 @@ func diffStats(before, after core.Stats) core.Stats {
 	}
 }
 
-// checkState guards operations that require a prior RunFull.
+// checkState guards operations that require a prior Run.
 func (s *Session) checkState() error {
 	if s.St == nil {
-		return fmt.Errorf("incremental: RunFull must be called before incremental operations")
+		return fmt.Errorf("incremental: Run must be called before incremental operations")
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 package incremental
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"rulematch/internal/bitmap"
 	"rulematch/internal/core"
 	"rulematch/internal/rule"
 	"rulematch/internal/sim"
@@ -65,8 +67,43 @@ func newSession(t testing.TB, src string) *Session {
 		t.Fatal(err)
 	}
 	s := NewSession(c, pairs)
-	s.RunFull()
+	mustRun(t, s)
 	return s
+}
+
+// mustRun runs the session's full materializing run.
+func mustRun(t testing.TB, s *Session) {
+	t.Helper()
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sweep sweeps predicate pj of rule ri with the session's workers.
+func sweep(t testing.TB, s *Session, ri, pj int, thresholds []float64) []SweepPoint {
+	t.Helper()
+	points, err := s.SweepThresholdParallelCtx(context.Background(), ri, pj, thresholds, s.M.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return points
+}
+
+// freshSweepPoint evaluates the session's function from scratch
+// (Algorithm 1: no memo, no state) with predicate pj of rule ri set to
+// thr, on a private copy of the compiled function.
+func freshSweepPoint(t testing.TB, s *Session, ri, pj int, thr float64) *bitmap.Bits {
+	t.Helper()
+	f := s.M.C.Function()
+	f.Rules[ri].Preds[pj].Threshold = thr
+	c, err := core.Compile(f, sim.Standard(), s.M.C.A, s.M.C.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Rules[ri].Preds) != len(s.M.C.Rules[ri].Preds) {
+		t.Fatalf("recompiling rule %d changed its shape", ri)
+	}
+	return (&core.Matcher{C: c, Pairs: s.M.Pairs}).MatchRudimentary()
 }
 
 const baseFunc = `
@@ -312,7 +349,7 @@ func TestIncrementalCheaperThanFullRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	incrementalEvals := s.LastOp.Stats.RuleEvals
-	s.RunFullWithMemo()
+	mustRun(t, s)
 	fullEvals := s.LastOp.Stats.RuleEvals
 	if incrementalEvals >= fullEvals {
 		t.Errorf("incremental add-rule evaluated %d rules, full rerun %d", incrementalEvals, fullEvals)
@@ -360,7 +397,7 @@ func TestQuickRandomOpSequences(t *testing.T) {
 			continue
 		}
 		s := NewSession(c, pairs)
-		s.RunFull()
+		mustRun(t, s)
 		for step := 0; step < 30; step++ {
 			nRules := len(s.M.C.Rules)
 			switch rng.Intn(6) {
@@ -417,10 +454,7 @@ func TestSweepThreshold(t *testing.T) {
 	before := s.MatchCount()
 	stateBefore := s.St.Matched.Clone()
 	thresholds := DefaultSweep(9)
-	points, err := s.SweepThreshold(2, 0, thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := sweep(t, s, 2, 0, thresholds)
 	if len(points) != len(thresholds) {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -441,10 +475,7 @@ func TestSweepThreshold(t *testing.T) {
 	}
 	// A sweep point at the current threshold reproduces current matches.
 	cur := s.M.C.Rules[2].Preds[0].Threshold
-	pts, err := s.SweepThreshold(2, 0, []float64{cur})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(t, s, 2, 0, []float64{cur})
 	if !pts[0].Matched.Equal(s.St.Matched) {
 		t.Error("sweep at the current threshold differs from current state")
 	}
@@ -453,32 +484,32 @@ func TestSweepThreshold(t *testing.T) {
 	}
 }
 
+// TestRunFullParallelMatchesSerial: Run at every worker count
+// materializes exactly the state of a static-order scalar Match (the
+// Alg 3/4 oracle) — Matched, RuleTrue and PredFalse — and leaves the
+// same memo and Stats.
 func TestRunFullParallelMatchesSerial(t *testing.T) {
-	serial := newSession(t, baseFunc)
-	// A static-order serial run is the byte-level reference for the
-	// full state (PredFalse included).
-	staticRef := newSessionNoRun(t, baseFunc)
-	staticRef.M.CheckCacheFirst = false
-	staticRef.RunFull()
+	ref := newSessionNoRun(t, baseFunc)
+	oracle := core.NewMatcher(ref.M.C, ref.M.Pairs)
+	want := oracle.Match()
 	for _, workers := range []int{1, 2, 3, 8} {
 		s := newSessionNoRun(t, baseFunc)
-		s.RunFullParallel(workers)
+		s.M.Workers = workers
+		mustRun(t, s)
 		if s.LastOp.Op != "full_parallel" {
 			t.Fatalf("workers=%d: op = %q", workers, s.LastOp.Op)
 		}
 		if s.LastOp.PairsExamined != len(s.M.Pairs) {
 			t.Fatalf("workers=%d: examined %d pairs", workers, s.LastOp.PairsExamined)
 		}
-		if !s.St.Matched.Equal(serial.St.Matched) {
-			t.Fatalf("workers=%d: Matched differs from serial RunFull", workers)
+		if !s.St.Equal(want) {
+			t.Fatalf("workers=%d: state differs from the static-order scalar Match", workers)
 		}
-		for ri := range s.St.RuleTrue {
-			if !s.St.RuleTrue[ri].Equal(serial.St.RuleTrue[ri]) {
-				t.Fatalf("workers=%d: RuleTrue[%d] differs from serial RunFull", workers, ri)
-			}
+		if s.M.Stats != oracle.Stats {
+			t.Fatalf("workers=%d: stats %+v, oracle %+v", workers, s.M.Stats, oracle.Stats)
 		}
-		if !s.St.Equal(staticRef.St) {
-			t.Fatalf("workers=%d: state differs from static-order serial run", workers)
+		if s.M.Memo.Entries() != oracle.Memo.Entries() {
+			t.Fatalf("workers=%d: %d memo entries, oracle %d", workers, s.M.Memo.Entries(), oracle.Memo.Entries())
 		}
 		if err := s.VerifyDeep(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -486,7 +517,7 @@ func TestRunFullParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// newSessionNoRun is newSession without the initial RunFull.
+// newSessionNoRun is newSession without the initial Run.
 func newSessionNoRun(t testing.TB, src string) *Session {
 	t.Helper()
 	a, b, pairs := fixture(t)
@@ -501,12 +532,13 @@ func newSessionNoRun(t testing.TB, src string) *Session {
 	return NewSession(c, pairs)
 }
 
-// Incremental operations must behave identically after a parallel
+// Incremental operations must behave identically after a sharded
 // bootstrap: check-cache-first resumes and all invariants hold through
 // an op sequence.
 func TestIncrementalOpsAfterParallelBootstrap(t *testing.T) {
 	s := newSessionNoRun(t, baseFunc)
-	s.RunFullParallel(4)
+	s.M.Workers = 4
+	mustRun(t, s)
 	if err := s.VerifyDeep(); err != nil {
 		t.Fatal(err)
 	}
@@ -538,35 +570,34 @@ func TestIncrementalOpsAfterParallelBootstrap(t *testing.T) {
 	if err := s.VerifyDeep(); err != nil {
 		t.Fatalf("after RemoveRule: %v", err)
 	}
-	// A parallel re-run on the now-warm memo recomputes nothing for
-	// memoized features and still validates.
-	s.RunFullParallel(3)
+	// A re-run on the now-warm memo recomputes nothing for memoized
+	// features and still validates.
+	s.M.Workers = 3
+	mustRun(t, s)
 	if err := s.VerifyDeep(); err != nil {
-		t.Fatalf("after warm parallel re-run: %v", err)
+		t.Fatalf("after warm re-run: %v", err)
 	}
 }
 
+// TestSweepThresholdParallelMatchesSerial: at every worker count each
+// sweep point equals a from-scratch evaluation at its threshold, and
+// the sweep leaves state and thresholds as they were.
 func TestSweepThresholdParallelMatchesSerial(t *testing.T) {
-	serial := newSession(t, baseFunc)
 	thresholds := DefaultSweep(9)
-	want, err := serial.SweepThreshold(2, 0, thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{0, 1, 2, 3, 8} {
 		s := newSession(t, baseFunc)
 		stateBefore := s.St.Matched.Clone()
 		thrBefore := s.M.C.Rules[2].Preds[0].Threshold
-		got, err := s.SweepThresholdParallel(2, 0, thresholds, workers)
+		got, err := s.SweepThresholdParallelCtx(context.Background(), 2, 0, thresholds, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
+		if len(got) != len(thresholds) {
+			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(thresholds))
 		}
-		for i := range got {
-			if got[i].Threshold != want[i].Threshold || !got[i].Matched.Equal(want[i].Matched) {
-				t.Fatalf("workers=%d: point %d (thr=%v) differs from serial sweep",
+		for i, thr := range thresholds {
+			if got[i].Threshold != thr || !got[i].Matched.Equal(freshSweepPoint(t, s, 2, 0, thr)) {
+				t.Fatalf("workers=%d: point %d (thr=%v) differs from a fresh evaluation",
 					workers, i, got[i].Threshold)
 			}
 		}
@@ -585,13 +616,13 @@ func TestSweepThresholdParallelMatchesSerial(t *testing.T) {
 
 func TestSweepThresholdParallelValidation(t *testing.T) {
 	s := newSession(t, baseFunc)
-	if _, err := s.SweepThresholdParallel(99, 0, DefaultSweep(3), 2); err == nil {
+	if _, err := s.SweepThresholdParallelCtx(context.Background(), 99, 0, DefaultSweep(3), 2); err == nil {
 		t.Error("bad rule index accepted")
 	}
-	if _, err := s.SweepThresholdParallel(0, 99, DefaultSweep(3), 2); err == nil {
+	if _, err := s.SweepThresholdParallelCtx(context.Background(), 0, 99, DefaultSweep(3), 2); err == nil {
 		t.Error("bad predicate index accepted")
 	}
-	pts, err := s.SweepThresholdParallel(0, 0, nil, 2)
+	pts, err := s.SweepThresholdParallelCtx(context.Background(), 0, 0, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,14 +632,97 @@ func TestSweepThresholdParallelValidation(t *testing.T) {
 }
 
 func TestSweepThresholdValidation(t *testing.T) {
-	s := newSession(t, baseFunc)
-	if _, err := s.SweepThreshold(99, 0, DefaultSweep(3)); err == nil {
-		t.Error("bad rule index accepted")
-	}
-	if _, err := s.SweepThreshold(0, 99, DefaultSweep(3)); err == nil {
-		t.Error("bad predicate index accepted")
+	s := newSessionNoRun(t, baseFunc)
+	if _, err := s.SweepThresholdParallelCtx(context.Background(), 0, 0, DefaultSweep(3), 1); err == nil {
+		t.Error("sweep before Run accepted")
 	}
 	if got := len(DefaultSweep(0)); got != 9 {
 		t.Errorf("default sweep steps = %d", got)
+	}
+}
+
+// gapSession builds a session over 80 x 80 records (6,400 pairs,
+// several chunks at every worker count) with the given worker count.
+// Codes differ on every pair except ten, spread ~650 pairs apart, so
+// r1 computes the name feature for every pair but those. Sweep points
+// above r1's 0.5 name threshold send pairs to r2 whose city feature
+// was never computed, and check-cache-first then puts r2's name
+// predicate first in exactly the batch blocks that hold no gap — the
+// per-block decision a sweep's counters depend on.
+func gapSession(t testing.TB, workers int) *Session {
+	t.Helper()
+	names := []string{"ann lee", "anne lee", "bo kim", "bob kim", "cy wu", "dee jones", "dee jonas"}
+	cities := []string{"madison", "madson", "chicago", "chicag0", "seattle"}
+	gapA := map[int]int{10: 3, 20: 11, 30: 19, 40: 27, 50: 35, 60: 43, 70: 51, 0: 60, 11: 68, 21: 76} // B record -> A record
+	a := table.MustNew("A", []string{"name", "city", "code"})
+	b := table.MustNew("B", []string{"name", "city", "code"})
+	for i := 0; i < 80; i++ {
+		a.Append(fmt.Sprintf("a%d", i), names[i%len(names)], cities[i%len(cities)], fmt.Sprintf("a%d", i))
+		code := fmt.Sprintf("b%d", i)
+		if ai, ok := gapA[i]; ok {
+			code = fmt.Sprintf("a%d", ai)
+		}
+		b.Append(fmt.Sprintf("b%d", i), names[(i*3)%len(names)], cities[(i*2)%len(cities)], code)
+	}
+	f, err := rule.ParseFunction(`
+rule r1: exact_match(code, code) < 1 and jaro_winkler(name, name) >= 0.5
+rule r2: trigram(city, city) >= 0.5 and jaro_winkler(name, name) >= 0.8
+rule r3: levenshtein(city, city) >= 0.7 and jaccard(name, name) >= 0.4`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compile(f, sim.Standard(), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs []table.Pair
+	for i := 0; i < a.Len(); i++ {
+		for j := 0; j < b.Len(); j++ {
+			pairs = append(pairs, table.Pair{A: int32(i), B: int32(j)})
+		}
+	}
+	cfg := core.DefaultConfig()
+	cfg.CheckCacheFirst = true
+	cfg.Workers = workers
+	s := NewSessionConfig(c, pairs, cfg)
+	mustRun(t, s)
+	return s
+}
+
+// TestSweepWorkIndependentOfWorkers: sweeping every predicate at
+// workers 1–4 gives the same points, the same memo entries and the
+// same six Stats counters — chunks are whole batch blocks, so each
+// block's check-cache-first order does not depend on the worker count.
+func TestSweepWorkIndependentOfWorkers(t *testing.T) {
+	type result struct {
+		points  [][]SweepPoint
+		entries int64
+		stats   core.Stats
+	}
+	run := func(workers int) result {
+		s := gapSession(t, workers)
+		var r result
+		for ri := range s.M.C.Rules {
+			for pj := range s.M.C.Rules[ri].Preds {
+				r.points = append(r.points, sweep(t, s, ri, pj, DefaultSweep(9)))
+			}
+		}
+		r.entries, r.stats = s.M.Memo.Entries(), s.M.Stats
+		return r
+	}
+	want := run(1)
+	for _, workers := range []int{2, 3, 4} {
+		got := run(workers)
+		if got.entries != want.entries || got.stats != want.stats {
+			t.Errorf("workers=%d: %d memo entries, stats %+v; workers=1: %d, %+v",
+				workers, got.entries, got.stats, want.entries, want.stats)
+		}
+		for k := range want.points {
+			for ti := range want.points[k] {
+				if !got.points[k][ti].Matched.Equal(want.points[k][ti].Matched) {
+					t.Fatalf("workers=%d: sweep %d point %d differs", workers, k, ti)
+				}
+			}
+		}
 	}
 }

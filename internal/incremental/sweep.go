@@ -3,10 +3,8 @@ package incremental
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"rulematch/internal/bitmap"
-	"rulematch/internal/core"
 )
 
 // SweepPoint is the outcome of evaluating the function with one
@@ -16,131 +14,38 @@ type SweepPoint struct {
 	Matched   *bitmap.Bits
 }
 
-// SweepThreshold evaluates the matching function once per candidate
-// threshold for predicate pj of rule ri, without changing session
-// state. Because every required feature is already memoized (or gets
-// memoized on first touch), each sweep point costs only lookups — this
-// is the kind of instant what-if exploration dynamic memoing exists
-// for.
-func (s *Session) SweepThreshold(ri, pj int, thresholds []float64) ([]SweepPoint, error) {
-	if err := s.checkState(); err != nil {
-		return nil, err
-	}
-	if err := s.checkPred(ri, pj); err != nil {
-		return nil, err
-	}
-	p := &s.M.C.Rules[ri].Preds[pj]
-	original := p.Threshold
-	defer func() { p.Threshold = original }()
-
-	out := make([]SweepPoint, 0, len(thresholds))
-	for _, thr := range thresholds {
-		p.Threshold = thr
-		// Marks-only run on the configured engine with early exit and the
-		// warm memo, recording no state (the sweep is a read-only
-		// what-if). The batch engine scans each memo column once per
-		// block, so a warm sweep point is a handful of bitmap kernels.
-		bits := s.M.MatchBits()
-		if s.dead != nil {
-			bits.AndNot(s.dead)
-		}
-		out = append(out, SweepPoint{Threshold: thr, Matched: bits})
-	}
-	return out, nil
-}
-
-// SweepThresholdParallel is SweepThreshold sharded over workers
-// goroutines (0 = GOMAXPROCS, 1 = the serial path): each worker
-// evaluates every candidate threshold over a contiguous pair range on a
-// private clone of the compiled function (core.Compiled.CloneForEval),
-// reading the session memo through a range-offset overlay. Per-
-// threshold match sets are stitched with word-level merges and are
-// bit-identical to the serial sweep; feature values the workers had to
-// compute are absorbed into the session memo afterwards, so the sweep
-// leaves the memo at least as warm as the serial one would.
-func (s *Session) SweepThresholdParallel(ri, pj int, thresholds []float64, workers int) ([]SweepPoint, error) {
-	if core.NormalizeWorkers(workers) == 1 {
-		return s.SweepThreshold(ri, pj, thresholds)
-	}
-	return s.SweepThresholdParallelCtx(context.Background(), ri, pj, thresholds, workers)
-}
-
-// SweepThresholdParallelCtx is the cancellable sweep the debug server
-// uses: workers evaluate every candidate threshold over contiguous
-// pair shards on private clones of the compiled function, checking ctx
-// between threshold points. On cancellation it returns ctx's error and
-// the session is left exactly as before the call — thresholds were
-// only ever mutated on clones, no shard memo is absorbed and no stats
-// are added — so a client timeout mid-sweep leaves the session valid.
-// Unlike SweepThresholdParallel it never falls back to the serial
-// in-place path, so it is cancellable even at worker count 1.
+// SweepThresholdParallelCtx evaluates the matching function once per
+// candidate threshold for predicate pj of rule ri, without changing
+// session state: the what-if exploration dynamic memoing exists for.
+// Every required feature is already memoized (or gets memoized on
+// first touch), so each sweep point costs mostly lookups. The sweep is
+// sharded over workers (core.NormalizeWorkers semantics; callers pass
+// s.M.Workers) by core.Matcher.SweepParallelCtx: thresholds are only
+// ever mutated on per-chunk clones of the compiled function, and the
+// features the sweep computed are absorbed into the session memo
+// afterwards, so later sweeps and edits find them warm.
+//
+// ctx is checked between chunks and between threshold points. On
+// cancellation it returns ctx's error and the session is left exactly
+// as before the call — no shard memo is absorbed and no stats are
+// added — so a client timeout mid-sweep leaves the session valid.
 func (s *Session) SweepThresholdParallelCtx(ctx context.Context, ri, pj int, thresholds []float64, workers int) ([]SweepPoint, error) {
-	workers = core.NormalizeWorkers(workers)
 	if err := s.checkState(); err != nil {
 		return nil, err
 	}
 	if err := s.checkPred(ri, pj); err != nil {
 		return nil, err
 	}
-	n := len(s.M.Pairs)
+	bits, err := s.M.SweepParallelCtx(ctx, workers, ri, pj, thresholds)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]SweepPoint, len(thresholds))
 	for ti, thr := range thresholds {
-		out[ti] = SweepPoint{Threshold: thr, Matched: bitmap.New(n)}
-	}
-	if n == 0 || len(thresholds) == 0 {
-		return out, ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ranges := core.ShardRanges(n, workers)
-	type shardOut struct {
-		local *core.Matcher
-		bits  []*bitmap.Bits
-	}
-	outs := make([]shardOut, len(ranges))
-	for i, rg := range ranges {
-		// Each worker owns a clone of the function so threshold
-		// mutation needs no synchronization.
-		outs[i] = shardOut{
-			local: s.M.ShardEvaluator(rg, s.M.C.CloneForEval()),
-			bits:  make([]*bitmap.Bits, len(thresholds)),
+		if s.dead != nil {
+			bits[ti].AndNot(s.dead)
 		}
-	}
-	var wg sync.WaitGroup
-	for i, rg := range ranges {
-		wg.Add(1)
-		go func(i int, rg core.Range) {
-			defer wg.Done()
-			local := outs[i].local
-			p := &local.C.Rules[ri].Preds[pj]
-			for ti, thr := range thresholds {
-				if ctx.Err() != nil {
-					return
-				}
-				p.Threshold = thr
-				// Marks-only run on the shard's engine over its range.
-				outs[i].bits[ti] = local.MatchBits()
-			}
-		}(i, rg)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, rg := range ranges {
-		for ti := range thresholds {
-			out[ti].Matched.OrRange(outs[i].bits[ti], rg.Lo)
-		}
-		if om, ok := outs[i].local.Memo.(*core.OverlayMemo); ok && s.M.Memo != nil {
-			core.AbsorbMemoRange(s.M.Memo, om.Overlay(), rg.Lo)
-		}
-		s.M.Stats.Add(outs[i].local.Stats)
-	}
-	if s.dead != nil {
-		for ti := range out {
-			out[ti].Matched.AndNot(s.dead)
-		}
+		out[ti] = SweepPoint{Threshold: thr, Matched: bits[ti]}
 	}
 	return out, nil
 }

@@ -26,7 +26,7 @@ import (
 // differential churn tests rely on this.
 //
 // The input session is not modified. It must have materialized state
-// (RunFull). lib recompiles the matching function over the compacted
+// (Session.Run). lib recompiles the matching function over the compacted
 // tables; corpus-dependent features (the TF-IDF family) recompute
 // their document frequencies over the live records only, so sessions
 // using them legitimately change feature values under compaction —

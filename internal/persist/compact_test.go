@@ -107,7 +107,7 @@ func TestCompactSnapshotSelfContained(t *testing.T) {
 	}
 	// The memo rode along warm: a full re-run computes nothing.
 	before := got.M.Stats
-	got.RunFullWithMemo()
+	mustRun(t, got)
 	if n := got.M.Stats.FeatureComputes - before.FeatureComputes; n != 0 {
 		t.Errorf("reloaded compacted session recomputed %d features", n)
 	}

@@ -156,7 +156,7 @@ func WithEpoch(epoch uint64) SaveOption { return func(c *saveConfig) { c.epoch =
 // buildSnapshot assembles the serializable form of the session.
 func buildSnapshot(s *incremental.Session, version int, seq, epoch uint64) (*snapshot, error) {
 	if s.St == nil {
-		return nil, fmt.Errorf("persist: session has no materialized state; call RunFull first")
+		return nil, fmt.Errorf("persist: session has no materialized state; call Run first")
 	}
 	c := s.M.C
 	snap := &snapshot{
@@ -230,7 +230,7 @@ func writeFramed(w io.Writer, payload []byte) error {
 }
 
 // Save writes the session snapshot to w in the v2 framed format. The
-// session must have run (RunFull) at least once.
+// session must have run (Session.Run) at least once.
 func Save(w io.Writer, s *incremental.Session, opts ...SaveOption) error {
 	cfg := saveConfig{fsync: true}
 	for _, o := range opts {

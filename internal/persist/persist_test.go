@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"os"
@@ -63,8 +64,16 @@ func buildSession(t *testing.T) (*incremental.Session, *table.Table, *table.Tabl
 		t.Fatal(err)
 	}
 	s := incremental.NewSession(c, pairs)
-	s.RunFull()
+	mustRun(t, s)
 	return s, a, b
+}
+
+// mustRun runs the session's full materializing run.
+func mustRun(t testing.TB, s *incremental.Session) {
+	t.Helper()
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -96,7 +105,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Memo contents restored: a re-run computes nothing.
 	before := got.M.Stats
-	got.RunFullWithMemo()
+	mustRun(t, got)
 	if computed := got.M.Stats.FeatureComputes - before.FeatureComputes; computed != 0 {
 		t.Errorf("restored session recomputed %d features", computed)
 	}
@@ -184,7 +193,8 @@ func TestSaveLoadParallelBuiltSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := incremental.NewSession(c, pairs)
-	s.RunFullParallel(4)
+	s.M.Workers = 4
+	mustRun(t, s)
 	var buf bytes.Buffer
 	if err := Save(&buf, s); err != nil {
 		t.Fatal(err)
@@ -201,13 +211,14 @@ func TestSaveLoadParallelBuiltSession(t *testing.T) {
 	}
 	// Memo restored warm: a re-run computes nothing.
 	before := got.M.Stats
-	got.RunFullWithMemo()
+	mustRun(t, got)
 	if computed := got.M.Stats.FeatureComputes - before.FeatureComputes; computed != 0 {
 		t.Errorf("restored session recomputed %d features", computed)
 	}
-	// And the restored session accepts another parallel run plus
+	// And the restored session accepts another sharded run plus
 	// incremental ops.
-	got.RunFullParallel(2)
+	got.M.Workers = 2
+	mustRun(t, got)
 	if !got.St.Equal(s.St) {
 		t.Error("parallel re-run on restored session changed state")
 	}
@@ -238,7 +249,7 @@ func TestSaveLoadEngineInvariant(t *testing.T) {
 		}
 		s := incremental.NewSession(c, pairs)
 		s.M.Engine = e
-		s.RunFull()
+		mustRun(t, s)
 		return s
 	}
 	batch := build(core.EngineBatch)
@@ -264,7 +275,7 @@ func TestSaveLoadEngineInvariant(t *testing.T) {
 	for _, e := range []core.Engine{core.EngineScalar, core.EngineBatch} {
 		got.M.Engine = e
 		before := got.M.Stats
-		got.RunFullWithMemo()
+		mustRun(t, got)
 		if computed := got.M.Stats.FeatureComputes - before.FeatureComputes; computed != 0 {
 			t.Errorf("engine %v: restored session recomputed %d features", e, computed)
 		}
@@ -295,7 +306,7 @@ func TestSaveLoadProfileModeInvariant(t *testing.T) {
 		}
 		c.SetProfileCache(profiles)
 		s := incremental.NewSession(c, pairs)
-		s.RunFull()
+		mustRun(t, s)
 		var buf bytes.Buffer
 		if err := Save(&buf, s); err != nil {
 			t.Fatal(err)
@@ -318,7 +329,7 @@ func TestSaveLoadProfileModeInvariant(t *testing.T) {
 		}
 		got.M.C.SetProfileCache(profiles)
 		before := got.M.Stats
-		got.RunFullWithMemo()
+		mustRun(t, got)
 		if computed := got.M.Stats.FeatureComputes - before.FeatureComputes; computed != 0 {
 			t.Errorf("profiles=%v: restored session recomputed %d features", profiles, computed)
 		}
@@ -668,7 +679,7 @@ func TestSaveLoadDataStateRoundTrip(t *testing.T) {
 	}
 	s := incremental.NewSession(c, pairs)
 	s.Blocker = blk
-	s.RunFull()
+	mustRun(t, s)
 
 	if err := s.AddRecords(
 		[]table.Record{{ID: "a4", Values: []string{"wei chen", "milwaukee"}}},

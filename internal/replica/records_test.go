@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -116,7 +117,9 @@ func coldMatchIDs(t *testing.T, cfg core.Config, live map[string][]table.Record)
 		t.Fatal(err)
 	}
 	s := incremental.NewSessionConfig(c, pairs, cfg)
-	s.RunFull()
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	out := map[[2]string]bool{}
 	for pi, p := range s.M.Pairs {
 		if s.St.Matched.Get(pi) {

@@ -19,7 +19,7 @@
 // only for in-flight readers. Long operations (full runs, sweeps) run
 // under the request context, so a disconnected or timed-out client
 // cancels the work; cancelled operations leave the session exactly as
-// it was (see incremental.RunFullParallelCtx /
+// it was (see incremental.Session.Run /
 // SweepThresholdParallelCtx).
 //
 // Robustness: request bodies are capped (MaxBodyBytes), every

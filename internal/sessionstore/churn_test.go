@@ -2,6 +2,7 @@ package sessionstore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -76,7 +77,9 @@ func churnSession(t *testing.T, a, b *table.Table, cfg core.Config) *incremental
 	}
 	s := incremental.NewSessionConfig(c, pairs, cfg)
 	s.Blocker = blocker
-	s.RunFull()
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	return s
 }
 

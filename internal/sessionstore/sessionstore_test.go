@@ -2,6 +2,7 @@ package sessionstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -59,7 +60,9 @@ func buildSession(t *testing.T) (*incremental.Session, *table.Table, *table.Tabl
 	}
 	s := incremental.NewSession(c, pairs)
 	s.Blocker = blocker
-	s.RunFull()
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	return s, a, b
 }
 

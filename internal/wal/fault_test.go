@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -219,7 +220,9 @@ func TestJournalReplayEqualsFreshBatchRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := incremental.NewSession(c, rec.Session.M.Pairs)
-	fresh.RunFull()
+	if err := fresh.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if !fresh.St.Matched.Equal(rec.Session.St.Matched) {
 		t.Fatal("journal replay match bitmap differs from a fresh batch run of the final rule set")
 	}

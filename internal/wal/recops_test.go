@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,7 +56,9 @@ rule r2: trigram(name, name) >= 0.75
 	}
 	s := incremental.NewSession(c, pairs)
 	s.Blocker = blk
-	s.RunFull()
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	return s, a, b
 }
 

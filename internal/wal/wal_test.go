@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -327,7 +328,9 @@ rule r2: trigram(name, name) >= 0.75
 		t.Fatal(err)
 	}
 	s := incremental.NewSession(c, pairs)
-	s.RunFull()
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	return s, a, b
 }
 
