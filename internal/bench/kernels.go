@@ -60,6 +60,11 @@ func kernelValues() []string {
 	return out
 }
 
+// accented rewrites ASCII vowels as accented letters, so every token
+// that has one becomes multi-byte: the non-ASCII counterpart of
+// kernelValues, with the same token structure.
+var accented = strings.NewReplacer("a", "á", "e", "é", "i", "í", "o", "ö", "u", "ü")
+
 // nsPerOp times fn by doubling the iteration count until the run is
 // long enough to trust the mean.
 func nsPerOp(fn func()) float64 {
@@ -100,7 +105,13 @@ func KernelBench() []KernelResult {
 	vals := kernelValues()
 	corpus := sim.NewCorpus(nil)
 	corpus.AddAll(vals)
-	funcs := []sim.DictProfiler{
+	type profileKernel struct {
+		name string
+		f    sim.DictProfiler
+		vals []string
+	}
+	var kernels []profileKernel
+	for _, f := range []sim.DictProfiler{
 		sim.Jaccard{Label: "jaccard"},
 		sim.Dice{Label: "dice"},
 		sim.Overlap{Label: "overlap"},
@@ -109,7 +120,18 @@ func KernelBench() []KernelResult {
 		sim.Soundex{},
 		sim.TFIDF{Corpus: corpus},
 		sim.SoftTFIDF{Corpus: corpus},
+	} {
+		kernels = append(kernels, profileKernel{f.Name(), f, vals})
 	}
+	// Soft TF-IDF again over multi-byte tokens: its Jaro-Winkler
+	// kernel takes runes, so ASCII alone would not show that path.
+	wide := make([]string, len(vals))
+	for i, v := range vals {
+		wide[i] = accented.Replace(v)
+	}
+	wideCorpus := sim.NewCorpus(nil)
+	wideCorpus.AddAll(wide)
+	kernels = append(kernels, profileKernel{"soft_tf_idf/non_ascii", sim.SoftTFIDF{Corpus: wideCorpus}, wide})
 
 	var out []KernelResult
 	measure := func(kernel, variant string, baseline float64, fn func()) float64 {
@@ -127,7 +149,8 @@ func KernelBench() []KernelResult {
 		return ns
 	}
 
-	for _, f := range funcs {
+	for _, k := range kernels {
+		f, vals := k.f, k.vals
 		db := sim.NewDictBuilder()
 		for _, v := range vals {
 			db.Add(f.DictTokens(v))
@@ -150,12 +173,12 @@ func KernelBench() []KernelResult {
 			}
 			return i, j
 		}
-		base := measure(f.Name(), "map", 0, func() {
+		base := measure(k.name, "map", 0, func() {
 			a, b := next()
 			f.SimProfiles(mapped[a], mapped[b])
 		})
 		i, j = 0, 0
-		measure(f.Name(), "encoded", base, func() {
+		measure(k.name, "encoded", base, func() {
 			a, b := next()
 			f.SimProfiles(encoded[a], encoded[b])
 		})

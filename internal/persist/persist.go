@@ -59,8 +59,9 @@ const (
 	// package's snapshot type can never start with these bytes.
 	magicV2 = "EMSNAP2\n"
 
-	// maxPayloadBytes bounds the length prefix so a corrupt header
-	// cannot drive a multi-gigabyte allocation.
+	// maxPayloadBytes is the format's payload size limit; a header
+	// claiming more is corrupt. Decoding allocates by the bytes
+	// actually read, never by the claim.
 	maxPayloadBytes = 1 << 30
 )
 
@@ -337,21 +338,48 @@ func decodeFramed(br *bufio.Reader) (*snapshot, int, error) {
 	if n == 0 || n > maxPayloadBytes {
 		return nil, 0, fmt.Errorf("persist: corrupt snapshot: implausible payload length %d", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, 0, fmt.Errorf("persist: corrupt snapshot: truncated payload: %w", err)
+	payload, got, err := readPayload(br, int(n))
+	if err != nil {
+		return nil, 0, err
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != sum {
+	if got != sum {
 		return nil, 0, fmt.Errorf("persist: corrupt snapshot: checksum mismatch (stored %08x, computed %08x)", sum, got)
 	}
 	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
+	if err := gob.NewDecoder(payload).Decode(&snap); err != nil {
 		return nil, 0, fmt.Errorf("persist: decode snapshot payload: %w", err)
 	}
 	if snap.Version != versionV2 {
 		return nil, 0, fmt.Errorf("persist: framed snapshot claims version %d, want %d", snap.Version, versionV2)
 	}
 	return &snap, versionV2, nil
+}
+
+// payloadChunk is the size of a framed payload's first read chunk.
+const payloadChunk = 64 << 10
+
+// readPayload reads the n-byte payload a header claims, in chunks that
+// start at payloadChunk and double, each allocated only once the bytes
+// before it have arrived: a claim larger than the stream costs
+// allocation in proportion to the stream, a whole payload n bytes and
+// no copy. It returns the payload as one reader, with its CRC-32C.
+func readPayload(r io.Reader, n int) (io.Reader, uint32, error) {
+	var chunks []io.Reader
+	var sum uint32
+	for read, size := 0, payloadChunk; read < n; size *= 2 {
+		c := make([]byte, min(size, n-read))
+		k, err := io.ReadFull(r, c)
+		read += k
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the stream ended on a chunk boundary
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("persist: corrupt snapshot: truncated payload: %d of %d bytes: %w", read, n, err)
+		}
+		sum = crc32.Update(sum, castagnoli, c)
+		chunks = append(chunks, bytes.NewReader(c))
+	}
+	return io.MultiReader(chunks...), sum, nil
 }
 
 // Load reconstructs a session from a snapshot (either format) against

@@ -3,10 +3,15 @@ package persist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -377,6 +382,55 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	_, a, b := buildSession(t)
 	if _, err := Load(bytes.NewReader([]byte("not a gob stream")), sim.Standard(), a, b); err == nil {
 		t.Error("garbage stream accepted")
+	}
+}
+
+// TestLoadHeaderClaimBoundsAllocation pins that a snapshot header is
+// not trusted for sizing: a v2 header claiming a 1 GiB payload,
+// followed by 1 KiB, must fail as a truncated payload after allocating
+// in proportion to the 1 KiB actually present — not the 1 GiB claimed.
+func TestLoadHeaderClaimBoundsAllocation(t *testing.T) {
+	_, a, b := buildSession(t)
+	var hdr [16]byte
+	copy(hdr[:8], magicV2)
+	binary.LittleEndian.PutUint32(hdr[8:12], maxPayloadBytes)
+	input := append(hdr[:], bytes.Repeat([]byte{0x5a}, 1024)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(input), sim.Standard(), a, b)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated payload") || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Load = %v, want the truncated-payload error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("Load allocated %d bytes for a %d-byte input", grew, len(input))
+	}
+}
+
+// TestReadPayloadChunks drives the payload reader across its chunk
+// boundaries: a whole payload reads back byte-exact with its CRC-32C,
+// and a stream that ends early — mid-chunk or on a chunk boundary — is
+// a truncated payload.
+func TestReadPayloadChunks(t *testing.T) {
+	for _, n := range []int{1, payloadChunk - 1, payloadChunk, payloadChunk + 1, 3*payloadChunk + 5} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i * 7)
+		}
+		r, sum, err := readPayload(bytes.NewReader(data), n)
+		if err != nil {
+			t.Fatalf("n=%d: readPayload: %v", n, err)
+		}
+		if got, _ := io.ReadAll(r); !bytes.Equal(got, data) || sum != crc32.Checksum(data, castagnoli) {
+			t.Fatalf("n=%d: read back %d bytes with CRC %08x; want the %d bytes with CRC %08x", n, len(got), sum, n, crc32.Checksum(data, castagnoli))
+		}
+		for _, short := range []int{0, n - 1, min(n-1, payloadChunk)} {
+			_, _, err := readPayload(bytes.NewReader(data[:short]), n)
+			if err == nil || !strings.Contains(err.Error(), "truncated payload") || !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("n=%d, %d bytes present: readPayload err = %v, want a truncated payload", n, short, err)
+			}
+		}
 	}
 }
 

@@ -136,32 +136,3 @@ func BenchmarkKernelsLevenshtein(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkKernelsSoftTFIDFMemo is the regression benchmark of the
-// Soft TF-IDF token-pair memo: repeated profile comparisons must hit
-// the dictionary's Jaro-Winkler cache instead of rescoring every token
-// pair (the memo-less map path is the baseline).
-func BenchmarkKernelsSoftTFIDFMemo(b *testing.B) {
-	corpus := NewCorpus(nil)
-	for _, in := range benchInputs {
-		corpus.Add(in.a)
-		corpus.Add(in.b)
-	}
-	f := SoftTFIDF{Corpus: corpus}
-	d := benchDict(f)
-	in := benchInputs[1]
-	pa, pb := f.ProfileDict(in.a, d), f.ProfileDict(in.b, d)
-	ma, mb := f.Profile(in.a), f.Profile(in.b)
-	b.Run("map-rescore", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f.SimProfiles(ma, mb)
-		}
-	})
-	b.Run("encoded-memo", func(b *testing.B) {
-		f.SimProfiles(pa, pb) // warm the pair memo
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.SimProfiles(pa, pb)
-		}
-	})
-}

@@ -3,7 +3,6 @@ package sim
 import (
 	"slices"
 	"sort"
-	"sync"
 )
 
 // Dictionary-encoded similarity profiles. A Dict interns the token
@@ -27,14 +26,11 @@ import (
 
 // Dict is a sealed token dictionary: token -> dense uint32 ID, with
 // IDs assigned in lexicographic token order. Build one with
-// DictBuilder; a sealed Dict is immutable and safe for concurrent use.
+// DictBuilder; a sealed Dict holds no mutable state, so it is safe for
+// concurrent use and its footprint is fixed at Bytes.
 type Dict struct {
 	ids  map[string]uint32
 	toks []string
-	// jw caches Jaro-Winkler (default parameters) scores between
-	// dictionary tokens for the Soft TF-IDF kernel. Keyed by packed ID
-	// pair; concurrent matchers share it lock-free after warm-up.
-	jw sync.Map
 }
 
 // Len returns the number of distinct tokens.
@@ -70,22 +66,6 @@ func (d *Dict) Bytes() int {
 	const strHeader = 16                                         // string header in the toks slice
 	const mapEntry = 16 /* string header */ + 4 /* uint32 */ + 8 /* bucket overhead */
 	return b*2 + len(d.toks)*(strHeader+mapEntry)
-}
-
-// jwPair returns the default-parameter Jaro-Winkler similarity of the
-// two dictionary tokens, memoized across calls. Soft TF-IDF compares
-// every token of one profile against every token of the other for each
-// candidate pair; record values repeat tokens heavily, so each distinct
-// token pair is scored once per dictionary instead of once per call.
-func (d *Dict) jwPair(ia, ib uint32) float64 {
-	key := uint64(ia)<<32 | uint64(ib)
-	if v, ok := d.jw.Load(key); ok {
-		return v.(float64)
-	}
-	var jw JaroWinkler
-	v := jw.Sim(d.toks[ia], d.toks[ib])
-	d.jw.Store(key, v)
-	return v
 }
 
 // DictBuilder accumulates the token universe before sealing it into a

@@ -234,25 +234,6 @@ func TestGallopSearch(t *testing.T) {
 	}
 }
 
-// TestSoftTFIDFMemoConsistency pins that the Jaro-Winkler pair memo
-// never changes a score across repeated and order-swapped calls.
-func TestSoftTFIDFMemoConsistency(t *testing.T) {
-	corpus := buildCorpus("robert smith lives in madison", "rupert smyth madson", "bob smith")
-	s := SoftTFIDF{Corpus: corpus}
-	a, b := "robert smith madison", "rupert smyth madson"
-	d := buildDict(s, a, b)
-	pa, pb := s.ProfileDict(a, d), s.ProfileDict(b, d)
-	want := s.Sim(a, b)
-	for i := 0; i < 5; i++ {
-		if got := s.SimProfiles(pa, pb); got != want {
-			t.Fatalf("call %d: %v, want %v", i, got, want)
-		}
-		if got := s.SimProfiles(pb, pa); got != s.Sim(b, a) {
-			t.Fatalf("call %d swapped: %v, want %v", i, got, s.Sim(b, a))
-		}
-	}
-}
-
 func TestProfileBytesMeasurable(t *testing.T) {
 	corpus := buildCorpus("sony vaio laptop", "dell laptop")
 	val := "sony vaio laptop"

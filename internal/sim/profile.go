@@ -366,8 +366,8 @@ func (s SoftTFIDF) SimProfiles(a, b any) float64 {
 // simEncoded is the dictionary-encoded Soft TF-IDF kernel. IDs ascend
 // in token order, so the outer/inner scans visit tokens exactly as the
 // map kernel's sorted iteration does (same best-match tie-breaking,
-// same accumulation order), while the dictionary's Jaro-Winkler memo
-// collapses repeated token pairs across calls to one computation.
+// same accumulation order). Each token pair is scored afresh by the
+// allocation-free Jaro-Winkler kernel; nothing is cached.
 func (s SoftTFIDF) simEncoded(a, b *weightProfile, theta float64) float64 {
 	la, lb := len(a.ids), len(b.ids)
 	if la == 0 && lb == 0 {
@@ -376,13 +376,14 @@ func (s SoftTFIDF) simEncoded(a, b *weightProfile, theta float64) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	d := a.d
+	toks := a.d.toks
+	var jw JaroWinkler
 	var total float64
 	for i, ia := range a.ids {
 		best := 0.0
 		bestJ := -1
 		for j, ib := range b.ids {
-			if v := d.jwPair(ia, ib); v > best {
+			if v := jw.Sim(toks[ia], toks[ib]); v > best {
 				best = v
 				bestJ = j
 			}
