@@ -45,7 +45,6 @@ func main() {
 	fs := flag.CommandLine
 	o.data.Register(fs)
 	o.eng.Register(fs)
-	o.eng.RegisterCaches(fs)
 	o.ord.Register(fs)
 	o.snap.Register(fs)
 	fs.StringVar(&o.out, "out", o.out, "output CSV of matched id pairs ('-' = stdout)")
@@ -68,9 +67,10 @@ func run(o options, diag io.Writer) error {
 		return err
 	}
 	cfg := o.eng.Config()
-	// The profile cache is set before ordering so estimation samples
-	// run on the same profiles matching will.
-	c.SetProfileCache(cfg.ProfileCache)
+	// The configured matcher runs on the profile cache; it is built
+	// before ordering so estimation samples run on the same profiles
+	// matching will.
+	c.EnableProfileCache()
 	orderTime, err := o.ord.Apply(c, in.Pairs)
 	if err != nil {
 		return err

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	emserve -addr localhost:8080
-//	emserve -addr :9000 -parallel 0 -profiles=false
+//	emserve -addr :9000 -parallel 0
 //	emserve -datadir /var/lib/emserve -fsync always
 //	emserve -datadir /var/lib/emserve -mem-budget 256MB -max-sessions 100
 //	emserve -listen unix:/run/emserve.sock
@@ -66,7 +66,6 @@ func main() {
 	)
 	eng := cliflags.NewEngine()
 	eng.Register(flag.CommandLine)
-	eng.RegisterCaches(flag.CommandLine)
 	var limits cliflags.Limits
 	limits.Register(flag.CommandLine)
 	flag.Parse()

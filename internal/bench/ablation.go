@@ -221,11 +221,11 @@ func AblationParallel(task *Task) (*Table, error) {
 	return out, nil
 }
 
-// AblationBatch compares the scalar pair-at-a-time engine against the
-// columnar batch engine (serial, across block sizes) and the batch
-// engine sharded over workers, on the full materializing run. The
-// parity column asserts the batch state is byte-identical to the
-// scalar reference — the invariant the engine is built on.
+// AblationBatch compares the pair-at-a-time Match (the "scalar" row)
+// against the columnar batch engine (serial, across block sizes) and
+// the batch engine sharded over workers, on the full materializing
+// run. The parity column asserts the batch state is byte-identical to
+// the Match reference — the invariant the engine is built on.
 func AblationBatch(task *Task) (*Table, error) {
 	c, err := task.CompileSubset(len(task.Rules))
 	if err != nil {
@@ -237,9 +237,8 @@ func AblationBatch(task *Task) (*Table, error) {
 		Header: []string{"Engine", "materialize ms", "speedup", "feature computes", "parity"},
 	}
 	mRef := core.NewMatcher(c, pairs)
-	mRef.Engine = core.EngineScalar
 	var ref *core.MatchState
-	serial := timeIt(func() { ref = mRef.MatchState() })
+	serial := timeIt(func() { ref = mRef.Match() })
 	out.AddRow("scalar", ms(serial), "1.00x", fmt.Sprint(mRef.Stats.FeatureComputes), "ref")
 	row := func(name string, run func(m *core.Matcher) *core.MatchState, m *core.Matcher) {
 		var st *core.MatchState
@@ -256,13 +255,11 @@ func AblationBatch(task *Task) (*Table, error) {
 	}
 	for _, bs := range []int{256, 1024, 4096} {
 		m := core.NewMatcher(c, pairs)
-		m.Engine = core.EngineBatch
 		m.BlockSize = bs
 		row(fmt.Sprintf("batch/%d", bs), (*core.Matcher).MatchState, m)
 	}
 	for _, w := range []int{2, 4, 8} {
 		m := core.NewMatcher(c, pairs)
-		m.Engine = core.EngineBatch
 		row(fmt.Sprintf("batch+par/%d", w), func(m *core.Matcher) *core.MatchState {
 			st, _ := m.MatchStateParallelCtx(context.TODO(), w) // never cancelled, so no error
 			return st

@@ -72,7 +72,7 @@ func AblationDurability(task *Task) (*Table, error) {
 	// of its initial snapshot, recovered from disk.
 	const edits = 20
 	storeDir := filepath.Join(dir, "session")
-	st, err := wal.Create(faultio.OS, storeDir, wal.SyncPolicy{Mode: wal.SyncAlways}, sess, task.DS.A, task.DS.B)
+	st, err := wal.Create(faultio.OS, storeDir, wal.SyncPolicy{Mode: wal.SyncAlways}, sess, task.DS.A, task.DS.B, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -104,8 +104,7 @@ func Failover(cfg FailoverConfig) (*Table, error) {
 	}
 	defer os.RemoveAll(promDir)
 
-	ecfg := core.DefaultConfig()
-	ecfg.CheckCacheFirst = true
+	ecfg := core.Config{Workers: 1} // emserve's default configuration
 	prim := server.New(ecfg)
 	if err := prim.EnableDurability(server.Durability{
 		Dir: oldDir, Policy: wal.SyncPolicy{Mode: wal.SyncNever},

@@ -136,10 +136,9 @@ func Fig5C(task *Task, maxK, workers int) (*Table, []AddRulePoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.ConfigFor(c)
-		cfg.CheckCacheFirst = true
-		cfg.Workers = workers
-		return incremental.NewSessionConfig(c, pairs, cfg), nil
+		s := incremental.NewSession(c, pairs)
+		s.M.Workers = workers
+		return s, nil
 	}
 	inc, err := newSession()
 	if err != nil {

@@ -20,10 +20,11 @@ func liveHeap() uint64 {
 }
 
 // TestSessionHeapTracksAccountedBytes builds a products session the way
-// emserve does (its engine config, every mined rule, a full run) and
-// requires the live heap it adds to stay within 1.5× of what the
-// session accounts for: memo + bitmaps (§7.4) + the compiled function's
-// profile cache. A structure that grows with use but is in none of
+// emserve does (its engine config, every mined rule, a full run) — and,
+// for the profiles=false case, the way incremental.NewSession does, over
+// a compiled function without the profile cache — and requires the
+// live heap it adds to stay within 1.5× of what the session accounts
+// for: memo + bitmaps (§7.4) + the compiled function's profile cache. A structure that grows with use but is in none of
 // those — a per-token-pair score cache, say — breaks the bound, and
 // with it any memory budget derived from these figures.
 func TestSessionHeapTracksAccountedBytes(t *testing.T) {
@@ -38,14 +39,17 @@ func TestSessionHeapTracksAccountedBytes(t *testing.T) {
 		}
 		for _, profiles := range []bool{true, false} {
 			t.Run(fmt.Sprintf("scale=%v/profiles=%v", scale, profiles), func(t *testing.T) {
-				eng := cliflags.NewEngine()
-				eng.Profiles = profiles
 				before := liveHeap()
 				c, err := task.CompileSubset(len(task.Rules))
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := incremental.NewSessionConfig(c, task.Pairs(), eng.Config())
+				var s *incremental.Session
+				if profiles {
+					s = incremental.NewSessionConfig(c, task.Pairs(), cliflags.NewEngine().Config())
+				} else {
+					s = incremental.NewSession(c, task.Pairs())
+				}
 				if err := s.Run(context.Background()); err != nil {
 					t.Fatal(err)
 				}

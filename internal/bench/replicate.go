@@ -92,8 +92,7 @@ func Replicate(cfg ReplicateConfig) (*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	ecfg := core.DefaultConfig()
-	ecfg.CheckCacheFirst = true
+	ecfg := core.Config{Workers: 1} // emserve's default configuration
 	prim := server.New(ecfg)
 	if err := prim.EnableDurability(server.Durability{
 		Dir: dir, Policy: wal.SyncPolicy{Mode: wal.SyncNever},

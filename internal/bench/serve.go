@@ -109,8 +109,7 @@ func Serve(cfg ServeConfig) (*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	ecfg := core.DefaultConfig()
-	ecfg.CheckCacheFirst = true
+	ecfg := core.Config{Workers: 1} // emserve's default configuration
 	srv := server.New(ecfg)
 	if err := srv.EnableDurability(server.Durability{
 		Dir: dir, Policy: wal.SyncPolicy{Mode: wal.SyncNever},

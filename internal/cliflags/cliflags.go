@@ -1,6 +1,6 @@
 // Package cliflags centralizes the flag surface shared by the
-// rulematch CLIs (emmatch, emdebug, embench, emserve). Engine knobs
-// bind straight to core.Config, data flags load tables, rules and
+// rulematch CLIs (emmatch, emdebug, embench, emserve). The engine flag
+// binds straight to core.Config, data flags load tables, rules and
 // blocking, and ordering flags run the §5 optimizer — one definition,
 // so the four tools cannot drift in flag names, defaults or behavior.
 package cliflags
@@ -23,18 +23,16 @@ import (
 	"rulematch/internal/table"
 )
 
-// Engine holds the shared engine flags. Construct with NewEngine (the
-// zero value has the wrong defaults), call Register — and
-// RegisterCaches for tools that expose the profile cache knob — then
-// Config after flag parsing.
+// Engine holds the shared engine flag. Construct with NewEngine (the
+// zero value has the wrong default), call Register, then Config after
+// flag parsing.
 type Engine struct {
 	Parallel int
-	Profiles bool
 }
 
-// NewEngine returns the shared defaults: one worker, profile cache on.
+// NewEngine returns the shared default: one worker.
 func NewEngine() *Engine {
-	return &Engine{Parallel: 1, Profiles: true}
+	return &Engine{Parallel: 1}
 }
 
 // Register binds -parallel, the engine flag every tool exposes.
@@ -42,22 +40,11 @@ func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.IntVar(&e.Parallel, "parallel", e.Parallel, "shard workers for full runs and sweeps (0 = GOMAXPROCS)")
 }
 
-// RegisterCaches binds -profiles for the tools that expose it (emmatch,
-// emserve).
-func (e *Engine) RegisterCaches(fs *flag.FlagSet) {
-	fs.BoolVar(&e.Profiles, "profiles", e.Profiles, "precompute per-record token profiles for set-based similarities")
-}
-
-// Config materializes the flags as a core.Config — the single value
+// Config materializes the flag as a core.Config — the single value
 // handed to Config.NewMatcher / incremental.NewSessionConfig / the
-// debug server. The engine is the batch engine and check-cache-first
-// is always on: the paper's recommended configuration.
+// debug server.
 func (e *Engine) Config() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Workers = e.Parallel
-	cfg.CheckCacheFirst = true
-	cfg.ProfileCache = e.Profiles
-	return cfg
+	return core.Config{Workers: e.Parallel}
 }
 
 // Limits holds the session-store lifecycle flags emserve (and the

@@ -39,27 +39,24 @@ func TestEngineFlagRoundTrip(t *testing.T) {
 	e := NewEngine()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	e.Register(fs)
-	e.RegisterCaches(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.Parallel != 1 || !e.Profiles {
+	if e.Parallel != 1 {
 		t.Fatalf("defaults wrong: %+v", e)
 	}
 
 	e2 := NewEngine()
 	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
 	e2.Register(fs2)
-	e2.RegisterCaches(fs2)
-	if err := fs2.Parse([]string{"-parallel", "0", "-profiles=false"}); err != nil {
+	if err := fs2.Parse([]string{"-parallel", "0"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := e2.Config()
-	if cfg.Engine != core.EngineBatch || cfg.Workers != 0 || cfg.ProfileCache || !cfg.CheckCacheFirst {
+	if cfg := e2.Config(); cfg != (core.Config{Workers: 0}) {
 		t.Fatalf("config mapping wrong: %+v", cfg)
 	}
 	// Engine knobs that cannot change a result are not flags.
-	for _, name := range []string{"batch", "dictprofiles", "valuecache", "blocksize"} {
+	for _, name := range []string{"batch", "dictprofiles", "valuecache", "blocksize", "profiles"} {
 		if fs2.Lookup(name) != nil {
 			t.Errorf("-%s is registered", name)
 		}
@@ -67,9 +64,7 @@ func TestEngineFlagRoundTrip(t *testing.T) {
 }
 
 func TestEngineConfigDefaults(t *testing.T) {
-	cfg := NewEngine().Config()
-	if cfg.Engine != core.EngineBatch || cfg.Workers != 1 || !cfg.Memo ||
-		!cfg.CheckCacheFirst || !cfg.ProfileCache {
+	if cfg := NewEngine().Config(); cfg != (core.Config{Workers: 1}) {
 		t.Fatalf("default config wrong: %+v", cfg)
 	}
 }

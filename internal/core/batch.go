@@ -2,32 +2,18 @@ package core
 
 import "rulematch/internal/bitmap"
 
-// Engine selects the whole-run execution strategy of a Matcher.
-//
-// The batch engine evaluates each rule's predicates over fixed-size
-// blocks of pairs: an active bitmap starts as the block's not-yet-
-// matched pairs (early exit at the OR level), each predicate computes
-// its feature column only for active pairs (dynamic memoing at block
-// granularity, reading and writing memo columns in bulk), compares
-// against the threshold in a tight kernel, and filters the failures out
-// of the active set (early exit at the AND level). Per-pair work is
-// identical to the scalar path, so the materialized MatchState — match
-// bitmaps, per-predicate false bits, memo contents — and the Stats
-// counters are byte-identical to a static-order scalar run, for every
-// block size.
-//
-// The scalar engine is the pair-at-a-time reference implementation
-// (Algorithms 3/4 as written) and the per-pair replay the cost model is
-// calibrated against; it also honors per-pair check-cache-first. It is
-// kept as the differential oracle and for the batch-vs-scalar ablation.
-type Engine int
-
-const (
-	// EngineBatch is the columnar block engine, and the zero Engine.
-	EngineBatch Engine = iota
-	// EngineScalar is the pair-at-a-time reference path.
-	EngineScalar
-)
+// The batch engine is the one whole-run engine (MatchState,
+// MatchStateRange, MatchBits and every chunk of a sharded run): it
+// evaluates each rule's predicates over fixed-size blocks of pairs. An
+// active bitmap starts as the block's not-yet-matched pairs (early exit
+// at the OR level), each predicate computes its feature column only for
+// active pairs (dynamic memoing at block granularity, reading and
+// writing memo columns in bulk), compares against the threshold in a
+// tight kernel, and filters the failures out of the active set (early
+// exit at the AND level). Match, the pair-at-a-time path, stays as the
+// per-pair path of the incremental operations, the replay the cost
+// model is calibrated against, and the differential oracle (see the
+// parity note on BatchEvaluator).
 
 // DefaultBlockSize is the batch engine's pairs-per-block when
 // Matcher.BlockSize is zero. Blocks are sized so a block's feature
@@ -36,33 +22,22 @@ const (
 const DefaultBlockSize = 1024
 
 // MatchState is the canonical materializing run: it evaluates the
-// function over all pairs with early exit and dynamic memoing and
-// returns the full incremental state, executed by the configured
-// engine. The batch engine records false bits in the static predicate
-// order (deterministic across block sizes and worker counts); the
-// scalar engine honors CheckCacheFirst, so its recorded exit points
-// depend on memo history — see the parity caveat on BatchEvaluator.
+// function over all pairs with early exit and dynamic memoing on the
+// batch engine and returns the full incremental state. False bits are
+// recorded in the static predicate order, so they are deterministic
+// across block sizes and worker counts.
 func (m *Matcher) MatchState() *MatchState {
-	if m.Engine == EngineScalar {
-		return m.Match()
-	}
 	return m.Batch().MatchState()
 }
 
 // MatchStateRange evaluates only the pairs [lo, hi) of the matcher's
-// pair set into an existing state st (already extended to cover hi),
-// using the configured engine. Block boundaries do not affect per-pair
-// results (see the Engine comment), so evaluating a delta range
-// produces the same bits and memo entries for those pairs as a full
-// run would — the property Session.AddRecords' parity rests on.
+// pair set into an existing state st (already extended to cover hi) on
+// the batch engine. Block boundaries do not affect per-pair results, so
+// evaluating a delta range produces the same bits and memo entries for
+// those pairs as a full run would — the property Session.AddRecords'
+// parity rests on.
 func (m *Matcher) MatchStateRange(st *MatchState, lo, hi int) {
 	if lo >= hi {
-		return
-	}
-	if m.Engine == EngineScalar {
-		for pi := lo; pi < hi; pi++ {
-			m.EvalPair(pi, st)
-		}
 		return
 	}
 	e := m.Batch()
@@ -75,21 +50,11 @@ func (m *Matcher) MatchStateRange(st *MatchState, lo, hi int) {
 	}
 }
 
-// MatchBits evaluates the function over all pairs and returns only the
-// match marks — the cheapest full run when the materialized state is
-// not needed — executed by the configured engine. Both engines apply
-// check-cache-first when configured: the scalar engine per pair, the
-// batch engine per block.
+// MatchBits evaluates the function over all pairs on the batch engine
+// and returns only the match marks — the cheapest full run when the
+// materialized state is not needed — applying check-cache-first per
+// block when configured.
 func (m *Matcher) MatchBits() *bitmap.Bits {
-	if m.Engine == EngineScalar {
-		bits := bitmap.New(len(m.Pairs))
-		for pi := range m.Pairs {
-			if m.EvalPair(pi, nil) {
-				bits.Set(pi)
-			}
-		}
-		return bits
-	}
 	return m.Batch().MatchBits()
 }
 
@@ -99,12 +64,12 @@ func (m *Matcher) MatchBits() *bitmap.Bits {
 // beyond its output.
 //
 // Parity: with the static predicate order the engine is byte-identical
-// to the scalar path — same MatchState, same memo contents, same Stats
-// — for every block size. With check-cache-first (MatchBits only) the
+// to Match — same MatchState, same memo contents, same Stats — for
+// every block size. With check-cache-first (MatchBits only) the
 // predicate order is chosen once per block from the memo's column
 // presence instead of per pair, so Matched stays identical but the
 // features computed along the way (and therefore compute/hit counters)
-// may differ from the scalar cache-first run.
+// may differ from a cache-first Match.
 type BatchEvaluator struct {
 	m         *Matcher
 	blockSize int

@@ -6,64 +6,35 @@ import (
 	"rulematch/internal/table"
 )
 
-// Config is the one way to configure the engine: execution engine,
-// memoization levels, profile cache and shard workers. NewMatcher,
-// incremental.NewSessionConfig, Session.Reconfigure and the CLIs and
-// server all take it.
-//
-// The zero value is NOT the default configuration — use DefaultConfig
-// (batch engine, dynamic memoing on, one worker) or ConfigFor (which also
-// mirrors a compiled function's current profile cache setting).
+// Config is the engine configuration the CLIs, the server, the session
+// store and replicas run: the worker count. Everything else is fixed to
+// the paper's recommended configuration — the batch engine, array memo
+// (Algorithm 4), §5.4.3 check-cache-first and the profile cache — so
+// Config.NewMatcher, incremental.NewSessionConfig and
+// Session.Reconfigure all build the same matcher.
 type Config struct {
-	// Engine selects the whole-run execution strategy (see Engine).
-	Engine Engine
 	// Workers is the shard worker count for full runs and sweeps. The
 	// normalization contract is NormalizeWorkers: <= 0 means
 	// GOMAXPROCS.
 	Workers int
-	// Memo enables pair-level dynamic memoing (array memo) — the
-	// paper's recommended configuration.
-	Memo bool
-	// CheckCacheFirst enables the §5.4.3 runtime predicate reordering.
-	CheckCacheFirst bool
-	// ProfileCache precomputes per-record profiles for profile-capable
-	// similarities.
-	ProfileCache bool
 }
 
-// DefaultConfig is the configuration NewMatcher uses: batch engine,
-// dynamic memoing on, everything else off, one worker.
-func DefaultConfig() Config {
-	return Config{Workers: 1, Memo: true}
-}
-
-// ConfigFor seeds a config from a compiled function's current profile
-// cache setting, so applying it back through Config.NewMatcher leaves
-// the compiled function as it is. This is what keeps the setter style
-// (c.EnableProfileCache() then NewMatcher(c, pairs)) working.
-func ConfigFor(c *Compiled) Config {
-	cfg := DefaultConfig()
-	cfg.ProfileCache = c.ProfileCacheEnabled()
-	return cfg
-}
-
-// NewMatcher builds a matcher for the compiled function and pairs
-// according to the config: the profile cache setting is pushed onto c
-// first (a no-op when it already matches), then the matcher fields are
-// set.
+// NewMatcher builds the configured matcher for the compiled function
+// and pairs: array memo, check-cache-first, cfg.Workers, with the
+// compiled function's profile cache turned on.
 func (cfg Config) NewMatcher(c *Compiled, pairs []table.Pair) *Matcher {
-	c.SetProfileCache(cfg.ProfileCache)
-	m := &Matcher{
-		C:               c,
-		Pairs:           pairs,
-		CheckCacheFirst: cfg.CheckCacheFirst,
-		Engine:          cfg.Engine,
-		Workers:         cfg.Workers,
-	}
-	if cfg.Memo {
-		m.Memo = NewArrayMemo(len(pairs))
-	}
+	m := &Matcher{C: c, Pairs: pairs, Memo: NewArrayMemo(len(pairs))}
+	cfg.Apply(m)
 	return m
+}
+
+// Apply configures an existing matcher — its worker count,
+// check-cache-first and its compiled function's profile cache — and
+// keeps its memo.
+func (cfg Config) Apply(m *Matcher) {
+	m.Workers = cfg.Workers
+	m.CheckCacheFirst = true
+	m.C.EnableProfileCache()
 }
 
 // NormalizeWorkers is the single place that defines worker-count

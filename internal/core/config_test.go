@@ -69,58 +69,56 @@ func TestNormalizeWorkers(t *testing.T) {
 	}
 }
 
-// NewMatcher must behave exactly as the historical default and must
-// not disturb the compiled function's profile cache.
+// NewMatcher is Algorithm 4 as the paper figures run it: array memo,
+// static predicate order, one worker, and the compiled function's
+// profile cache left as it is.
 func TestNewMatcherDefaultsPreserved(t *testing.T) {
 	c, pairs := configFixture(t)
-	c.EnableProfileCache()
 	m := NewMatcher(c, pairs)
-	if m.Memo == nil {
-		t.Fatal("default matcher must memoize")
+	if _, ok := m.Memo.(*ArrayMemo); !ok {
+		t.Fatalf("default matcher memo = %T, want *ArrayMemo", m.Memo)
 	}
-	if m.CheckCacheFirst || m.ValueCache || m.Engine != EngineBatch {
-		t.Fatal("default matcher must run the batch engine without cache-first or value cache")
+	if m.CheckCacheFirst || m.ValueCache || m.Workers != 1 {
+		t.Fatal("default matcher must run one worker without cache-first or value cache")
 	}
+	if c.ProfileCacheEnabled() {
+		t.Fatal("NewMatcher turned the profile cache on")
+	}
+	c.EnableProfileCache()
+	NewMatcher(c, pairs)
 	if !c.ProfileCacheEnabled() {
 		t.Fatal("NewMatcher cleared the profile cache")
 	}
 }
 
-// Config.NewMatcher carries every Config field onto the matcher and
-// the compiled function.
+// Config.NewMatcher builds the configured matcher: array memo,
+// check-cache-first, the configured workers and the profile cache on.
+// Apply configures an existing matcher the same way and keeps its memo.
 func TestNewMatcherOptions(t *testing.T) {
 	c, pairs := configFixture(t)
-	cfg := DefaultConfig()
-	cfg.Engine = EngineScalar
-	cfg.Workers = 3
-	cfg.CheckCacheFirst = true
-	cfg.ProfileCache = true
-	m := cfg.NewMatcher(c, pairs)
-	if m.Engine != EngineScalar {
-		t.Errorf("engine = %v, want scalar", m.Engine)
+	m := Config{Workers: 3}.NewMatcher(c, pairs)
+	if _, ok := m.Memo.(*ArrayMemo); !ok {
+		t.Errorf("memo = %T, want *ArrayMemo", m.Memo)
 	}
-	if m.Workers != 3 || !m.CheckCacheFirst || m.Memo == nil {
+	if m.Workers != 3 || !m.CheckCacheFirst {
 		t.Errorf("matcher fields not applied: %+v", m)
 	}
 	if !c.ProfileCacheEnabled() {
 		t.Error("profile cache not applied")
 	}
-	cfg = DefaultConfig()
-	cfg.Memo = false
-	m2 := cfg.NewMatcher(c, pairs)
-	if m2.Memo != nil {
-		t.Error("Memo=false still memoizes")
-	}
-	if m2.Engine != EngineBatch {
-		t.Errorf("engine = %v, want batch", m2.Engine)
-	}
-	if c.ProfileCacheEnabled() {
-		t.Error("ProfileCache=false left the profile cache on")
+
+	c2, _ := configFixture(t)
+	m2 := NewMatcher(c2, pairs)
+	memo := m2.Memo
+	Config{Workers: 0}.Apply(m2)
+	if m2.Workers != 0 || !m2.CheckCacheFirst || !c2.ProfileCacheEnabled() || m2.Memo != memo {
+		t.Errorf("Apply: workers %d, cacheFirst %v, profiles %v, memo kept %v",
+			m2.Workers, m2.CheckCacheFirst, c2.ProfileCacheEnabled(), m2.Memo == memo)
 	}
 }
 
 // A Config-built matcher must produce the same matches as the setter
-// style, on both engines.
+// style and as the pair-at-a-time Match oracle.
 func TestConfigMatchesSetterStyle(t *testing.T) {
 	c1, pairs := configFixture(t)
 	old := NewMatcher(c1, pairs)
@@ -129,42 +127,14 @@ func TestConfigMatchesSetterStyle(t *testing.T) {
 	want := old.MatchBits()
 
 	c2, _ := configFixture(t)
-	cfg := DefaultConfig()
-	cfg.CheckCacheFirst = true
-	cfg.ProfileCache = true
-	got := cfg.NewMatcher(c2, pairs).MatchBits()
+	got := Config{Workers: 1}.NewMatcher(c2, pairs).MatchBits()
 	if !got.Equal(want) {
 		t.Fatal("config-built matcher disagrees with setter-built matcher")
 	}
 
-	for _, e := range []Engine{EngineBatch, EngineScalar} {
-		c3, _ := configFixture(t)
-		cfg := DefaultConfig()
-		cfg.Engine = e
-		if !cfg.NewMatcher(c3, pairs).MatchBits().Equal(want) {
-			t.Fatalf("engine %v disagrees", e)
-		}
-	}
-}
-
-func TestSetProfileCacheDisable(t *testing.T) {
-	c, pairs := configFixture(t)
-	c.EnableProfileCache()
-	if c.ProfileEntries() == 0 {
-		t.Fatal("no profiles built")
-	}
-	withProfiles := NewMatcher(c, pairs).MatchBits()
-	c.SetProfileCache(false)
-	if c.ProfileCacheEnabled() || c.ProfileEntries() != 0 {
-		t.Fatal("SetProfileCache(false) left profiles behind")
-	}
-	raw := NewMatcher(c, pairs).MatchBits()
-	if !raw.Equal(withProfiles) {
-		t.Fatal("disabling the profile cache changed scores")
-	}
-	c.SetProfileCache(true)
-	if !c.ProfileCacheEnabled() || c.ProfileEntries() == 0 {
-		t.Fatal("SetProfileCache(true) did not rebuild")
+	c3, _ := configFixture(t)
+	if !NewMatcher(c3, pairs).Match().Matched.Equal(want) {
+		t.Fatal("config-built matcher disagrees with Match")
 	}
 }
 

@@ -43,10 +43,10 @@ func dictFunction(rng *rand.Rand) rule.Function {
 
 // TestProfileModesDifferentialParity is the differential property test
 // of the profile cache: over random rule sets and tables, a
-// profile-less scalar run (raw Fn.Sim) and a profiled run — dictionary-
-// encoded sets plus MongeElkan's map profiles — on both the scalar and
-// the batch engine must produce byte-equal MatchState and identical
-// memo contents.
+// profile-less Match (raw Fn.Sim) and the configured matcher's batch
+// run over the profile cache — dictionary-encoded sets plus
+// MongeElkan's map profiles — must produce byte-equal MatchState and
+// identical memo contents.
 func TestProfileModesDifferentialParity(t *testing.T) {
 	lib := sim.Standard()
 	for trial := 0; trial < 20; trial++ {
@@ -58,31 +58,26 @@ func TestProfileModesDifferentialParity(t *testing.T) {
 		if err != nil {
 			continue // contradictory random rule: fine
 		}
-		scalar := NewMatcher(ref, pairs)
-		scalar.Engine = EngineScalar
-		want := scalar.MatchState()
+		oracle := NewMatcher(ref, pairs)
+		want := oracle.Match()
 
 		c, err := Compile(f, lib, a, b)
 		if err != nil {
 			t.Fatalf("trial %d: recompile failed: %v", trial, err)
 		}
-		c.EnableProfileCache()
-		for _, engine := range []Engine{EngineScalar, EngineBatch} {
-			m := NewMatcher(c, pairs)
-			m.Engine = engine
-			got := m.MatchState()
-			if !got.Equal(want) {
-				t.Fatalf("trial %d engine=%v: state diverges from profile-less scalar\n%s",
-					trial, engine, f.String())
-			}
-			for fi := range ref.Features {
-				for pi := range pairs {
-					sv, sok := scalar.Memo.Get(fi, pi)
-					bv, bok := m.Memo.Get(fi, pi)
-					if sok != bok || sv != bv {
-						t.Fatalf("trial %d engine=%v: memo (%d,%d) = %v,%v want %v,%v",
-							trial, engine, fi, pi, bv, bok, sv, sok)
-					}
+		m := Config{Workers: 1}.NewMatcher(c, pairs)
+		if !c.ProfileCacheEnabled() {
+			t.Fatal("configured matcher runs without the profile cache")
+		}
+		if !m.MatchState().Equal(want) {
+			t.Fatalf("trial %d: state diverges from profile-less Match\n%s", trial, f.String())
+		}
+		for fi := range ref.Features {
+			for pi := range pairs {
+				sv, sok := oracle.Memo.Get(fi, pi)
+				bv, bok := m.Memo.Get(fi, pi)
+				if sok != bok || sv != bv {
+					t.Fatalf("trial %d: memo (%d,%d) = %v,%v want %v,%v", trial, fi, pi, bv, bok, sv, sok)
 				}
 			}
 		}
@@ -160,26 +155,16 @@ func TestDictProfileSharing(t *testing.T) {
 		t.Error("ProfileEntries() = 0 with cache enabled")
 	}
 
-	// Cached scores must equal the profile-less run, and dropping the
-	// cache drops every dictionary.
-	pairs := []table.Pair{{A: 0, B: 0}, {A: 0, B: 1}, {A: 1, B: 0}, {A: 1, B: 1}}
-	var cached []float64
-	for fi := range c.Features {
-		for _, p := range pairs {
-			cached = append(cached, c.ComputeFeature(fi, p))
-		}
+	// Cached scores must equal the profile-less run.
+	raw, err := Compile(f, lib, a, b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.SetProfileCache(false)
-	if len(c.dicts) != 0 || len(c.sharedSides) != 0 {
-		t.Error("SetProfileCache(false) left dictionaries behind")
-	}
-	k := 0
 	for fi := range c.Features {
-		for _, p := range pairs {
-			if raw := c.ComputeFeature(fi, p); raw != cached[k] {
-				t.Fatalf("feature %d pair %v: raw %v != cached %v", fi, p, raw, cached[k])
+		for _, p := range []table.Pair{{A: 0, B: 0}, {A: 0, B: 1}, {A: 1, B: 0}, {A: 1, B: 1}} {
+			if want, got := raw.ComputeFeature(fi, p), c.ComputeFeature(fi, p); got != want {
+				t.Fatalf("feature %d pair %v: cached %v != raw %v", fi, p, got, want)
 			}
-			k++
 		}
 	}
 }

@@ -70,8 +70,9 @@ func randomFunction(rng *rand.Rand) rule.Function {
 
 // TestBatchDifferentialParity is the differential property test of the
 // batch execution engine: over random rule sets, tables and seeds, the
-// scalar reference, the serial batch engine (several block sizes) and
-// the sharded batch engine (several worker counts) must produce
+// pair-at-a-time Match oracle, the serial batch engine (several block
+// sizes) and the sharded batch engine (several worker counts) must
+// produce
 // byte-identical MatchState — match bitmap, per-rule true sets,
 // per-predicate false bits — identical memo contents, matching Stats
 // counters on the serial paths, and state passing Validate.
@@ -89,7 +90,7 @@ func TestBatchDifferentialParity(t *testing.T) {
 		useHashMemo := trial%5 == 4
 		noMemo := trial%7 == 6
 
-		newMatcher := func(engine Engine, blockSize int) *Matcher {
+		newMatcher := func(blockSize int) *Matcher {
 			m := NewMatcher(c, pairs)
 			if useHashMemo {
 				m.Memo = NewHashMemo()
@@ -98,33 +99,32 @@ func TestBatchDifferentialParity(t *testing.T) {
 				m.Memo = nil
 			}
 			m.ValueCache = valueCache
-			m.Engine = engine
 			m.BlockSize = blockSize
 			return m
 		}
 
-		scalar := newMatcher(EngineScalar, 0)
-		want := scalar.MatchState()
+		ref := newMatcher(0)
+		want := ref.Match()
 		if err := want.Validate(c, pairs); err != nil {
-			t.Fatalf("trial %d: scalar state invalid: %v", trial, err)
+			t.Fatalf("trial %d: Match state invalid: %v", trial, err)
 		}
 
 		for _, bs := range []int{1, 64, 100, 1024} {
-			m := newMatcher(EngineBatch, bs)
+			m := newMatcher(bs)
 			got := m.MatchState()
 			if !got.Equal(want) {
-				t.Fatalf("trial %d block=%d: batch state diverges from scalar\n%s", trial, bs, f.String())
+				t.Fatalf("trial %d block=%d: batch state diverges from Match\n%s", trial, bs, f.String())
 			}
 			if err := got.Validate(c, pairs); err != nil {
 				t.Fatalf("trial %d block=%d: %v", trial, bs, err)
 			}
-			if m.Stats != scalar.Stats {
-				t.Fatalf("trial %d block=%d: stats diverge: batch %+v scalar %+v", trial, bs, m.Stats, scalar.Stats)
+			if m.Stats != ref.Stats {
+				t.Fatalf("trial %d block=%d: stats diverge: batch %+v Match %+v", trial, bs, m.Stats, ref.Stats)
 			}
 			if !noMemo {
 				for fi := range c.Features {
 					for pi := range pairs {
-						sv, sok := scalar.Memo.Get(fi, pi)
+						sv, sok := ref.Memo.Get(fi, pi)
 						bv, bok := m.Memo.Get(fi, pi)
 						if sok != bok || sv != bv {
 							t.Fatalf("trial %d block=%d: memo (%d,%d) = %v,%v want %v,%v",
@@ -134,20 +134,20 @@ func TestBatchDifferentialParity(t *testing.T) {
 				}
 			}
 			// Marks-only path agrees too.
-			bits := newMatcher(EngineBatch, bs).MatchBits()
+			bits := newMatcher(bs).MatchBits()
 			if !bits.Equal(want.Matched) {
 				t.Fatalf("trial %d block=%d: MatchBits diverges", trial, bs)
 			}
 		}
 
 		for _, workers := range []int{1, 2, 3, 8} {
-			m := newMatcher(EngineBatch, 64)
+			m := newMatcher(64)
 			got, err := m.MatchStateParallelCtx(context.Background(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("trial %d workers=%d: parallel batch state diverges from scalar\n%s", trial, workers, f.String())
+				t.Fatalf("trial %d workers=%d: parallel batch state diverges from Match\n%s", trial, workers, f.String())
 			}
 			if err := got.Validate(c, pairs); err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
@@ -161,8 +161,8 @@ func TestBatchDifferentialParity(t *testing.T) {
 
 // TestBatchCacheFirstMarksParity: with check-cache-first enabled the
 // batch engine reorders per block rather than per pair, so compute
-// counters may legitimately differ from the scalar run — but the match
-// marks must not.
+// counters may legitimately differ from a cache-first Match — but the
+// match marks must not.
 func TestBatchCacheFirstMarksParity(t *testing.T) {
 	lib := sim.Standard()
 	for trial := 0; trial < 10; trial++ {
@@ -173,41 +173,17 @@ func TestBatchCacheFirstMarksParity(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		scalar := NewMatcher(c, pairs)
-		scalar.CheckCacheFirst = true
-		scalar.Engine = EngineScalar
-		want := scalar.MatchBits()
+		ref := NewMatcher(c, pairs)
+		ref.CheckCacheFirst = true
+		want := ref.Match().Matched
 
 		batch := NewMatcher(c, pairs)
 		batch.CheckCacheFirst = true
-		batch.Engine = EngineBatch
 		batch.BlockSize = 64
 		// Warm part of the memo so the per-block reorder actually kicks in.
 		batch.Precompute([]int{0})
 		if !batch.MatchBits().Equal(want) {
 			t.Fatalf("trial %d: cache-first batch marks diverge\n%s", trial, f.String())
 		}
-	}
-}
-
-// TestBatchEngineDispatch pins engine selection: the zero Engine is the
-// batch engine, so a default matcher runs it, and an explicit
-// EngineScalar routes MatchState to the pair-at-a-time path. Both must
-// agree.
-func TestBatchEngineDispatch(t *testing.T) {
-	var zero Engine
-	if zero != EngineBatch || DefaultConfig().Engine != EngineBatch {
-		t.Fatal("the zero Engine must be the batch engine")
-	}
-	c, pairs := mustCompile(t, testFunc)
-	m := NewMatcher(c, pairs)
-	if m.Engine != EngineBatch {
-		t.Fatalf("default matcher engine = %v, want batch", m.Engine)
-	}
-	want := m.MatchState()
-	scalar := NewMatcher(c, pairs)
-	scalar.Engine = EngineScalar
-	if !scalar.MatchState().Equal(want) {
-		t.Fatal("scalar and batch engines disagree")
 	}
 }

@@ -36,10 +36,10 @@ func readStd(data []byte, name string) (*table.Table, error) {
 
 // TestIngestPipelineDifferentialParity is the end-to-end acceptance
 // test of the zero-copy ingest pipeline: tables read by the byte-scan
-// CSV reader and profiled through the ID stream must produce MatchState
-// (scalar and batch engines) byte-identical to tables read by
-// encoding/csv and scored without profiles (raw Fn.Sim) — over random
-// tables, rule sets and candidate pairs.
+// CSV reader and profiled through the ID stream must produce a
+// configured-matcher MatchState byte-identical to a Match over tables
+// read by encoding/csv and scored without profiles (raw Fn.Sim) — over
+// random tables, rule sets and candidate pairs.
 func TestIngestPipelineDifferentialParity(t *testing.T) {
 	lib := sim.Standard()
 	for trial := 0; trial < 15; trial++ {
@@ -53,9 +53,8 @@ func TestIngestPipelineDifferentialParity(t *testing.T) {
 		if err != nil {
 			continue // contradictory random rule: fine
 		}
-		scalar := NewMatcher(ref, pairs)
-		scalar.Engine = EngineScalar
-		want := scalar.MatchState()
+		oracle := NewMatcher(ref, pairs)
+		want := oracle.Match()
 
 		// Pipeline: zero-copy reader + intern-at-parse ID streams.
 		aFast, bFast := csvRoundTrip(t, a0, readFast), csvRoundTrip(t, b0, readFast)
@@ -63,23 +62,16 @@ func TestIngestPipelineDifferentialParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: fast-path compile failed: %v", trial, err)
 		}
-		c.EnableProfileCache()
-		for _, engine := range []Engine{EngineScalar, EngineBatch} {
-			m := NewMatcher(c, pairs)
-			m.Engine = engine
-			got := m.MatchState()
-			if !got.Equal(want) {
-				t.Fatalf("trial %d engine=%v: fast-ingest state diverges from encoding/csv + raw scores\n%s",
-					trial, engine, f.String())
-			}
-			for fi := range ref.Features {
-				for pi := range pairs {
-					sv, sok := scalar.Memo.Get(fi, pi)
-					bv, bok := m.Memo.Get(fi, pi)
-					if sok != bok || sv != bv {
-						t.Fatalf("trial %d engine=%v: memo (%d,%d) = %v,%v want %v,%v",
-							trial, engine, fi, pi, bv, bok, sv, sok)
-					}
+		m := Config{Workers: 1}.NewMatcher(c, pairs)
+		if !m.MatchState().Equal(want) {
+			t.Fatalf("trial %d: fast-ingest state diverges from encoding/csv + raw scores\n%s", trial, f.String())
+		}
+		for fi := range ref.Features {
+			for pi := range pairs {
+				sv, sok := oracle.Memo.Get(fi, pi)
+				bv, bok := m.Memo.Get(fi, pi)
+				if sok != bok || sv != bv {
+					t.Fatalf("trial %d: memo (%d,%d) = %v,%v want %v,%v", trial, fi, pi, bv, bok, sv, sok)
 				}
 			}
 		}
@@ -88,7 +80,8 @@ func TestIngestPipelineDifferentialParity(t *testing.T) {
 
 // TestIngestPipelineDatasetParity runs the same comparison on a
 // bundled synthetic dataset (products domain) end to end: CSV round
-// trip, profile bind, full match on both engines.
+// trip, profile bind, full match on the configured matcher against a
+// profile-less Match.
 func TestIngestPipelineDatasetParity(t *testing.T) {
 	ds, err := datagen.Generate(datagen.StandardConfig(datagen.Products(), 0.02))
 	if err != nil {
@@ -109,28 +102,19 @@ func TestIngestPipelineDatasetParity(t *testing.T) {
 		},
 	}}}
 
-	build := func(profiles bool, read func([]byte, string) (*table.Table, error)) *Compiled {
+	build := func(read func([]byte, string) (*table.Table, error)) *Compiled {
 		a, b := csvRoundTrip(t, ds.A, read), csvRoundTrip(t, ds.B, read)
 		c, err := Compile(f, lib, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetProfileCache(profiles)
 		return c
 	}
 
-	ref := build(false, readStd)
-	scalar := NewMatcher(ref, ds.Pairs)
-	scalar.Engine = EngineScalar
-	want := scalar.MatchState()
-
-	c := build(true, readFast)
-	for _, engine := range []Engine{EngineScalar, EngineBatch} {
-		m := NewMatcher(c, ds.Pairs)
-		m.Engine = engine
-		if !m.MatchState().Equal(want) {
-			t.Fatalf("engine=%v: fast-ingest state diverges on products dataset", engine)
-		}
+	want := NewMatcher(build(readStd), ds.Pairs).Match()
+	m := Config{Workers: 1}.NewMatcher(build(readFast), ds.Pairs)
+	if !m.MatchState().Equal(want) {
+		t.Fatal("fast-ingest state diverges on products dataset")
 	}
 }
 
@@ -150,7 +134,9 @@ func TestIngestExtendRecordsParity(t *testing.T) {
 			if err != nil {
 				return nil
 			}
-			c.SetProfileCache(profiles)
+			if profiles {
+				c.EnableProfileCache()
+			}
 			return c
 		}
 		cloneTables := func() (*table.Table, *table.Table) {

@@ -48,11 +48,6 @@ type Matcher struct {
 	// of a sharded run keeps its own value map, so there a value is
 	// computed once per chunk.
 	ValueCache bool
-	// Engine selects the whole-run execution strategy for MatchState,
-	// MatchBits and the sharded methods: EngineBatch (the zero value)
-	// or EngineScalar. Per-pair entry points (Match, EvalPair,
-	// EvalRule, FeatureValue) are always scalar.
-	Engine Engine
 	// BlockSize is the batch engine's pairs-per-block (0 =
 	// DefaultBlockSize). Rounded up to a multiple of 64 so block
 	// boundaries fall on bitmap words. Results are identical for every
@@ -77,12 +72,12 @@ type valueKey struct {
 	a, b string
 }
 
-// NewMatcher creates a matcher with dynamic memoing enabled (array memo)
-// — the paper's recommended configuration — leaving the compiled
-// function's profile cache untouched. Any other configuration goes
-// through Config.NewMatcher.
+// NewMatcher creates an Algorithm 4 matcher: dynamic memoing (array
+// memo) in the static predicate order, one worker, leaving the compiled
+// function's profile cache as it is. The configured matcher the CLIs
+// and the server run comes from Config.NewMatcher.
 func NewMatcher(c *Compiled, pairs []table.Pair) *Matcher {
-	return ConfigFor(c).NewMatcher(c, pairs)
+	return &Matcher{C: c, Pairs: pairs, Memo: NewArrayMemo(len(pairs)), Workers: 1}
 }
 
 // ExtendPairs appends newPairs to the matcher's pair set, growing the
@@ -211,9 +206,11 @@ func (m *Matcher) EvalPair(pi int, st *MatchState) bool {
 	return false
 }
 
-// Match runs early-exit evaluation over all pairs, memoized according
-// to the Memo field (Algorithm 3 when Memo is nil, Algorithm 4 when
-// set), and returns the materialized state.
+// Match runs pair-at-a-time early-exit evaluation over all pairs,
+// memoized according to the Memo field (Algorithm 3 when Memo is nil,
+// Algorithm 4 when set) and honoring CheckCacheFirst per pair, and
+// returns the materialized state. It is the reference the batch engine
+// (MatchState, MatchBits) is tested against.
 func (m *Matcher) Match() *MatchState {
 	st := NewMatchState(len(m.Pairs), m.C.Rules)
 	for pi := range m.Pairs {

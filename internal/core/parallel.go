@@ -80,7 +80,6 @@ func (m *Matcher) shardMatcher(rg pairRange) *Matcher {
 		Pairs:           m.Pairs[rg.lo:rg.hi],
 		CheckCacheFirst: m.CheckCacheFirst,
 		ValueCache:      m.ValueCache,
-		Engine:          m.Engine,
 		BlockSize:       m.BlockSize,
 	}
 	if m.Memo != nil {

@@ -67,25 +67,6 @@ func (c *Compiled) EnableProfileCache() {
 // ProfileCacheEnabled reports whether profile caching is on.
 func (c *Compiled) ProfileCacheEnabled() bool { return c.profilesOn }
 
-// SetProfileCache enables or disables the profile cache: enabling is
-// EnableProfileCache; disabling drops the cached profiles and
-// dictionaries so features compare raw strings again. Idempotent in
-// both directions (Config.NewMatcher calls it unconditionally).
-func (c *Compiled) SetProfileCache(on bool) {
-	if on {
-		c.EnableProfileCache()
-		return
-	}
-	if !c.profilesOn {
-		return
-	}
-	c.profilesOn = false
-	c.profiles = nil
-	c.dicts = make(map[string]*sim.Dict)
-	c.sharedSides = make(map[string]*[2][]any)
-	c.streams = make(map[string]*sim.TokenStream)
-}
-
 // buildProfiles computes the profiles of feature fi for every record of
 // both tables, if its similarity supports profiling.
 func (c *Compiled) buildProfiles(fi int) {

@@ -10,11 +10,11 @@
 // retained by the estimator, which subsumes the independence assumptions
 // the paper makes for its closed forms.
 //
-// The model is execution-engine invariant: the columnar batch engine
-// (core.EngineBatch) performs exactly the same per-(feature, pair)
-// computes, memo hits and predicate evaluations as the scalar per-pair
-// engine under the static order, so a model calibrated against either
-// engine's Stats predicts both.
+// The model is execution-path invariant: the columnar batch engine
+// (core.Matcher.MatchState) performs exactly the same per-(feature,
+// pair) computes, memo hits and predicate evaluations as the
+// pair-at-a-time core.Matcher.Match under the static order, so a model
+// calibrated against either path's Stats predicts both.
 package costmodel
 
 import (

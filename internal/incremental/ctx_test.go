@@ -107,10 +107,7 @@ func TestSweepThresholdParallelCtx(t *testing.T) {
 // Session.Run uses the worker count configured through core.Config.
 func TestSessionRunUsesConfiguredWorkers(t *testing.T) {
 	a, b, pairs := fixture(t)
-	cfg := core.DefaultConfig()
-	cfg.CheckCacheFirst = true
-	cfg.Workers = 0 // GOMAXPROCS
-	s := NewSessionConfig(compileBase(t, a, b), pairs, cfg)
+	s := NewSessionConfig(compileBase(t, a, b), pairs, core.Config{Workers: 0}) // GOMAXPROCS
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -50,18 +50,6 @@ func streamTables(t testing.TB, rng *rand.Rand, nA, nB int) (*table.Table, *tabl
 	return a, b
 }
 
-func scalarCfg() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Engine = core.EngineScalar
-	return cfg
-}
-
-func batchCfg() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Engine = core.EngineBatch
-	return cfg
-}
-
 const streamFunc = `
 rule r1: jaro_winkler(name, name) >= 0.9 and exact_match(city, city) >= 1
 rule r2: levenshtein(phone, phone) >= 0.9 and jaccard(name, name) >= 0.3
@@ -69,8 +57,9 @@ rule r3: trigram(name, name) >= 0.8
 `
 
 // blockedSession compiles streamFunc over the tables, blocks on city
-// and materializes, with the blocker attached for record ops.
-func blockedSession(t testing.TB, a, b *table.Table, cfg core.Config) *Session {
+// and materializes on the configured engine, with the blocker attached
+// for record ops.
+func blockedSession(t testing.TB, a, b *table.Table) *Session {
 	t.Helper()
 	f, err := rule.ParseFunction(streamFunc)
 	if err != nil {
@@ -85,7 +74,7 @@ func blockedSession(t testing.TB, a, b *table.Table, cfg core.Config) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSessionConfig(c, pairs, cfg)
+	s := NewSessionConfig(c, pairs, core.Config{Workers: 1})
 	s.Blocker = blk
 	mustRun(t, s)
 	return s
@@ -137,73 +126,70 @@ func assertMemoParity(t *testing.T, got, want *Session, context string) {
 // TestAddRecordsDeltaParity is the tentpole acceptance test: streaming
 // append batches into a live session evaluates only the delta pairs yet
 // leaves state and memo byte-identical to a cold full run over the
-// final tables with the same pair list.
+// final tables with the same pair list, and state equal to the
+// pair-at-a-time Match.
 func TestAddRecordsDeltaParity(t *testing.T) {
-	for _, cfg := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"scalar", scalarCfg()},
-		{"batch", batchCfg()},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			a, b := streamTables(t, rng, 12, 14)
-			s := blockedSession(t, a, b, cfg.cfg)
-			basePairs := len(s.M.Pairs)
+	// batch names the engine every session runs.
+	t.Run("batch", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		a, b := streamTables(t, rng, 12, 14)
+		s := blockedSession(t, a, b)
+		basePairs := len(s.M.Pairs)
 
-			for batch := 0; batch < 4; batch++ {
-				var aRecs, bRecs []table.Record
-				for i := 0; i < 3; i++ {
-					aRecs = append(aRecs, streamRecord(rng, fmt.Sprintf("a%d", a.Len()+i)))
-				}
-				for j := 0; j < 2; j++ {
-					bRecs = append(bRecs, streamRecord(rng, fmt.Sprintf("b%d", b.Len()+j)))
-				}
-				before := len(s.M.Pairs)
-				if err := s.AddRecords(aRecs, bRecs); err != nil {
-					t.Fatal(err)
-				}
-				// Delta-only evaluation: the op touched exactly the new pairs.
-				added := len(s.M.Pairs) - before
-				if s.LastOp.PairsAdded != added || s.LastOp.PairsExamined != added {
-					t.Fatalf("batch %d: report %+v, want %d pairs added and examined",
-						batch, s.LastOp, added)
-				}
-				if s.LastOp.Stats.PairEvals != int64(added) {
-					t.Fatalf("batch %d: evaluated %d pairs, want only the %d delta pairs",
-						batch, s.LastOp.Stats.PairEvals, added)
-				}
-				if err := s.VerifyDeep(); err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
-				}
+		for batch := 0; batch < 4; batch++ {
+			var aRecs, bRecs []table.Record
+			for i := 0; i < 3; i++ {
+				aRecs = append(aRecs, streamRecord(rng, fmt.Sprintf("a%d", a.Len()+i)))
 			}
-			if len(s.M.Pairs) == basePairs {
-				t.Fatal("degenerate fixture: appends produced no delta pairs")
+			for j := 0; j < 2; j++ {
+				bRecs = append(bRecs, streamRecord(rng, fmt.Sprintf("b%d", b.Len()+j)))
 			}
-
-			// Cold oracle: compile the grown tables from scratch and
-			// evaluate the exact same pair list in the same order.
-			f, err := rule.ParseFunction(streamFunc)
-			if err != nil {
+			before := len(s.M.Pairs)
+			if err := s.AddRecords(aRecs, bRecs); err != nil {
 				t.Fatal(err)
 			}
-			c2, err := core.Compile(f, sim.Standard(), a, b)
-			if err != nil {
-				t.Fatal(err)
+			// Delta-only evaluation: the op touched exactly the new pairs.
+			added := len(s.M.Pairs) - before
+			if s.LastOp.PairsAdded != added || s.LastOp.PairsExamined != added {
+				t.Fatalf("batch %d: report %+v, want %d pairs added and examined",
+					batch, s.LastOp, added)
 			}
-			cold := NewSessionConfig(c2, append([]table.Pair(nil), s.M.Pairs...), cfg.cfg)
-			mustRun(t, cold)
-			assertStateParity(t, s, cold, "stream vs cold")
-			assertMemoParity(t, s, cold, "stream vs cold")
-		})
-	}
+			if s.LastOp.Stats.PairEvals != int64(added) {
+				t.Fatalf("batch %d: evaluated %d pairs, want only the %d delta pairs",
+					batch, s.LastOp.Stats.PairEvals, added)
+			}
+			if err := s.VerifyDeep(); err != nil {
+				t.Fatalf("batch %d: %v", batch, err)
+			}
+		}
+		if len(s.M.Pairs) == basePairs {
+			t.Fatal("degenerate fixture: appends produced no delta pairs")
+		}
+
+		// Cold oracle: compile the grown tables from scratch and
+		// evaluate the exact same pair list in the same order.
+		f, err := rule.ParseFunction(streamFunc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2, err := core.Compile(f, sim.Standard(), a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := NewSessionConfig(c2, append([]table.Pair(nil), s.M.Pairs...), core.Config{Workers: 1})
+		mustRun(t, cold)
+		assertStateParity(t, s, cold, "stream vs cold")
+		assertMemoParity(t, s, cold, "stream vs cold")
+		if !s.St.Equal(core.NewMatcher(c2, s.M.Pairs).Match()) {
+			t.Fatal("stream state differs from the pair-at-a-time Match")
+		}
+	})
 }
 
 func TestAddRecordsValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a, b := streamTables(t, rng, 6, 6)
-	s := blockedSession(t, a, b, scalarCfg())
+	s := blockedSession(t, a, b)
 	nPairs, nA := len(s.M.Pairs), a.Len()
 
 	// Duplicate against the table.
@@ -238,7 +224,7 @@ func TestAddRecordsValidation(t *testing.T) {
 func TestDeleteRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a, b := streamTables(t, rng, 10, 12)
-	s := blockedSession(t, a, b, scalarCfg())
+	s := blockedSession(t, a, b)
 	total := len(s.M.Pairs)
 
 	if err := s.DeleteRecords([]string{"a1", "a4"}, []string{"b3"}); err != nil {
@@ -323,7 +309,7 @@ func TestInterleavedOpsParity(t *testing.T) {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
 			a, b := streamTables(t, rng, 10, 12)
-			s := blockedSession(t, a, b, scalarCfg())
+			s := blockedSession(t, a, b)
 
 			nextA, nextB := a.Len(), b.Len()
 			reclaimed := 0
@@ -504,98 +490,93 @@ func assertOwners(t *testing.T, s *Session, step int) {
 }
 
 // TestReclaimDeadPairs drives a seeded append/delete/edit stream on
-// both engines and both memo layouts until deletes have reclaimed dead
-// pairs at least twice. Across each reclaiming delete every surviving
-// pair keeps its state bits and memo entries at its new index, the
-// work counters do not move, and after every delete dead pairs never
-// outnumber live ones. The final state passes VerifyDeep and matches a
-// cold run over the live tables.
+// both memo layouts until deletes have reclaimed dead pairs at least
+// twice. Across each reclaiming delete every surviving pair keeps its
+// state bits and memo entries at its new index, the work counters do
+// not move, and after every delete dead pairs never outnumber live
+// ones. The final state passes VerifyDeep and matches a cold run over
+// the live tables.
 func TestReclaimDeadPairs(t *testing.T) {
-	for _, eng := range []struct {
-		name string
-		cfg  core.Config
-	}{{"scalar", scalarCfg()}, {"batch", batchCfg()}} {
-		for _, memo := range []string{"array", "hash"} {
-			t.Run(eng.name+"/"+memo, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(77))
-				a, b := streamTables(t, rng, 12, 14)
-				s := blockedSession(t, a, b, eng.cfg)
-				if memo == "hash" {
-					s.M.Memo = core.NewHashMemo()
-					mustRun(t, s)
-				}
-				s.ensureOwners() // so every reclamation has owners to gather
-				nextA, nextB := a.Len(), b.Len()
-				reclaims := 0
-				for step := 0; step < 36; step++ {
-					switch step % 3 {
-					case 0:
-						var aRecs, bRecs []table.Record
-						for i := 0; i < 3; i++ {
-							aRecs = append(aRecs, streamRecord(rng, fmt.Sprintf("a%d", nextA)))
-							bRecs = append(bRecs, streamRecord(rng, fmt.Sprintf("b%d", nextB)))
-							nextA++
-							nextB++
-						}
-						if err := s.AddRecords(aRecs, bRecs); err != nil {
-							t.Fatal(err)
-						}
-					case 1:
-						var delA, delB []string
-						for i := 0; i < 3; i++ {
-							if id, ok := pickLive(rng, a); ok && !slices.Contains(delA, id) {
-								delA = append(delA, id)
-							}
-						}
-						if id, ok := pickLive(rng, b); ok {
-							delB = append(delB, id)
-						}
-						before, stats, nPairs := pairRecords(s), s.M.Stats, len(s.M.Pairs)
-						if err := s.DeleteRecords(delA, delB); err != nil {
-							t.Fatal(err)
-						}
-						if s.M.Stats != stats {
-							t.Fatalf("step %d: delete moved the work counters: %+v -> %+v", step, stats, s.M.Stats)
-						}
-						if s.NumDead() > s.LivePairCount() {
-							t.Fatalf("step %d: %d dead pairs outnumber %d live ones", step, s.NumDead(), s.LivePairCount())
-						}
-						if n := s.LastOp.PairsReclaimed; n > 0 {
-							reclaims++
-							if s.DeadPairs() != nil || len(s.M.Pairs) != nPairs-n {
-								t.Fatalf("step %d: reclaimed %d of %d pairs, left %d pairs, dead mask %v",
-									step, n, nPairs, len(s.M.Pairs), s.DeadPairs() != nil)
-							}
-							after := pairRecords(s)
-							for k, got := range after {
-								want, ok := before[k]
-								if !ok {
-									t.Fatalf("step %d: pair %v appeared during reclamation", step, k)
-								}
-								if !reflect.DeepEqual(got, want) {
-									t.Fatalf("step %d: pair %v state moved across reclamation:\n got %+v\nwant %+v", step, k, got, want)
-								}
-							}
-						}
-					default:
-						ri := rng.Intn(len(s.M.C.Rules))
-						pj := rng.Intn(len(s.M.C.Rules[ri].Preds))
-						thr := s.M.C.Rules[ri].Preds[pj].Threshold
-						if err := s.SetThreshold(ri, pj, thr+0.04*float64(rng.Intn(3)-1)); err != nil {
-							t.Fatal(err)
+	for _, memo := range []string{"array", "hash"} {
+		t.Run(memo, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(77))
+			a, b := streamTables(t, rng, 12, 14)
+			s := blockedSession(t, a, b)
+			if memo == "hash" {
+				s.M.Memo = core.NewHashMemo()
+				mustRun(t, s)
+			}
+			s.ensureOwners() // so every reclamation has owners to gather
+			nextA, nextB := a.Len(), b.Len()
+			reclaims := 0
+			for step := 0; step < 36; step++ {
+				switch step % 3 {
+				case 0:
+					var aRecs, bRecs []table.Record
+					for i := 0; i < 3; i++ {
+						aRecs = append(aRecs, streamRecord(rng, fmt.Sprintf("a%d", nextA)))
+						bRecs = append(bRecs, streamRecord(rng, fmt.Sprintf("b%d", nextB)))
+						nextA++
+						nextB++
+					}
+					if err := s.AddRecords(aRecs, bRecs); err != nil {
+						t.Fatal(err)
+					}
+				case 1:
+					var delA, delB []string
+					for i := 0; i < 3; i++ {
+						if id, ok := pickLive(rng, a); ok && !slices.Contains(delA, id) {
+							delA = append(delA, id)
 						}
 					}
-					if err := s.VerifyDeep(); err != nil {
-						t.Fatalf("step %d: %v", step, err)
+					if id, ok := pickLive(rng, b); ok {
+						delB = append(delB, id)
 					}
-					assertOwners(t, s, step)
+					before, stats, nPairs := pairRecords(s), s.M.Stats, len(s.M.Pairs)
+					if err := s.DeleteRecords(delA, delB); err != nil {
+						t.Fatal(err)
+					}
+					if s.M.Stats != stats {
+						t.Fatalf("step %d: delete moved the work counters: %+v -> %+v", step, stats, s.M.Stats)
+					}
+					if s.NumDead() > s.LivePairCount() {
+						t.Fatalf("step %d: %d dead pairs outnumber %d live ones", step, s.NumDead(), s.LivePairCount())
+					}
+					if n := s.LastOp.PairsReclaimed; n > 0 {
+						reclaims++
+						if s.DeadPairs() != nil || len(s.M.Pairs) != nPairs-n {
+							t.Fatalf("step %d: reclaimed %d of %d pairs, left %d pairs, dead mask %v",
+								step, n, nPairs, len(s.M.Pairs), s.DeadPairs() != nil)
+						}
+						after := pairRecords(s)
+						for k, got := range after {
+							want, ok := before[k]
+							if !ok {
+								t.Fatalf("step %d: pair %v appeared during reclamation", step, k)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("step %d: pair %v state moved across reclamation:\n got %+v\nwant %+v", step, k, got, want)
+							}
+						}
+					}
+				default:
+					ri := rng.Intn(len(s.M.C.Rules))
+					pj := rng.Intn(len(s.M.C.Rules[ri].Preds))
+					thr := s.M.C.Rules[ri].Preds[pj].Threshold
+					if err := s.SetThreshold(ri, pj, thr+0.04*float64(rng.Intn(3)-1)); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if reclaims < 2 {
-					t.Fatalf("stream reclaimed %d times, want at least 2", reclaims)
+				if err := s.VerifyDeep(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
 				}
-				assertColdParity(t, s)
-			})
-		}
+				assertOwners(t, s, step)
+			}
+			if reclaims < 2 {
+				t.Fatalf("stream reclaimed %d times, want at least 2", reclaims)
+			}
+			assertColdParity(t, s)
+		})
 	}
 }
 

@@ -72,18 +72,18 @@ type OpReport struct {
 // NewSession compiles nothing itself: pass a compiled function (already
 // ordered if desired) and the candidate pairs. The session enables
 // dynamic memoing and check-cache-first, the paper's recommended
-// configuration for interactive debugging, and leaves the compiled
-// function's profile cache as it is. Any other configuration goes
-// through NewSessionConfig.
+// configuration for interactive debugging, runs on one worker and
+// leaves the compiled function's profile cache as it is. The debug
+// server and the CLIs build theirs with NewSessionConfig.
 func NewSession(c *core.Compiled, pairs []table.Pair) *Session {
-	cfg := core.ConfigFor(c)
-	cfg.CheckCacheFirst = true
-	return NewSessionConfig(c, pairs, cfg)
+	m := core.NewMatcher(c, pairs)
+	m.CheckCacheFirst = true
+	return &Session{M: m, baseA: c.A.Len(), baseB: c.B.Len()}
 }
 
-// NewSessionConfig is NewSession with a fully explicit core.Config
-// (nothing is defaulted on top of it) — the form the debug server and
-// CLIs use after binding flags to a Config.
+// NewSessionConfig builds a session on the configured matcher
+// (core.Config.NewMatcher) — the form the debug server and CLIs use
+// after binding flags to a Config.
 func NewSessionConfig(c *core.Compiled, pairs []table.Pair, cfg core.Config) *Session {
 	return &Session{M: cfg.NewMatcher(c, pairs), baseA: c.A.Len(), baseB: c.B.Len()}
 }
@@ -119,18 +119,14 @@ func (s *Session) Run(ctx context.Context) error {
 	return nil
 }
 
-// Reconfigure applies the engine-level knobs of cfg to a live session:
-// execution engine, worker count, check-cache-first and the profile
-// cache. The memo and materialized state are kept — this is how a
-// persist-loaded session (always built with defaults) picks up a
-// server or CLI configuration without discarding the snapshot's warm
-// state. cfg.Memo is intentionally ignored: the incremental algorithms
-// require the memo the session already has.
+// Reconfigure applies cfg to a live session the way
+// NewSessionConfig would (core.Config.Apply: worker count,
+// check-cache-first, profile cache on) and keeps the memo and
+// materialized state — this is how a persist-loaded session (built by
+// NewSession) picks up a server or CLI configuration without
+// discarding the snapshot's warm state.
 func (s *Session) Reconfigure(cfg core.Config) {
-	s.M.Engine = cfg.Engine
-	s.M.Workers = cfg.Workers
-	s.M.CheckCacheFirst = cfg.CheckCacheFirst
-	s.M.C.SetProfileCache(cfg.ProfileCache)
+	cfg.Apply(s.M)
 }
 
 // Matched returns whether pair pi currently matches.

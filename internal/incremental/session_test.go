@@ -681,10 +681,7 @@ rule r3: levenshtein(city, city) >= 0.7 and jaccard(name, name) >= 0.4`)
 			pairs = append(pairs, table.Pair{A: int32(i), B: int32(j)})
 		}
 	}
-	cfg := core.DefaultConfig()
-	cfg.CheckCacheFirst = true
-	cfg.Workers = workers
-	s := NewSessionConfig(c, pairs, cfg)
+	s := NewSessionConfig(c, pairs, core.Config{Workers: workers})
 	mustRun(t, s)
 	return s
 }

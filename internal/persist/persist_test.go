@@ -237,56 +237,50 @@ func TestSaveLoadParallelBuiltSession(t *testing.T) {
 }
 
 // TestSaveLoadEngineInvariant pins that the snapshot is independent of
-// the execution engine that built the session: a batch-built session
-// and a scalar-built session produce equal state, and a round-tripped
-// batch session replays cleanly on the scalar engine (and vice versa)
-// with a fully warm memo.
+// the whole-run path: a session's batch run and the pair-at-a-time
+// Match oracle produce equal state, and a round-tripped session re-runs
+// on both paths with a fully warm memo.
 func TestSaveLoadEngineInvariant(t *testing.T) {
-	build := func(e core.Engine) *incremental.Session {
-		a, b, pairs := buildTables(t)
-		f, err := rule.ParseFunction(sessionFunc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := core.Compile(f, sim.Standard(), a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := incremental.NewSession(c, pairs)
-		s.M.Engine = e
-		mustRun(t, s)
-		return s
+	a, b, pairs := buildTables(t)
+	f, err := rule.ParseFunction(sessionFunc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch := build(core.EngineBatch)
-	scalar := build(core.EngineScalar)
-	if !batch.St.Equal(scalar.St) {
-		t.Fatal("batch-built and scalar-built session state differ")
+	c, err := core.Compile(f, sim.Standard(), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := incremental.NewSession(c, pairs)
+	mustRun(t, s)
+	want := core.NewMatcher(c, pairs).Match()
+	if !s.St.Equal(want) {
+		t.Fatal("batch-built session state differs from Match")
 	}
 
-	a, b, _ := buildTables(t)
+	a, b, _ = buildTables(t)
 	var buf bytes.Buffer
-	if err := Save(&buf, batch); err != nil {
+	if err := Save(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(&buf, sim.Standard(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.St.Equal(scalar.St) {
-		t.Error("restored batch-built state differs from scalar-built state")
+	if !got.St.Equal(want) {
+		t.Error("restored state differs from Match")
 	}
-	// Replay the restored snapshot on the opposite engine: the warm memo
-	// satisfies every lookup, so zero recomputes either way.
-	for _, e := range []core.Engine{core.EngineScalar, core.EngineBatch} {
-		got.M.Engine = e
-		before := got.M.Stats
-		mustRun(t, got)
-		if computed := got.M.Stats.FeatureComputes - before.FeatureComputes; computed != 0 {
-			t.Errorf("engine %v: restored session recomputed %d features", e, computed)
-		}
-		if !got.St.Equal(scalar.St) {
-			t.Errorf("engine %v: replay changed state", e)
-		}
+	// Re-run the restored snapshot on both paths: the warm memo
+	// satisfies every lookup, so nothing is recomputed.
+	before := got.M.Stats
+	if !got.M.Match().Equal(want) {
+		t.Error("Match over the restored memo changed state")
+	}
+	mustRun(t, got)
+	if !got.St.Equal(want) {
+		t.Error("Run over the restored memo changed state")
+	}
+	if computed := got.M.Stats.FeatureComputes - before.FeatureComputes; computed != 0 {
+		t.Errorf("restored session recomputed %d features", computed)
 	}
 	if err := got.VerifyDeep(); err != nil {
 		t.Fatal(err)
@@ -309,7 +303,9 @@ func TestSaveLoadProfileModeInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetProfileCache(profiles)
+		if profiles {
+			c.EnableProfileCache()
+		}
 		s := incremental.NewSession(c, pairs)
 		mustRun(t, s)
 		var buf bytes.Buffer
@@ -332,7 +328,9 @@ func TestSaveLoadProfileModeInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got.M.C.SetProfileCache(profiles)
+		if profiles {
+			got.M.C.EnableProfileCache()
+		}
 		before := got.M.Stats
 		mustRun(t, got)
 		if computed := got.M.Stats.FeatureComputes - before.FeatureComputes; computed != 0 {

@@ -130,8 +130,8 @@ func coldMatchIDs(t *testing.T, cfg core.Config, live map[string][]table.Record)
 }
 
 // TestRecordStreamReplicates streams record append/delete batches
-// through a primary tailed by a follower, on both engines, until the
-// primary has reclaimed dead pairs at least twice. The primary compacts
+// through a primary tailed by a follower until the primary has
+// reclaimed dead pairs at least twice. The primary compacts
 // its journal on every write (CompactAt=1) and the follower's cursor is
 // aged once mid-stream, so it re-bootstraps from a snapshot taken
 // between reclamations and replays the later ones itself. At every
@@ -139,115 +139,111 @@ func coldMatchIDs(t *testing.T, cfg core.Config, live map[string][]table.Record)
 // primary's; at the end its paged matches, keyed by record IDs, equal a
 // cold run over the live tables.
 func TestRecordStreamReplicates(t *testing.T) {
-	for _, eng := range []struct {
-		name  string
-		batch bool
-	}{{"scalar", false}, {"batch", true}} {
-		t.Run(eng.name, func(t *testing.T) {
-			cfg := engineConfig(eng.batch)
-			pts, _ := newPrimary(t, cfg, 1)
-			createSession(t, pts.URL, "rs")
-			fts, m := newFollower(t, cfg, pts.URL)
-			waitConverged(t, m, "rs", 0)
+	// batch names the engine every session runs.
+	t.Run("batch", func(t *testing.T) {
+		cfg := engineConfig()
+		pts, _ := newPrimary(t, cfg, 1)
+		createSession(t, pts.URL, "rs")
+		fts, m := newFollower(t, cfg, pts.URL)
+		waitConverged(t, m, "rs", 0)
 
-			// live tracks each table's records for the oracle.
-			live := map[string][]table.Record{}
-			for name, csv := range map[string]string{"A": tableACSV, "B": tableBCSV} {
-				base, err := table.ReadCSV(strings.NewReader(csv), name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live[name] = append(live[name], base.Records...)
+		// live tracks each table's records for the oracle.
+		live := map[string][]table.Record{}
+		for name, csv := range map[string]string{"A": tableACSV, "B": tableBCSV} {
+			base, err := table.ReadCSV(strings.NewReader(csv), name)
+			if err != nil {
+				t.Fatal(err)
 			}
-			drop := func(name string, ids []string) {
-				kept := live[name][:0]
-				for _, r := range live[name] {
-					if !slices.Contains(ids, r.ID) {
-						kept = append(kept, r)
-					}
+			live[name] = append(live[name], base.Records...)
+		}
+		drop := func(name string, ids []string) {
+			kept := live[name][:0]
+			for _, r := range live[name] {
+				if !slices.Contains(ids, r.ID) {
+					kept = append(kept, r)
 				}
-				live[name] = kept
 			}
-			checkpoint := func(step int) {
-				t.Helper()
-				want := primarySeq(t, pts.URL, "rs")
-				waitConverged(t, m, "rs", want)
-				if !bytes.Equal(snapshotBytes(t, pts.URL, "rs"), snapshotBytes(t, fts.URL, "rs")) {
-					t.Fatalf("step %d: follower snapshot differs from primary at seq %d", step, want)
+			live[name] = kept
+		}
+		checkpoint := func(step int) {
+			t.Helper()
+			want := primarySeq(t, pts.URL, "rs")
+			waitConverged(t, m, "rs", want)
+			if !bytes.Equal(snapshotBytes(t, pts.URL, "rs"), snapshotBytes(t, fts.URL, "rs")) {
+				t.Fatalf("step %d: follower snapshot differs from primary at seq %d", step, want)
+			}
+		}
+
+		reclaims := 0
+		const perStep, lag = 2, 3
+		for step := 0; step < 24; step++ {
+			var req server.RecordsRequest
+			for i := step * perStep; i < (step+1)*perStep; i++ {
+				req.AppendA = append(req.AppendA, streamRow("a", i))
+				req.AppendB = append(req.AppendB, streamRow("b", i))
+			}
+			// Retire the rows appended lag steps ago, and one base
+			// record now and then.
+			if step >= lag {
+				for i := (step - lag) * perStep; i < (step-lag+1)*perStep; i++ {
+					req.DeleteA = append(req.DeleteA, streamRow("a", i).ID)
+					req.DeleteB = append(req.DeleteB, streamRow("b", i).ID)
 				}
+			}
+			if step%8 == 4 {
+				req.DeleteB = append(req.DeleteB, fmt.Sprintf("b%d", step/8))
+			}
+			resp := postRecords(t, pts.URL, "rs", req)
+			if resp.DeleteReport != nil && resp.DeleteReport.PairsReclaimed > 0 {
+				reclaims++
+			}
+			drop("A", req.DeleteA)
+			drop("B", req.DeleteB)
+			for _, r := range req.AppendA {
+				live["A"] = append(live["A"], table.Record{ID: r.ID, Values: r.Values})
+			}
+			for _, r := range req.AppendB {
+				live["B"] = append(live["B"], table.Record{ID: r.ID, Values: r.Values})
 			}
 
-			reclaims := 0
-			const perStep, lag = 2, 3
-			for step := 0; step < 24; step++ {
-				var req server.RecordsRequest
-				for i := step * perStep; i < (step+1)*perStep; i++ {
-					req.AppendA = append(req.AppendA, streamRow("a", i))
-					req.AppendB = append(req.AppendB, streamRow("b", i))
-				}
-				// Retire the rows appended lag steps ago, and one base
-				// record now and then.
-				if step >= lag {
-					for i := (step - lag) * perStep; i < (step-lag+1)*perStep; i++ {
-						req.DeleteA = append(req.DeleteA, streamRow("a", i).ID)
-						req.DeleteB = append(req.DeleteB, streamRow("b", i).ID)
-					}
-				}
-				if step%8 == 4 {
-					req.DeleteB = append(req.DeleteB, fmt.Sprintf("b%d", step/8))
-				}
-				resp := postRecords(t, pts.URL, "rs", req)
-				if resp.DeleteReport != nil && resp.DeleteReport.PairsReclaimed > 0 {
-					reclaims++
-				}
-				drop("A", req.DeleteA)
-				drop("B", req.DeleteB)
-				for _, r := range req.AppendA {
-					live["A"] = append(live["A"], table.Record{ID: r.ID, Values: r.Values})
-				}
-				for _, r := range req.AppendB {
-					live["B"] = append(live["B"], table.Record{ID: r.ID, Values: r.Values})
-				}
-
-				if step == 9 {
-					// Age the follower's cursor past the primary's
-					// journal floor: it must re-bootstrap.
-					checkpoint(step)
-					m.mu.Lock()
-					f := m.followers["rs"]
-					m.mu.Unlock()
-					f.mu.Lock()
-					f.applied = 1
-					f.mu.Unlock()
-				}
-				if step%6 == 5 {
-					checkpoint(step)
-				}
+			if step == 9 {
+				// Age the follower's cursor past the primary's
+				// journal floor: it must re-bootstrap.
+				checkpoint(step)
+				m.mu.Lock()
+				f := m.followers["rs"]
+				m.mu.Unlock()
+				f.mu.Lock()
+				f.applied = 1
+				f.mu.Unlock()
 			}
-			if reclaims < 2 {
-				t.Fatalf("stream reclaimed dead pairs %d times, want at least 2", reclaims)
+			if step%6 == 5 {
+				checkpoint(step)
 			}
-			t.Logf("%d reclamations, %d live A, %d live B", reclaims, len(live["A"]), len(live["B"]))
-			checkpoint(24)
-			for _, st := range m.Status() {
-				if st.Name == "rs" && st.Rebootstraps == 0 {
-					t.Fatal("follower never re-bootstrapped mid-stream")
-				}
+		}
+		if reclaims < 2 {
+			t.Fatalf("stream reclaimed dead pairs %d times, want at least 2", reclaims)
+		}
+		t.Logf("%d reclamations, %d live A, %d live B", reclaims, len(live["A"]), len(live["B"]))
+		checkpoint(24)
+		for _, st := range m.Status() {
+			if st.Name == "rs" && st.Rebootstraps == 0 {
+				t.Fatal("follower never re-bootstrapped mid-stream")
 			}
-			got, want := pagedMatchIDs(t, fts.URL, "rs"), coldMatchIDs(t, cfg, live)
-			if len(want) == 0 {
-				t.Fatal("degenerate stream: the cold run matches nothing")
+		}
+		got, want := pagedMatchIDs(t, fts.URL, "rs"), coldMatchIDs(t, cfg, live)
+		if len(want) == 0 {
+			t.Fatal("degenerate stream: the cold run matches nothing")
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("follower is missing cold match %v (%d vs %d matches)", k, len(got), len(want))
 			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("follower is missing cold match %v (%d vs %d matches)", k, len(got), len(want))
-				}
+		}
+		for k := range got {
+			if !want[k] {
+				t.Fatalf("follower serves %v, which the cold run does not match", k)
 			}
-			for k := range got {
-				if !want[k] {
-					t.Fatalf("follower serves %v, which the cold run does not match", k)
-				}
-			}
-		})
-	}
+		}
+	})
 }

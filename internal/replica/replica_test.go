@@ -45,17 +45,7 @@ rule r2: trigram(name, name) >= 0.8
 `
 )
 
-func engineConfig(batch bool) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.CheckCacheFirst = true
-	cfg.Workers = 2
-	if batch {
-		cfg.Engine = core.EngineBatch
-	} else {
-		cfg.Engine = core.EngineScalar
-	}
-	return cfg
-}
+func engineConfig() core.Config { return core.Config{Workers: 2} }
 
 // newPrimary starts a durable primary with an aggressive compaction
 // threshold so the journal rotates out from under slow followers.
@@ -199,62 +189,58 @@ func primarySeq(t *testing.T, url, name string) uint64 {
 // TestFollowerServesDuringWriteStorm is the tentpole e2e: a follower
 // keeps serving reads with monotonically non-decreasing applied
 // sequence throughout a 50-edit write storm, then converges to a state
-// byte-identical to the primary's. Both engines.
+// byte-identical to the primary's.
 func TestFollowerServesDuringWriteStorm(t *testing.T) {
-	for _, eng := range []struct {
-		name  string
-		batch bool
-	}{{"scalar", false}, {"batch", true}} {
-		t.Run(eng.name, func(t *testing.T) {
-			cfg := engineConfig(eng.batch)
-			pts, _ := newPrimary(t, cfg, 0) // default compaction
-			createSession(t, pts.URL, "storm")
-			fts, m := newFollower(t, cfg, pts.URL)
-			waitConverged(t, m, "storm", 0)
+	// batch names the engine every session runs.
+	t.Run("batch", func(t *testing.T) {
+		cfg := engineConfig()
+		pts, _ := newPrimary(t, cfg, 0) // default compaction
+		createSession(t, pts.URL, "storm")
+		fts, m := newFollower(t, cfg, pts.URL)
+		waitConverged(t, m, "storm", 0)
 
-			var lastApplied uint64
-			for i := 0; i < 50; i++ {
-				edit(t, pts.URL, "storm", stormEdit(i))
-				// The follower answers reads mid-storm, and its applied
-				// sequence never moves backward.
-				var data []byte
-				if code := doJSON(t, "GET", fts.URL+"/v1/sessions/storm/stats", "", &data); code != http.StatusOK {
-					t.Fatalf("replica stats mid-storm: status %d", code)
-				}
-				var st struct {
-					Replication struct {
-						Role       string `json:"role"`
-						AppliedSeq uint64 `json:"appliedSeq"`
-					} `json:"replication"`
-				}
-				if err := json.Unmarshal(data, &st); err != nil {
-					t.Fatal(err)
-				}
-				if st.Replication.Role != "replica" {
-					t.Fatalf("replica stats report role %q", st.Replication.Role)
-				}
-				if st.Replication.AppliedSeq < lastApplied {
-					t.Fatalf("applied seq moved backward: %d -> %d", lastApplied, st.Replication.AppliedSeq)
-				}
-				lastApplied = st.Replication.AppliedSeq
+		var lastApplied uint64
+		for i := 0; i < 50; i++ {
+			edit(t, pts.URL, "storm", stormEdit(i))
+			// The follower answers reads mid-storm, and its applied
+			// sequence never moves backward.
+			var data []byte
+			if code := doJSON(t, "GET", fts.URL+"/v1/sessions/storm/stats", "", &data); code != http.StatusOK {
+				t.Fatalf("replica stats mid-storm: status %d", code)
 			}
-			want := primarySeq(t, pts.URL, "storm")
-			if want != 50 {
-				t.Fatalf("primary seq %d after 50 edits", want)
+			var st struct {
+				Replication struct {
+					Role       string `json:"role"`
+					AppliedSeq uint64 `json:"appliedSeq"`
+				} `json:"replication"`
 			}
-			waitConverged(t, m, "storm", want)
-			prim := snapshotBytes(t, pts.URL, "storm")
-			repl := snapshotBytes(t, fts.URL, "storm")
-			if !bytes.Equal(prim, repl) {
-				t.Fatalf("converged follower snapshot differs from primary (%d vs %d bytes)", len(prim), len(repl))
+			if err := json.Unmarshal(data, &st); err != nil {
+				t.Fatal(err)
 			}
+			if st.Replication.Role != "replica" {
+				t.Fatalf("replica stats report role %q", st.Replication.Role)
+			}
+			if st.Replication.AppliedSeq < lastApplied {
+				t.Fatalf("applied seq moved backward: %d -> %d", lastApplied, st.Replication.AppliedSeq)
+			}
+			lastApplied = st.Replication.AppliedSeq
+		}
+		want := primarySeq(t, pts.URL, "storm")
+		if want != 50 {
+			t.Fatalf("primary seq %d after 50 edits", want)
+		}
+		waitConverged(t, m, "storm", want)
+		prim := snapshotBytes(t, pts.URL, "storm")
+		repl := snapshotBytes(t, fts.URL, "storm")
+		if !bytes.Equal(prim, repl) {
+			t.Fatalf("converged follower snapshot differs from primary (%d vs %d bytes)", len(prim), len(repl))
+		}
 
-			// Writes at the follower are redirected, not applied.
-			if code := doJSON(t, "POST", fts.URL+"/v1/sessions/storm/edits", stormEdit(0), nil); code != http.StatusMisdirectedRequest {
-				t.Fatalf("edit at follower: status %d, want 421", code)
-			}
-		})
-	}
+		// Writes at the follower are redirected, not applied.
+		if code := doJSON(t, "POST", fts.URL+"/v1/sessions/storm/edits", stormEdit(0), nil); code != http.StatusMisdirectedRequest {
+			t.Fatalf("edit at follower: status %d, want 421", code)
+		}
+	})
 }
 
 // TestCrashKillRestartDifferential crash-kills the follower (manager
@@ -264,39 +250,35 @@ func TestFollowerServesDuringWriteStorm(t *testing.T) {
 // every edit (CompactAt=1), so restarts constantly land on rotated
 // journals and exercise the snapshot re-bootstrap path.
 func TestCrashKillRestartDifferential(t *testing.T) {
-	for _, eng := range []struct {
-		name  string
-		batch bool
-	}{{"scalar", false}, {"batch", true}} {
-		t.Run(eng.name, func(t *testing.T) {
-			cfg := engineConfig(eng.batch)
-			pts, _ := newPrimary(t, cfg, 1) // rotate on every release
-			createSession(t, pts.URL, "dk")
+	// batch names the engine every session runs.
+	t.Run("batch", func(t *testing.T) {
+		cfg := engineConfig()
+		pts, _ := newPrimary(t, cfg, 1) // rotate on every release
+		createSession(t, pts.URL, "dk")
 
-			seq := 0
-			// kill points: after 3, 7, 12 more edits (deterministic
-			// "random" schedule; the edits themselves vary by index).
-			for round, burst := range []int{3, 7, 12} {
-				fts, m := newFollower(t, cfg, pts.URL)
-				// Let the follower get partway in before the storm.
-				waitConverged(t, m, "dk", uint64(seq))
-				for i := 0; i < burst; i++ {
-					edit(t, pts.URL, "dk", stormEdit(seq))
-					seq++
-				}
-				waitConverged(t, m, "dk", uint64(seq))
-				prim := snapshotBytes(t, pts.URL, "dk")
-				repl := snapshotBytes(t, fts.URL, "dk")
-				if !bytes.Equal(prim, repl) {
-					t.Fatalf("round %d: follower snapshot differs from primary after crash-restart", round)
-				}
-				// Crash: stop the manager and drop the server; the next
-				// round's follower starts from an empty store.
-				m.Stop()
-				fts.Close()
+		seq := 0
+		// kill points: after 3, 7, 12 more edits (deterministic
+		// "random" schedule; the edits themselves vary by index).
+		for round, burst := range []int{3, 7, 12} {
+			fts, m := newFollower(t, cfg, pts.URL)
+			// Let the follower get partway in before the storm.
+			waitConverged(t, m, "dk", uint64(seq))
+			for i := 0; i < burst; i++ {
+				edit(t, pts.URL, "dk", stormEdit(seq))
+				seq++
 			}
-		})
-	}
+			waitConverged(t, m, "dk", uint64(seq))
+			prim := snapshotBytes(t, pts.URL, "dk")
+			repl := snapshotBytes(t, fts.URL, "dk")
+			if !bytes.Equal(prim, repl) {
+				t.Fatalf("round %d: follower snapshot differs from primary after crash-restart", round)
+			}
+			// Crash: stop the manager and drop the server; the next
+			// round's follower starts from an empty store.
+			m.Stop()
+			fts.Close()
+		}
+	})
 }
 
 // TestWalRotatedRebootstrap is the regression for the error-loop
@@ -305,7 +287,7 @@ func TestCrashKillRestartDifferential(t *testing.T) {
 // is paused (not killed) while the primary compacts past it, so its
 // live cursor is genuinely stale when it resumes.
 func TestWalRotatedRebootstrap(t *testing.T) {
-	cfg := engineConfig(false)
+	cfg := engineConfig()
 	pts, _ := newPrimary(t, cfg, 1)
 	createSession(t, pts.URL, "rot")
 
@@ -369,7 +351,7 @@ func TestWalRotatedRebootstrap(t *testing.T) {
 // TestSessionLifecycleSync proves followers appear for new primary
 // sessions and disappear (with their local copies) for deleted ones.
 func TestSessionLifecycleSync(t *testing.T) {
-	cfg := engineConfig(false)
+	cfg := engineConfig()
 	pts, _ := newPrimary(t, cfg, 0)
 	fts, m := newFollower(t, cfg, pts.URL)
 

@@ -17,10 +17,7 @@ import (
 // newDurableServer builds a server persisting to dir over fsys.
 func newDurableServer(t *testing.T, dir string, fsys faultio.FS) (*httptest.Server, *Server) {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.CheckCacheFirst = true
-	cfg.Workers = 2
-	srv := New(cfg)
+	srv := New(core.Config{Workers: 2})
 	if err := srv.EnableDurability(Durability{Dir: dir, Policy: wal.SyncPolicy{Mode: wal.SyncAlways}, FS: fsys}); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +179,7 @@ func TestEnableDurabilityUnwritable(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(core.DefaultConfig())
+	srv := New(core.Config{Workers: 1})
 	if err := srv.EnableDurability(Durability{Dir: file, Policy: wal.SyncPolicy{Mode: wal.SyncAlways}}); err == nil {
 		t.Fatal("EnableDurability accepted a plain file as datadir")
 	}

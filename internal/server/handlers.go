@@ -70,7 +70,7 @@ func (s *Server) hCreate(w http.ResponseWriter, r *http.Request) {
 	var sess *incremental.Session
 	if len(req.Snapshot) > 0 {
 		// Warm start: the snapshot carries function, pairs, memo and
-		// bitmaps; only the engine knobs need applying.
+		// bitmaps; only the engine configuration needs applying.
 		sess, err = persist.Load(bytes.NewReader(req.Snapshot), sim.Standard(), a, b)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
@@ -312,45 +312,25 @@ func (s *Server) hEdit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
+	// The record stores the resolved rule index and is applied through
+	// wal.Apply, the dispatcher recovery and followers replay it with,
+	// so they repeat exactly this operation.
+	rec := wal.Record{Op: req.Op, Rule: ri, Pred: req.Pred, Threshold: req.Threshold, Src: req.Predicate}
 	switch req.Op {
-	case "add_predicate":
-		var p rule.Predicate
-		if p, err = rule.ParsePredicate(req.Predicate); err == nil {
-			err = sess.AddPredicate(ri, p)
-		}
-	case "remove_predicate":
-		err = sess.RemovePredicate(ri, req.Pred)
-	case "tighten":
-		err = sess.TightenPredicate(ri, req.Pred, req.Threshold)
-	case "relax":
-		err = sess.RelaxPredicate(ri, req.Pred, req.Threshold)
-	case "set_threshold":
-		err = sess.SetThreshold(ri, req.Pred, req.Threshold)
 	case "add_rule":
-		var nr rule.Rule
-		if nr, err = rule.ParseRule(req.RuleSrc); err == nil {
-			err = sess.AddRule(nr)
-		}
-	case "remove_rule":
-		err = sess.RemoveRule(ri)
+		rec.Src = req.RuleSrc
+	case "add_predicate", "remove_predicate", "tighten", "relax", "set_threshold", "remove_rule":
 	default:
-		err = fmt.Errorf("unknown op %q (want add_predicate, remove_predicate, tighten, relax, set_threshold, add_rule or remove_rule)", req.Op)
+		writeErr(w, http.StatusBadRequest, CodeInvalidRequest,
+			fmt.Errorf("unknown op %q (want add_predicate, remove_predicate, tighten, relax, set_threshold, add_rule or remove_rule)", req.Op))
+		return
 	}
-	if err != nil {
+	if err := wal.Apply(sess, rec); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
-	// Journal the committed edit before acknowledging it. The record
-	// stores the resolved rule index and the same op names wal.Apply
-	// replays, so recovery repeats exactly this operation.
-	src := req.Predicate
-	if req.Op == "add_rule" {
-		src = req.RuleSrc
-	}
-	h.RecordEdit(wal.Record{
-		Op: req.Op, Rule: ri, Pred: req.Pred,
-		Threshold: req.Threshold, Src: src,
-	})
+	// Journal the committed edit before acknowledging it.
+	h.RecordEdit(rec)
 	setWriteHeaders(w, h)
 	writeJSON(w, http.StatusOK, EditResponse{
 		Report:  reportOf(sess.LastOp),
@@ -361,12 +341,12 @@ func (s *Server) hEdit(w http.ResponseWriter, r *http.Request) {
 
 // hRecords applies a batch of record deletes and appends under the
 // session's write lock. Deletes go first so retired records never pair
-// against the new ones; each kind journals as its own record
-// (record_delete, then record_append), in the same order recovery
-// replays them. The whole request is validated before anything is
-// applied — including that both journal records fit the WAL's record
-// size limit, so an oversized batch fails the request instead of
-// degrading the session to ephemeral at journaling time.
+// against the new ones; each kind is its own record (record_delete,
+// then record_append), applied through wal.Apply and journaled in the
+// same order recovery replays them. The whole request is validated
+// before anything is applied — including that both journal records fit
+// the WAL's record size limit, so an oversized batch fails the request
+// instead of degrading the session to ephemeral at journaling time.
 func (s *Server) hRecords(w http.ResponseWriter, r *http.Request) {
 	var req RecordsRequest
 	if err := s.decode(w, r, &req); err != nil {
@@ -377,8 +357,8 @@ func (s *Server) hRecords(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("empty batch: nothing to append or delete"))
 		return
 	}
-	aRecs := rowsToRecords(req.AppendA)
-	bRecs := rowsToRecords(req.AppendB)
+	del := wal.Record{Op: "record_delete", DelA: req.DeleteA, DelB: req.DeleteB}
+	app := wal.Record{Op: "record_append", RecsA: rowsToRecords(req.AppendA), RecsB: rowsToRecords(req.AppendB)}
 	h, ok := s.acquire(w, r, sessionstore.ModeEdit)
 	if !ok {
 		return
@@ -388,36 +368,36 @@ func (s *Server) hRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := h.Session()
-	if err := sess.ValidateAppend(aRecs, bRecs); err != nil {
+	if err := sess.ValidateAppend(app.RecsA, app.RecsB); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
 	if h.Durable() {
-		if err := checkJournalable(&req, aRecs, bRecs); err != nil {
+		if err := checkJournalable(del, app); err != nil {
 			writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
 			return
 		}
 	}
 	var resp RecordsResponse
-	if len(req.DeleteA)+len(req.DeleteB) > 0 {
-		if err := sess.DeleteRecords(req.DeleteA, req.DeleteB); err != nil {
+	if len(del.DelA)+len(del.DelB) > 0 {
+		if err := wal.Apply(sess, del); err != nil {
 			writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
 			return
 		}
-		resp.Deleted = len(req.DeleteA) + len(req.DeleteB)
+		resp.Deleted = len(del.DelA) + len(del.DelB)
 		rep := reportOf(sess.LastOp)
 		resp.DeleteReport = &rep
-		h.RecordEdit(wal.Record{Op: "record_delete", DelA: req.DeleteA, DelB: req.DeleteB})
+		h.RecordEdit(del)
 	}
-	if len(aRecs)+len(bRecs) > 0 {
-		if err := sess.AddRecords(aRecs, bRecs); err != nil {
+	if len(app.RecsA)+len(app.RecsB) > 0 {
+		if err := wal.Apply(sess, app); err != nil {
 			writeOpErr(w, err)
 			return
 		}
-		resp.Appended = len(aRecs) + len(bRecs)
+		resp.Appended = len(app.RecsA) + len(app.RecsB)
 		rep := reportOf(sess.LastOp)
 		resp.AppendReport = &rep
-		h.RecordEdit(wal.Record{Op: "record_append", RecsA: aRecs, RecsB: bRecs})
+		h.RecordEdit(app)
 	}
 	resp.Matches = sess.MatchCount()
 	resp.Pairs = sess.LivePairCount()
@@ -437,15 +417,12 @@ func rowsToRecords(rows []RecordRow) []table.Record {
 	return out
 }
 
-// checkJournalable verifies both journal records a request would emit
+// checkJournalable verifies the journal records a request would emit
 // fit the WAL's per-record size limit (with slack for the sequence
 // number assigned at append time).
-func checkJournalable(req *RecordsRequest, aRecs, bRecs []table.Record) error {
+func checkJournalable(recs ...wal.Record) error {
 	const seqSlack = 32
-	for _, rec := range []wal.Record{
-		{Op: "record_delete", DelA: req.DeleteA, DelB: req.DeleteB},
-		{Op: "record_append", RecsA: aRecs, RecsB: bRecs},
-	} {
+	for _, rec := range recs {
 		payload, err := json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("encode journal record: %w", err)

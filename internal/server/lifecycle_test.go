@@ -209,9 +209,7 @@ func TestUnixSocketListener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Workers = 2
-	srv := New(cfg)
+	srv := New(core.Config{Workers: 2})
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
 	t.Cleanup(func() { hs.Close() })

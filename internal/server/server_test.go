@@ -45,10 +45,7 @@ rule r2: trigram(name, name) >= 0.8
 
 func newTestServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.CheckCacheFirst = true
-	cfg.Workers = 2
-	srv := New(cfg)
+	srv := New(core.Config{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv
@@ -226,7 +223,7 @@ func TestEditSequenceAgreesWithBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := core.NewMatcher(c, sess.M.Pairs) // the zero Engine: batch
+	fresh := core.NewMatcher(c, sess.M.Pairs)
 	if !sess.St.Matched.Equal(fresh.MatchBits()) {
 		t.Fatal("HTTP edit sequence bitmap differs from the from-scratch batch run")
 	}
@@ -442,9 +439,13 @@ func TestRequestValidation(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/v1/sessions", base, nil); code != http.StatusConflict {
 		t.Error("duplicate name accepted")
 	}
-	if code := doJSON(t, "POST", ts.URL+"/v1/sessions/v/edits",
-		EditRequest{Op: "launder"}, nil); code != http.StatusBadRequest {
-		t.Error("unknown op accepted")
+	// Record ops go through /records only, though the edit handler
+	// applies through the same dispatcher.
+	for _, op := range []string{"launder", "record_delete", "record_append"} {
+		if code := doJSON(t, "POST", ts.URL+"/v1/sessions/v/edits",
+			EditRequest{Op: op}, nil); code != http.StatusBadRequest {
+			t.Errorf("op %q accepted on /edits", op)
+		}
 	}
 	if code := doJSON(t, "POST", ts.URL+"/v1/sessions/v/edits",
 		EditRequest{Op: "remove_rule", Rule: 99}, nil); code != http.StatusBadRequest {

@@ -160,7 +160,8 @@ func genScript(t *testing.T, oracle *incremental.Session, rng *rand.Rand, prefix
 	return script
 }
 
-func testChurn(t *testing.T, cfg core.Config) {
+func TestChurnDifferential(t *testing.T) {
+	cfg := core.Config{Workers: 1}
 	const nSessions = 4
 	const nOps = 50
 	s := New(Config{Core: cfg})
@@ -297,20 +298,4 @@ func testChurn(t *testing.T, cfg core.Config) {
 			t.Errorf("%s: canonicalized state diverged from the never-evicted oracle", names[i])
 		}
 	}
-}
-
-func TestChurnDifferentialScalar(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Engine = core.EngineScalar
-	cfg.Workers = 1
-	cfg.CheckCacheFirst = true
-	testChurn(t, cfg)
-}
-
-func TestChurnDifferentialBatch(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Engine = core.EngineBatch
-	cfg.Workers = 1
-	cfg.CheckCacheFirst = true
-	testChurn(t, cfg)
 }

@@ -97,13 +97,12 @@ func (s *Store) attachStore(e *Entry) {
 	if !s.Durable() {
 		return
 	}
-	st, err := wal.Create(s.dur.FS, s.sessionDir(e.name), s.dur.Policy, e.sess, e.a, e.b)
+	st, err := wal.Create(s.dur.FS, s.sessionDir(e.name), s.dur.Policy, e.sess, e.a, e.b, s.Epoch())
 	if err != nil {
 		s.degradeLocked(e, fmt.Errorf("create store: %w", err))
 		return
 	}
 	st.CompactAt = s.dur.CompactAt
-	st.SetEpoch(s.Epoch())
 	e.wst = st
 }
 

@@ -80,7 +80,7 @@ const (
 // Config shapes a Store.
 type Config struct {
 	// Core is the engine configuration sessions run under; reloads
-	// re-apply it (snapshots do not carry engine knobs).
+	// re-apply it (snapshots do not carry the engine configuration).
 	Core core.Config
 	// Lib resolves similarity functions on reload; nil = sim.Standard().
 	Lib *sim.Library

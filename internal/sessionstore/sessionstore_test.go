@@ -424,3 +424,35 @@ func TestRecoverAllRepopulatesStore(t *testing.T) {
 		t.Error("recovered session differs from the closed one")
 	}
 }
+
+// A session admitted on a node at epoch e and restarted before its
+// first journaled edit recovers at e: its first snapshot carries the
+// node's epoch, so RecoverAll puts the node and the session back at e
+// and a client stamped with e is not taken for a newer primary.
+func TestRecoverAllKeepsAdmitEpoch(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	dur := Durability{Dir: dir, Policy: wal.SyncPolicy{Mode: wal.SyncNever}}
+	s := New(Config{})
+	if err := s.EnableDurability(dur); err != nil {
+		t.Fatal(err)
+	}
+	s.SetEpoch(3)
+	admit(t, s, "s1")
+	s.CloseAll()
+
+	s2 := New(Config{})
+	if err := s2.EnableDurability(dur); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s2.RecoverAll(); err != nil || n != 1 {
+		t.Fatalf("recovered %d sessions, err=%v", n, err)
+	}
+	h, err := s2.Acquire("s1", ModeRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if s2.Epoch() != 3 || h.Epoch() != 3 {
+		t.Fatalf("recovered node epoch %d, session epoch %d; want 3 and 3", s2.Epoch(), h.Epoch())
+	}
+}

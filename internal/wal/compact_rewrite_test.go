@@ -29,7 +29,7 @@ func csvLines(t *testing.T, path string) int {
 func TestCompactRewriteDropsTombstonesOnDisk(t *testing.T) {
 	sess, a, b := buildSessionT(t)
 	dir := filepath.Join(t.TempDir(), "s1")
-	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b)
+	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func referenceStates(t *testing.T, script []Record) [][]byte {
 // crash). It returns the error, if any.
 func runStoredScript(fsys faultio.FS, dir string, compactAt int64, t *testing.T, script []Record) error {
 	sess, a, b := buildSessionT(t)
-	st, err := Create(fsys, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b)
+	st, err := Create(fsys, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b, 0)
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,7 @@ func recOpsScript() []Record {
 func TestStoreRecordOpsRoundTrip(t *testing.T) {
 	sess, a, b := buildBlockedSessionT(t)
 	dir := filepath.Join(t.TempDir(), "s1")
-	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b)
+	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestStoreRecordOpsRoundTrip(t *testing.T) {
 func TestStoreTornRecordAppendRecoversPreAppend(t *testing.T) {
 	sess, a, b := buildBlockedSessionT(t)
 	dir := filepath.Join(t.TempDir(), "s1")
-	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b)
+	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestStoreTornRecordAppendRecoversPreAppend(t *testing.T) {
 func TestStoreCompactionAfterRecordOps(t *testing.T) {
 	sess, a, b := buildBlockedSessionT(t)
 	dir := filepath.Join(t.TempDir(), "s1")
-	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b)
+	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

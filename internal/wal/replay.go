@@ -7,16 +7,17 @@ import (
 	"rulematch/internal/rule"
 )
 
-// Apply replays one journaled edit against a session. The op names
-// and argument conventions mirror the emserve edit API, so a record
-// journaled for a committed HTTP edit replays the exact same
-// incremental operation.
+// Apply applies one edit record to a session. It is the one op
+// dispatcher: the emserve edit and record handlers apply the record
+// they then journal through it, and recovery and replicas replay
+// journaled records through it, so all three run the exact same
+// incremental operation. Parse errors are returned bare.
 func Apply(s *incremental.Session, rec Record) error {
 	switch rec.Op {
 	case "add_predicate":
 		p, err := rule.ParsePredicate(rec.Src)
 		if err != nil {
-			return fmt.Errorf("wal: record %d: parse predicate: %w", rec.Seq, err)
+			return err
 		}
 		return s.AddPredicate(rec.Rule, p)
 	case "remove_predicate":
@@ -30,7 +31,7 @@ func Apply(s *incremental.Session, rec Record) error {
 	case "add_rule":
 		r, err := rule.ParseRule(rec.Src)
 		if err != nil {
-			return fmt.Errorf("wal: record %d: parse rule: %w", rec.Seq, err)
+			return err
 		}
 		return s.AddRule(r)
 	case "remove_rule":
@@ -40,7 +41,7 @@ func Apply(s *incremental.Session, rec Record) error {
 	case "record_delete":
 		return s.DeleteRecords(rec.DelA, rec.DelB)
 	default:
-		return fmt.Errorf("wal: record %d: unknown op %q", rec.Seq, rec.Op)
+		return fmt.Errorf("unknown op %q", rec.Op)
 	}
 }
 
@@ -55,7 +56,7 @@ func Replay(s *incremental.Session, recs []Record, afterSeq uint64) (uint64, err
 			continue // already folded into the snapshot
 		}
 		if err := Apply(s, rec); err != nil {
-			return seq, err
+			return seq, fmt.Errorf("wal: record %d: %w", rec.Seq, err)
 		}
 		seq = rec.Seq
 	}

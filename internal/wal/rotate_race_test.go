@@ -29,7 +29,7 @@ import (
 func TestTailAndFramesAfterRaceCompactRewrite(t *testing.T) {
 	sess, a, b := buildSessionT(t)
 	dir := filepath.Join(t.TempDir(), "race")
-	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncNever}, sess, a, b)
+	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncNever}, sess, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,10 +98,11 @@ func (st *Store) JournalSize() int64 {
 }
 
 // Create initializes a session directory: tables, an initial snapshot
-// of the materialized session (seq 0) and an empty journal. The
-// directory must not already contain a snapshot.
-func Create(fsys faultio.FS, dir string, policy SyncPolicy, sess *incremental.Session, a, b *table.Table) (*Store, error) {
-	st := &Store{fsys: fsys, dir: dir, policy: policy}
+// of the materialized session (seq 0, stamped with epoch) and an empty
+// journal whose records carry epoch. The directory must not already
+// contain a snapshot.
+func Create(fsys faultio.FS, dir string, policy SyncPolicy, sess *incremental.Session, a, b *table.Table, epoch uint64) (*Store, error) {
+	st := &Store{fsys: fsys, dir: dir, policy: policy, epoch: epoch}
 	if _, err := os.Stat(st.path(SnapshotFile)); err == nil {
 		return nil, fmt.Errorf("wal: session directory %s already holds a snapshot", dir)
 	}
@@ -114,7 +115,7 @@ func Create(fsys faultio.FS, dir string, policy SyncPolicy, sess *incremental.Se
 	if err := st.writeTable(TableBFile, b); err != nil {
 		return nil, err
 	}
-	if err := persist.SaveFileFS(fsys, st.path(SnapshotFile), sess, persist.WithSeq(0)); err != nil {
+	if err := st.saveSnapshot(sess); err != nil {
 		return nil, err
 	}
 	w, err := OpenWriter(fsys, st.path(JournalFile), policy)
@@ -149,11 +150,7 @@ func CreateAt(fsys faultio.FS, dir string, policy SyncPolicy, sess *incremental.
 	if err := st.writeTableBytes(TableBFile, bCSV); err != nil {
 		return nil, err
 	}
-	opts := []persist.SaveOption{persist.WithSeq(seq), persist.WithEpoch(epoch)}
-	if policy.Mode == SyncNever {
-		opts = append(opts, persist.NoFsync())
-	}
-	if err := persist.SaveFileFS(fsys, st.path(SnapshotFile), sess, opts...); err != nil {
+	if err := st.saveSnapshot(sess); err != nil {
 		return nil, err
 	}
 	w, err := OpenWriter(fsys, st.path(JournalFile), policy)
@@ -305,15 +302,22 @@ func (st *Store) RecordEdit(sess *incremental.Session, rec Record) error {
 // journal. Both steps are individually atomic; see the Store comment
 // for why a crash between them is safe.
 func (st *Store) Compact(sess *incremental.Session) error {
-	opts := []persist.SaveOption{persist.WithSeq(st.seq), persist.WithEpoch(st.epoch)}
-	if st.policy.Mode == SyncNever {
-		opts = append(opts, persist.NoFsync())
-	}
-	if err := persist.SaveFileFS(st.fsys, st.path(SnapshotFile), sess, opts...); err != nil {
+	if err := st.saveSnapshot(sess); err != nil {
 		return err
 	}
 	st.snapSeq = st.seq
 	return st.rotateJournal()
+}
+
+// saveSnapshot atomically publishes sess as the store's snapshot,
+// stamped with the store's current seq and epoch, fsynced unless the
+// sync policy is never.
+func (st *Store) saveSnapshot(sess *incremental.Session) error {
+	opts := []persist.SaveOption{persist.WithSeq(st.seq), persist.WithEpoch(st.epoch)}
+	if st.policy.Mode == SyncNever {
+		opts = append(opts, persist.NoFsync())
+	}
+	return persist.SaveFileFS(st.fsys, st.path(SnapshotFile), sess, opts...)
 }
 
 // CompactRewrite is Compact for a physically compacted session (see
@@ -333,11 +337,7 @@ func (st *Store) Compact(sess *incremental.Session) error {
 // sess must be the compacted twin of the session this store journals
 // (same seq coverage); a and b are its compacted tables.
 func (st *Store) CompactRewrite(sess *incremental.Session, a, b *table.Table) error {
-	opts := []persist.SaveOption{persist.WithSeq(st.seq), persist.WithEpoch(st.epoch)}
-	if st.policy.Mode == SyncNever {
-		opts = append(opts, persist.NoFsync())
-	}
-	if err := persist.SaveFileFS(st.fsys, st.path(SnapshotFile), sess, opts...); err != nil {
+	if err := st.saveSnapshot(sess); err != nil {
 		return err
 	}
 	st.snapSeq = st.seq

@@ -26,7 +26,7 @@ func saveBytes(t *testing.T, s *incremental.Session) []byte {
 func TestStoreCreateRecoverRoundTrip(t *testing.T) {
 	sess, a, b := buildSessionT(t)
 	dir := filepath.Join(t.TempDir(), "s1")
-	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b)
+	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestStoreCreateRecoverRoundTrip(t *testing.T) {
 func TestStoreCompactionFoldsJournal(t *testing.T) {
 	sess, a, b := buildSessionT(t)
 	dir := filepath.Join(t.TempDir(), "s1")
-	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b)
+	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncAlways}, sess, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestStoreCompactionFoldsJournal(t *testing.T) {
 func TestStoreDestroy(t *testing.T) {
 	sess, a, b := buildSessionT(t)
 	dir := filepath.Join(t.TempDir(), "s1")
-	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncNever}, sess, a, b)
+	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncNever}, sess, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +144,12 @@ func TestStoreDestroy(t *testing.T) {
 func TestStoreCreateRefusesExistingSnapshot(t *testing.T) {
 	sess, a, b := buildSessionT(t)
 	dir := filepath.Join(t.TempDir(), "s1")
-	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncNever}, sess, a, b)
+	st, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncNever}, sess, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
-	if _, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncNever}, sess, a, b); err == nil {
+	if _, err := Create(faultio.OS, dir, SyncPolicy{Mode: SyncNever}, sess, a, b, 0); err == nil {
 		t.Fatal("Create over an existing session directory accepted")
 	}
 }
