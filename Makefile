@@ -28,8 +28,24 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# Every fuzz target for 10s each: go test -fuzz accepts one target per
+# run, so loop over package:target pairs.
+FUZZ_TARGETS = \
+	internal/rule:FuzzParseRule \
+	internal/rule:FuzzParsePredicate \
+	internal/rule:FuzzCanonicalize \
+	internal/table:FuzzCSVParity \
+	internal/sim:FuzzEmitterParity \
+	internal/sim:FuzzJaroWinkler \
+	internal/server:FuzzCursor \
+	internal/bitmap:FuzzBitsGobDecode
+
 fuzz:
-	$(GO) test -fuzz=FuzzParseRule -fuzztime=30s ./internal/rule/
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "== $$fn (./$$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime=10s ./$$pkg; \
+	done
 
 cover:
 	$(GO) test -cover ./internal/... ./cmd/...

@@ -19,6 +19,33 @@ type StreamConfig struct {
 	BatchSize int
 }
 
+// corpusFreeRules returns the task's rules that use no
+// corpus-dependent feature. The TF-IDF family freezes document
+// frequencies at compile time, so a streamed session and a cold compile
+// over the final tables legitimately disagree on them (see
+// internal/incremental/recops.go); streaming over the other rules keeps
+// the cold cross-check exact.
+func corpusFreeRules(task *Task) ([]rule.Rule, error) {
+	rules := make([]rule.Rule, 0, len(task.Rules))
+	for _, r := range task.Rules {
+		ok := true
+		for _, p := range r.Preds {
+			needs, err := task.Lib.NeedsCorpus(p.Feature.Sim)
+			if err != nil {
+				return nil, err
+			}
+			ok = ok && !needs
+		}
+		if ok {
+			rules = append(rules, r)
+		}
+	}
+	if len(rules) == 0 {
+		return nil, fmt.Errorf("bench: every rule of %s uses corpus-dependent features; cannot stream", task.DS.Name)
+	}
+	return rules, nil
+}
+
 // Stream measures data-side incrementality: a session is built over
 // table A and a truncated table B, then the held-out B records are
 // streamed back in as append batches. Each append blocks only the new
@@ -45,34 +72,11 @@ func Stream(task *Task, cfg StreamConfig) (*Table, error) {
 	}
 	cut := ds.B.Len() - holdout
 
-	// Corpus-dependent features (the TF-IDF family) freeze document
-	// frequencies at compile time, so a streamed session and a cold
-	// compile over the full tables legitimately disagree on them (see
-	// internal/incremental/recops.go). Keep the cross-check exact by
-	// running the stream over the corpus-independent rules only.
-	rules := make([]rule.Rule, 0, len(task.Rules))
-	dropped := 0
-	for _, r := range task.Rules {
-		ok := true
-		for _, p := range r.Preds {
-			needs, err := task.Lib.NeedsCorpus(p.Feature.Sim)
-			if err != nil {
-				return nil, err
-			}
-			if needs {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			rules = append(rules, r)
-		} else {
-			dropped++
-		}
+	rules, err := corpusFreeRules(task)
+	if err != nil {
+		return nil, err
 	}
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("bench: every rule of %s uses corpus-dependent features; cannot stream", ds.Name)
-	}
+	dropped := len(task.Rules) - len(rules)
 
 	// Private base copy of B: the session appends to it in place.
 	baseB, err := table.New(ds.B.Name, ds.B.Attrs)

@@ -168,3 +168,101 @@ func TestDictProfileSharing(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseRecords: releasing tombstoned records clears their slot in
+// every profile set — shared encoded sets, unshared map sets — and
+// drops the cached token streams, without disturbing any live record's
+// profile. Live pairs keep scoring exactly as raw strings do, through a
+// dictionary rebuild and a newly bound feature, both of which read the
+// released records as "".
+func TestReleaseRecords(t *testing.T) {
+	lib := sim.Standard()
+	a := table.MustNew("A", []string{"name"})
+	b := table.MustNew("B", []string{"name"})
+	for i, v := range []string{"sony vaio laptop", "dell inspiron", "apple macbook pro"} {
+		a.Append(fmt.Sprintf("a%d", i), v)
+	}
+	for i, v := range []string{"sony laptop", "lenovo thinkpad", "apple macbook"} {
+		b.Append(fmt.Sprintf("b%d", i), v)
+	}
+	var f rule.Function
+	r := rule.Rule{Name: "r1"}
+	for _, s := range []string{"jaccard", "dice", "cosine", "soundex", "monge_elkan"} {
+		r.Preds = append(r.Preds, rule.Predicate{
+			Feature:   rule.Feature{Sim: s, AttrA: "name", AttrB: "name"},
+			Op:        rule.Ge,
+			Threshold: 0.1,
+		})
+	}
+	f.Rules = append(f.Rules, r)
+	c, err := Compile(f, lib, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableProfileCache()
+	if len(c.streams) == 0 {
+		t.Fatal("fixture caches no token stream")
+	}
+	entries, bytes := c.ProfileEntries(), c.ProfileBytes()
+
+	if _, err := a.DeleteRecord("a1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.DeleteRecord("b1"); err != nil {
+		t.Fatal(err)
+	}
+	c.ReleaseRecords(0, a.ReleaseTombstones())
+	c.ReleaseRecords(1, b.ReleaseTombstones())
+	for fi, fp := range c.profiles {
+		for side := range fp.side {
+			for i, p := range fp.side[side] {
+				if (p == nil) != (i == 1) {
+					t.Fatalf("feature %d side %d record %d: profile %v after releasing record 1", fi, side, i, p)
+				}
+			}
+		}
+	}
+	if len(c.streams) != 0 {
+		t.Fatalf("%d token streams survived the release", len(c.streams))
+	}
+	if got, want := c.ProfileEntries(), entries-2*len(c.Features); got != want {
+		t.Fatalf("ProfileEntries %d after release, want %d", got, want)
+	}
+	if got := c.ProfileBytes(); got >= bytes {
+		t.Fatalf("ProfileBytes %d after release, want below %d", got, bytes)
+	}
+
+	live := []table.Pair{{A: 0, B: 0}, {A: 0, B: 2}, {A: 2, B: 0}, {A: 2, B: 2}}
+	assertRaw := func(when string) {
+		t.Helper()
+		raw, err := Compile(c.Function(), lib, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fi := range c.Features {
+			rfi, err := raw.BindFeature(c.Features[fi].Feature)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range live {
+				if got, want := c.ComputeFeature(fi, p), raw.ComputeFeature(rfi, p); got != want {
+					t.Fatalf("%s: feature %s pair %v: cached %v != raw %v", when, c.Features[fi].Key, p, got, want)
+				}
+			}
+		}
+	}
+	assertRaw("after release")
+
+	// Unseen tokens rebuild the whitespace dictionary over the full
+	// columns; the released records come back as empty profiles.
+	b.Append("b3", "zebulon quixote")
+	c.ExtendRecords()
+	live = append(live, table.Pair{A: 0, B: 3})
+	assertRaw("after a rebuilding append")
+
+	// A feature bound after the release profiles every record too.
+	if _, err := c.BindFeature(rule.Feature{Sim: "trigram", AttrA: "name", AttrB: "name"}); err != nil {
+		t.Fatal(err)
+	}
+	assertRaw("after binding a new feature")
+}

@@ -309,22 +309,58 @@ func (c *Compiled) appendStreamProfiles(sides *[2][]any, em sim.IDEmitter, dp si
 	return true
 }
 
+// ReleaseRecords drops the cached profiles of records idx of one side
+// (0 = table A, 1 = table B) from every profile set — shared encoded
+// sets and map-profile sets alike — and drops the cached token
+// streams, which still hold those records' token IDs. The caller
+// guarantees that no candidate pair references the records any more
+// and that their values now read "" (table.ReleaseTombstones), so
+// nothing looks the dropped profiles up again, and a later full-column
+// scan — a dictionary rebuild, a newly bound feature — encodes the
+// empty value for them.
+func (c *Compiled) ReleaseRecords(side int, idx []int32) {
+	if len(idx) == 0 {
+		return
+	}
+	for _, fp := range c.profiles {
+		if fp == nil {
+			continue
+		}
+		// Features of one share group alias the same backing array, so
+		// clearing through each of them is idempotent.
+		profs := fp.side[side]
+		for _, i := range idx {
+			profs[i] = nil
+		}
+	}
+	clear(c.streams)
+}
+
 // ProfileEntries returns the number of cached per-record profile
 // entries across all features (shared sets counted per feature).
+// Released records (ReleaseRecords) hold none.
 func (c *Compiled) ProfileEntries() int {
 	n := 0
 	for _, fp := range c.profiles {
-		if fp != nil {
-			n += len(fp.side[0]) + len(fp.side[1])
+		if fp == nil {
+			continue
+		}
+		for _, side := range fp.side {
+			for _, p := range side {
+				if p != nil {
+					n++
+				}
+			}
 		}
 	}
 	return n
 }
 
 // ProfileBytes estimates the profile cache footprint in bytes:
-// per-record profiles (shared encoded sets counted once) plus the
-// sealed dictionaries (each counted once, however many features share
-// it).
+// per-record profiles and the per-record slots that hold them (shared
+// encoded sets counted once; a released record keeps its empty slot)
+// plus the sealed dictionaries (each counted once, however many
+// features share it) and the cached token streams.
 func (c *Compiled) ProfileBytes() int {
 	b := 0
 	for _, ts := range c.streams {
@@ -349,6 +385,7 @@ func (c *Compiled) ProfileBytes() int {
 			seenSets[fp.shareKey] = struct{}{}
 		}
 		for _, side := range fp.side {
+			b += profileSlotBytes * len(side)
 			for _, p := range side {
 				b += sim.ProfileBytes(p)
 			}
@@ -356,3 +393,7 @@ func (c *Compiled) ProfileBytes() int {
 	}
 	return b
 }
+
+// profileSlotBytes is the size of one per-record slot of a profile set
+// (an interface value).
+const profileSlotBytes = 16

@@ -17,8 +17,11 @@ import (
 // Tombstoned pairs are reclaimed in place once they outnumber the live
 // ones (see DeleteRecords), so pair indices are not stable across
 // deletes: callers that hold a position across operations key it by
-// record IDs. Tombstoned records and their IDs stay in the tables until
-// an eviction compacts the session (persist.Compact).
+// record IDs. The same reclaiming delete releases the records
+// tombstoned since the last one: no pair references them any more, so
+// their values become "" and their cached profiles are dropped. Their
+// slots and IDs stay in the tables until an eviction compacts the
+// session (persist.Compact).
 //
 // Parity contract for appends (differential-tested): evaluating only
 // the delta range leaves state, memo and per-pair stats byte-identical
@@ -29,8 +32,11 @@ import (
 // Known limitation: corpus-backed similarities (tf_idf, soft_tf_idf)
 // keep their document frequencies frozen at feature-bind time, so
 // appended records are scored against the original corpus. A snapshot
-// reload rebuilds corpora over the grown tables; avoid corpus
-// similarities when byte-stable recovery across appends matters.
+// reload rebuilds corpora over the grown tables. A corpus built after
+// a release counts each released record as an empty document, while a
+// session loaded from a snapshot holds its base tombstones' values
+// until its next reclamation. Avoid corpus similarities when
+// byte-stable recovery across record operations matters.
 
 // AddRecords appends a batch of records to the session's tables,
 // blocks them incrementally through the session Blocker, grows the
@@ -150,9 +156,10 @@ func validateBatch(t *table.Table, recs []table.Record) error {
 // removes its own pairs from the result. The record slots (and their
 // IDs) stay reserved; the tombstoned pairs are excluded from every
 // later operation via the dead bitmap until they outnumber the live
-// pairs, when the batch ends by reclaiming them (reclaimDead) and
-// reporting the count as OpReport.PairsReclaimed. The whole batch is
-// validated before anything is mutated.
+// pairs, when the batch ends by reclaiming them and releasing the
+// tombstoned records (reclaimDead) and reports the pair count as
+// OpReport.PairsReclaimed. The whole batch is validated before
+// anything is mutated.
 func (s *Session) DeleteRecords(aIDs, bIDs []string) error {
 	if err := s.checkState(); err != nil {
 		return err
@@ -217,14 +224,20 @@ func (s *Session) DeleteRecords(aIDs, bIDs []string) error {
 // pairs, in order: the pair list, the memo, every state bitmap and the
 // owner bookkeeping, then drops the dead mask. It returns the number of
 // pairs reclaimed. Nothing is evaluated, so the work counters, feature
-// values and matches stay as they are; tables, tombstoned records and
-// the blocker are untouched.
+// values and matches stay as they are.
+//
+// Once the dead pairs are gone no pair references a tombstoned record,
+// so the records tombstoned since the last reclamation are released
+// too: their values become "" (table.ReleaseTombstones) and their
+// cached profiles are dropped (core.Compiled.ReleaseRecords). Their IDs
+// stay reserved and their indices stable; the blocker is untouched.
 //
 // The trigger (more dead than live pairs) caps pair-indexed state at
 // twice the live pairs and keeps the gather's cost amortized O(1) per
 // deleted pair. It is a pure function of session state, so a replica
 // applying the same WAL records, or a restart replaying them, reclaims
-// at the same operation and serializes to the same snapshot bytes.
+// and releases at the same operation and serializes to the same
+// snapshot bytes.
 func (s *Session) reclaimDead() int {
 	n := len(s.M.Pairs)
 	keep := make([]int32, 0, s.LivePairCount())
@@ -250,6 +263,9 @@ func (s *Session) reclaimDead() int {
 		s.owners = owners
 	}
 	s.dead = nil
+	c := s.M.C
+	c.ReleaseRecords(0, c.A.ReleaseTombstones())
+	c.ReleaseRecords(1, c.B.ReleaseTombstones())
 	return n - len(keep)
 }
 

@@ -493,9 +493,12 @@ func assertOwners(t *testing.T, s *Session, step int) {
 // both memo layouts until deletes have reclaimed dead pairs at least
 // twice. Across each reclaiming delete every surviving pair keeps its
 // state bits and memo entries at its new index, the work counters do
-// not move, and after every delete dead pairs never outnumber live
-// ones. The final state passes VerifyDeep and matches a cold run over
-// the live tables.
+// not move, every record tombstoned since the last reclamation is
+// released (see assertReleased), and after every delete dead pairs
+// never outnumber live ones. The final state passes VerifyDeep and
+// matches a cold run over the live tables, and keeps doing so through
+// two full-column scans that read the released records as "": binding
+// a new profiled feature and a dictionary rebuild.
 func TestReclaimDeadPairs(t *testing.T) {
 	for _, memo := range []string{"array", "hash"} {
 		t.Run(memo, func(t *testing.T) {
@@ -508,7 +511,13 @@ func TestReclaimDeadPairs(t *testing.T) {
 			}
 			s.ensureOwners() // so every reclamation has owners to gather
 			nextA, nextB := a.Len(), b.Len()
-			reclaims := 0
+			// Every record holds one profile per profile set until it is
+			// released.
+			perRecord := s.M.C.ProfileEntries() / (a.Len() + b.Len())
+			if perRecord == 0 {
+				t.Fatal("fixture caches no profiles")
+			}
+			reclaims, released := 0, 0
 			for step := 0; step < 36; step++ {
 				switch step % 3 {
 				case 0:
@@ -533,6 +542,7 @@ func TestReclaimDeadPairs(t *testing.T) {
 						delB = append(delB, id)
 					}
 					before, stats, nPairs := pairRecords(s), s.M.Stats, len(s.M.Pairs)
+					entries := s.M.C.ProfileEntries()
 					if err := s.DeleteRecords(delA, delB); err != nil {
 						t.Fatal(err)
 					}
@@ -558,6 +568,18 @@ func TestReclaimDeadPairs(t *testing.T) {
 								t.Fatalf("step %d: pair %v state moved across reclamation:\n got %+v\nwant %+v", step, k, got, want)
 							}
 						}
+						// Each record released now held a full set of
+						// profiles and holds none; records released before
+						// are untouched.
+						tombs := a.NumDeleted() + b.NumDeleted()
+						if got, want := s.M.C.ProfileEntries(), entries-perRecord*(tombs-released); got != want {
+							t.Fatalf("step %d: %d profile entries after releasing %d records, want %d",
+								step, got, tombs-released, want)
+						}
+						released = tombs
+						assertReleased(t, s, step)
+					} else if s.M.C.ProfileEntries() != entries {
+						t.Fatalf("step %d: a delete without reclamation changed the profile cache", step)
 					}
 				default:
 					ri := rng.Intn(len(s.M.C.Rules))
@@ -576,7 +598,67 @@ func TestReclaimDeadPairs(t *testing.T) {
 				t.Fatalf("stream reclaimed %d times, want at least 2", reclaims)
 			}
 			assertColdParity(t, s)
+
+			// A newly bound profiled feature encodes every record of the
+			// column pair, released ones as "".
+			entries := s.M.C.ProfileEntries()
+			cos := rule.Predicate{Feature: rule.Feature{Sim: "cosine", AttrA: "name", AttrB: "name"}, Op: rule.Ge, Threshold: 0.5}
+			if err := s.AddPredicate(0, cos); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := s.M.C.ProfileEntries(), entries+a.Len()+b.Len(); got != want {
+				t.Fatalf("after add_predicate: %d profile entries, want %d", got, want)
+			}
+			if err := s.VerifyDeep(); err != nil {
+				t.Fatalf("after add_predicate: %v", err)
+			}
+			assertColdParity(t, s)
+
+			// Unseen tokens force every name dictionary to be rebuilt over
+			// the full columns, which re-encodes released records as "":
+			// every record holds a profile in every set again.
+			unseen := table.Record{ID: fmt.Sprintf("a%d", nextA), Values: []string{"zebulon quixote", "219-555-0199", "seattle"}}
+			if err := s.AddRecords([]table.Record{unseen}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := s.M.C.ProfileEntries(), (perRecord+1)*(a.Len()+b.Len()); got != want {
+				t.Fatalf("after the rebuilding append: %d profile entries, want %d", got, want)
+			}
+			if err := s.VerifyDeep(); err != nil {
+				t.Fatalf("after the rebuilding append: %v", err)
+			}
+			assertColdParity(t, s)
 		})
+	}
+}
+
+// assertReleased checks that, right after a reclaiming delete, every
+// tombstone on both tables is released: each attribute reads "", its
+// ID still resolves to its index, and re-appending the ID fails.
+func assertReleased(t *testing.T, s *Session, step int) {
+	t.Helper()
+	for side, tb := range []*table.Table{s.M.C.A, s.M.C.B} {
+		for _, i := range tb.DeletedIndices() {
+			r := tb.Records[i]
+			for col := range tb.Attrs {
+				if v := tb.Value(int(i), col); v != "" {
+					t.Fatalf("step %d: released record %s.%s reads %q for %s", step, tb.Name, r.ID, v, tb.Attrs[col])
+				}
+			}
+			if j, ok := tb.RecordByID(r.ID); !ok || j != int(i) {
+				t.Fatalf("step %d: released record %s.%s resolves to (%d, %v), want %d", step, tb.Name, r.ID, j, ok, i)
+			}
+			again := []table.Record{{ID: r.ID, Values: []string{"x", "y", "z"}}}
+			var err error
+			if side == 0 {
+				err = s.AddRecords(again, nil)
+			} else {
+				err = s.AddRecords(nil, again)
+			}
+			if err == nil {
+				t.Fatalf("step %d: re-appending released ID %s.%s succeeded", step, tb.Name, r.ID)
+			}
+		}
 	}
 }
 

@@ -788,3 +788,161 @@ func TestSaveLoadDataStateRoundTrip(t *testing.T) {
 		t.Fatalf("post-append matches %d, want %d", got.MatchCount(), s.MatchCount())
 	}
 }
+
+// releasedSession streams appends and deletes into a city-blocked
+// session until a delete reclaims the dead pairs and releases the
+// tombstoned records: base records a1 and b2, appended records a4 and
+// b4. It returns the session and the appended records' original values.
+func releasedSession(t *testing.T) (*incremental.Session, map[string][]string) {
+	t.Helper()
+	a, b, _ := buildTables(t)
+	blk := block.AttrEquivalence{Attr: "city"}
+	pairs, err := blk.Pairs(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := rule.ParseFunction(sessionFunc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compile(f, sim.Standard(), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := incremental.NewSessionConfig(c, pairs, core.Config{Workers: 1})
+	s.Blocker = blk
+	mustRun(t, s)
+	orig := map[string][]string{
+		"a4": {"maria garcia", "chicago"},
+		"b4": {"wei chen jr", "milwaukee"},
+	}
+	if err := s.AddRecords(
+		[]table.Record{{ID: "a4", Values: orig["a4"]}},
+		[]table.Record{{ID: "b4", Values: orig["b4"]}},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteRecords([]string{"a1"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastOp.PairsReclaimed != 0 {
+		t.Fatal("fixture reclaimed on its first delete")
+	}
+	if err := s.DeleteRecords([]string{"a4"}, []string{"b4", "b2"}); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastOp.PairsReclaimed == 0 {
+		t.Fatal("fixture did not reclaim")
+	}
+	for _, id := range []string{"a1", "a4"} {
+		i, _ := s.M.C.A.RecordByID(id)
+		if v := s.M.C.A.Value(i, 0); v != "" {
+			t.Fatalf("released record %s reads %q", id, v)
+		}
+	}
+	return s, orig
+}
+
+// reclaimAgain appends b5 and deletes b0 and b5, a delete that
+// reclaims dead pairs and so releases every pending tombstone.
+func reclaimAgain(t *testing.T, s *incremental.Session) {
+	t.Helper()
+	if err := s.AddRecords(nil, []table.Record{{ID: "b5", Values: []string{"matt richardson", "seattle"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteRecords(nil, []string{"b0", "b5"}); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastOp.PairsReclaimed == 0 {
+		t.Fatal("second delete did not reclaim")
+	}
+}
+
+// TestSaveLoadAfterRelease: a snapshot taken after records were
+// released stores released appended records as empty strings, reloads
+// them as tombstones, and re-saves byte-identically. A snapshot in the
+// layout written before records were released — the same fields, the
+// tombstoned appended records still carrying their values — loads too,
+// and once both sessions reclaim again they serialize to the same
+// bytes.
+func TestSaveLoadAfterRelease(t *testing.T) {
+	s, orig := releasedSession(t)
+	var buf bytes.Buffer
+	if err := Save(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	raw := append([]byte(nil), buf.Bytes()...)
+	snap, _, err := decodeSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range append(append([]table.Record(nil), snap.ExtraA...), snap.ExtraB...) {
+		for _, v := range r.Values {
+			if v != "" {
+				t.Fatalf("released appended record %s serialized value %q", r.ID, v)
+			}
+		}
+	}
+
+	load := func(data []byte) *incremental.Session {
+		t.Helper()
+		baseA, baseB, _ := buildTables(t)
+		got, err := Load(bytes.NewReader(data), sim.Standard(), baseA, baseB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.VerifyDeep(); err != nil {
+			t.Fatal(err)
+		}
+		if got.MatchCount() != s.MatchCount() {
+			t.Fatalf("reloaded session holds %d matches, want %d", got.MatchCount(), s.MatchCount())
+		}
+		return got
+	}
+	got := load(raw)
+	for _, id := range []string{"a1", "a4"} {
+		if i, ok := got.M.C.A.RecordByID(id); !ok || !got.M.C.A.Deleted(i) {
+			t.Fatalf("record %s did not reload as a tombstone", id)
+		}
+	}
+	var again bytes.Buffer
+	if err := Save(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, again.Bytes()) {
+		t.Fatal("snapshot taken after a release does not re-save byte-identically")
+	}
+
+	// The older layout: the appended tombstones keep their values.
+	for i := range snap.ExtraA {
+		snap.ExtraA[i].Values = orig[snap.ExtraA[i].ID]
+	}
+	for i := range snap.ExtraB {
+		snap.ExtraB[i].Values = orig[snap.ExtraB[i].ID]
+	}
+	var payload, old bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFramed(&old, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(old.Bytes(), raw) {
+		t.Fatal("older-layout snapshot equals the released one; the fixture tests nothing")
+	}
+	prev := load(old.Bytes())
+
+	var want []byte
+	for i, sess := range []*incremental.Session{s, got, prev} {
+		reclaimAgain(t, sess)
+		var out bytes.Buffer
+		if err := Save(&out, sess); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = out.Bytes()
+		} else if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("session %d serializes differently from the live one after the next reclamation", i)
+		}
+	}
+}

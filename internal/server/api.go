@@ -215,7 +215,12 @@ type MatchPage struct {
 // StatsResponse is the GET .../stats response: the session's memory
 // footprint (§7.4) and cumulative work counters.
 type StatsResponse struct {
+	// Pairs counts live candidate pairs, as the session listing and the
+	// records ack do; DeadPairs counts the tombstoned pairs a record
+	// delete left behind, which the next reclaiming delete drops (absent
+	// when there are none).
 	Pairs       int        `json:"pairs"`
+	DeadPairs   int        `json:"deadPairs,omitempty"`
 	Rules       int        `json:"rules"`
 	Matches     int        `json:"matches"`
 	MemoBytes   int64      `json:"memoBytes"`

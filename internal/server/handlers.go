@@ -703,7 +703,8 @@ func (s *Server) hStats(w http.ResponseWriter, r *http.Request) {
 	}
 	lc := h.Lifecycle()
 	resp := StatsResponse{
-		Pairs:          len(sess.M.Pairs),
+		Pairs:          sess.LivePairCount(),
+		DeadPairs:      sess.NumDead(),
 		Rules:          len(sess.M.C.Rules),
 		Matches:        sess.MatchCount(),
 		MemoBytes:      memo,

@@ -197,3 +197,34 @@ func TestDurableRecordsRestartRecover(t *testing.T) {
 	}
 	mustVerify(t, ts2, "s1", "after post-recovery append")
 }
+
+// TestPairCountsAgreeAcrossEndpoints: after a delete that leaves dead
+// pairs awaiting reclamation, the records ack, the session listing and
+// /stats all report the same live pair count, and /stats reports the
+// dead pairs separately.
+func TestPairCountsAgreeAcrossEndpoints(t *testing.T) {
+	ts, _ := newTestServer(t)
+	info := createSession(t, ts, "s1") // 18 pairs: two cat groups of 3x3
+	var ack RecordsResponse
+	if code := postRecords(t, ts.URL, "s1", RecordsRequest{DeleteA: []string{"a5"}}, &ack); code != http.StatusOK {
+		t.Fatalf("delete: status %d", code)
+	}
+	if ack.DeleteReport == nil || ack.DeleteReport.PairsRemoved != 3 || ack.DeleteReport.PairsReclaimed != 0 {
+		t.Fatalf("delete report %+v, want 3 pairs removed and none reclaimed", ack.DeleteReport)
+	}
+	var list SessionList
+	if code := doJSON(t, "GET", ts.URL+"/v1/sessions", nil, &list); code != http.StatusOK || len(list.Sessions) != 1 {
+		t.Fatalf("list: status %d, %d sessions", code, len(list.Sessions))
+	}
+	var st StatsResponse
+	if code := doJSON(t, "GET", ts.URL+"/v1/sessions/s1/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	want := info.Pairs - 3
+	if ack.Pairs != want || list.Sessions[0].Pairs != want || st.Pairs != want {
+		t.Fatalf("live pairs: ack %d, listing %d, stats %d, want %d", ack.Pairs, list.Sessions[0].Pairs, st.Pairs, want)
+	}
+	if st.DeadPairs != 3 {
+		t.Fatalf("stats deadPairs %d, want 3", st.DeadPairs)
+	}
+}

@@ -23,6 +23,11 @@ type Record struct {
 // records keep their ID reserved — re-appending the same ID is an
 // error — which keeps the id→index map a bijection for the table's
 // whole history.
+//
+// A tombstone keeps its values until ReleaseTombstones drops them: the
+// owner calls it once nothing reads the tombstoned records' values any
+// more (no candidate pair references them), and from then on they read
+// "" for every attribute. Their IDs and indices stay.
 type Table struct {
 	Name    string
 	Attrs   []string
@@ -32,6 +37,7 @@ type Table struct {
 	idIdx   map[string]int
 	deleted []bool // parallel to Records when non-nil; lazily allocated
 	numDel  int
+	pending []int32 // tombstones not yet released, in deletion order
 }
 
 // New creates an empty table with the given name and attribute names.
@@ -86,10 +92,11 @@ func (t *Table) AppendRecord(r Record) (int, error) {
 }
 
 // DeleteRecord tombstones the record with the given ID and returns its
-// index. The slot, its values and the ID stay in place — candidate
-// pairs reference records by index, so indices must remain stable —
-// but Deleted reports true and blockers skip the record. Deleting an
-// already-deleted record is an error.
+// index. The slot and the ID stay in place — candidate pairs reference
+// records by index, so indices must remain stable — but Deleted
+// reports true and blockers skip the record. Its values stay readable
+// until the next ReleaseTombstones. Deleting an already-deleted record
+// is an error.
 func (t *Table) DeleteRecord(id string) (int, error) {
 	i, ok := t.RecordByID(id)
 	if !ok {
@@ -103,6 +110,7 @@ func (t *Table) DeleteRecord(id string) (int, error) {
 	}
 	t.deleted[i] = true
 	t.numDel++
+	t.pending = append(t.pending, int32(i))
 	return i, nil
 }
 
@@ -128,8 +136,9 @@ func (t *Table) DeletedIndices() []int32 {
 }
 
 // MarkDeleted tombstones record i without an ID lookup; used when
-// restoring a table's deletion state from a snapshot. Marking an
-// already-deleted record is a no-op.
+// restoring a table's deletion state from a snapshot. Like
+// DeleteRecord, it leaves the tombstone's values in place until the
+// next ReleaseTombstones. Marking an already-deleted record is a no-op.
 func (t *Table) MarkDeleted(i int) {
 	if t.deleted == nil {
 		t.deleted = make([]bool, len(t.Records))
@@ -137,12 +146,37 @@ func (t *Table) MarkDeleted(i int) {
 	if !t.deleted[i] {
 		t.deleted[i] = true
 		t.numDel++
+		t.pending = append(t.pending, int32(i))
 	}
 }
 
-// Clone returns a deep-enough copy sharing record values (records are
-// immutable once appended) but with independent bookkeeping, so
-// appends and deletes on the clone do not affect the original.
+// ReleaseTombstones drops the values of every record tombstoned since
+// the last release and returns their indices, in deletion order (nil
+// when there are none). The released records' Values become one shared
+// all-empty row of the table's arity, so every full-column scan reads
+// "" for them; their IDs stay reserved and their indices stable. The
+// cost is proportional to the records released, not to every
+// tombstone.
+//
+// Values are replaced, never written through: a Clone taken earlier,
+// or a caller still holding the old slice, keeps the original strings.
+func (t *Table) ReleaseTombstones() []int32 {
+	if len(t.pending) == 0 {
+		return nil
+	}
+	blank := make([]string, len(t.Attrs))
+	for _, i := range t.pending {
+		t.Records[i].Values = blank
+	}
+	out := t.pending
+	t.pending = nil
+	return out
+}
+
+// Clone returns a deep-enough copy sharing record values (values are
+// never written through; a release replaces them) but with independent
+// bookkeeping, so appends, deletes and releases on the clone do not
+// affect the original.
 func (t *Table) Clone() *Table {
 	c := &Table{
 		Name:    t.Name,
@@ -150,6 +184,7 @@ func (t *Table) Clone() *Table {
 		Records: append([]Record(nil), t.Records...),
 		attrIdx: t.attrIdx,
 		numDel:  t.numDel,
+		pending: append([]int32(nil), t.pending...),
 	}
 	if t.deleted != nil {
 		c.deleted = append([]bool(nil), t.deleted...)

@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -255,5 +256,60 @@ func TestClone(t *testing.T) {
 	}
 	if _, ok := tb.RecordByID("z"); ok {
 		t.Fatal("clone append leaked into the original index")
+	}
+}
+
+// TestReleaseTombstones: a release empties the values of exactly the
+// records tombstoned since the last one, through DeleteRecord and
+// MarkDeleted alike, keeps their IDs resolvable and reserved, and
+// never writes through a values slice a clone or caller still holds.
+func TestReleaseTombstones(t *testing.T) {
+	tb := MustNew("t", []string{"a", "b"})
+	for _, id := range []string{"w", "x", "y", "z"} {
+		if err := tb.Append(id, id+"1", id+"2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tb.ReleaseTombstones(); got != nil {
+		t.Fatalf("release with no tombstones returned %v", got)
+	}
+	held := tb.Records[1].Values
+	if _, err := tb.DeleteRecord("x"); err != nil {
+		t.Fatal(err)
+	}
+	tb.MarkDeleted(3)
+	tb.MarkDeleted(3) // no-op: not pending twice
+	cl := tb.Clone()
+	if got := tb.ReleaseTombstones(); !slices.Equal(got, []int32{1, 3}) {
+		t.Fatalf("released %v, want [1 3]", got)
+	}
+	for _, i := range []int{1, 3} {
+		if tb.Value(i, 0) != "" || tb.Value(i, 1) != "" {
+			t.Fatalf("released record %d reads %v", i, tb.Records[i].Values)
+		}
+		if j, ok := tb.RecordByID(tb.Records[i].ID); !ok || j != i {
+			t.Fatalf("released record %d resolves to (%d, %v)", i, j, ok)
+		}
+	}
+	if err := tb.Append("x", "again", "again"); err == nil {
+		t.Fatal("a released ID was appendable")
+	}
+	if tb.Value(0, 0) != "w1" || tb.Value(2, 1) != "y2" {
+		t.Fatal("release touched a live record")
+	}
+	if held[0] != "x1" || cl.Value(1, 0) != "x1" || cl.Value(3, 1) != "z2" {
+		t.Fatal("release wrote through a values slice held elsewhere")
+	}
+	if got := tb.ReleaseTombstones(); got != nil {
+		t.Fatalf("second release returned %v, want nothing pending", got)
+	}
+	if got := cl.ReleaseTombstones(); !slices.Equal(got, []int32{1, 3}) {
+		t.Fatalf("clone released %v, want its own pending [1 3]", got)
+	}
+	if _, err := tb.DeleteRecord("w"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.ReleaseTombstones(); !slices.Equal(got, []int32{0}) {
+		t.Fatalf("released %v after one more delete, want [0]", got)
 	}
 }
