@@ -84,30 +84,34 @@ func TestProfileModesDifferentialParity(t *testing.T) {
 	}
 }
 
-// TestDictProfileSharing pins the two sharing levels: features with the
-// same profile kind over the same columns alias one profile set, and
-// features drawing from the same token space share one dictionary
-// across kinds. A profiler without an ID emitter (MongeElkan) gets map
-// profiles, and every score equals the profile-less raw Fn.Sim.
+// TestDictProfileSharing binds every standard similarity on name×name
+// and pins the form each one caches: a DictProfiler holds encoded
+// profiles over a dictionary, monge_elkan value profiles, and every
+// other similarity none. A DictProfiler that stopped encoding would
+// still score correctly, from raw strings, only slower; this is the
+// test that notices. It also pins the two sharing levels — features
+// with the same profile kind over the same columns alias one profile
+// set, and features drawing from the same token space share one
+// dictionary across kinds — and that every score equals the
+// profile-less raw Fn.Sim.
 func TestDictProfileSharing(t *testing.T) {
 	lib := sim.Standard()
 	a := table.MustNew("A", []string{"name"})
 	b := table.MustNew("B", []string{"name"})
 	a.Append("a0", "sony vaio laptop")
-	a.Append("a1", "dell inspiron")
+	a.Append("a1", "dell inspiron 15")
 	b.Append("b0", "sony laptop")
-	b.Append("b1", "apple macbook")
+	b.Append("b1", "apple macbook 15")
 
 	var f rule.Function
-	r := rule.Rule{Name: "r1"}
-	for _, s := range []string{"jaccard", "dice", "overlap", "cosine", "tf_idf", "soft_tf_idf", "soundex", "monge_elkan"} {
-		r.Preds = append(r.Preds, rule.Predicate{
+	for _, s := range lib.Names() {
+		// One rule per similarity: a rule may bound each feature once.
+		f.Rules = append(f.Rules, rule.Rule{Name: s, Preds: []rule.Predicate{{
 			Feature:   rule.Feature{Sim: s, AttrA: "name", AttrB: "name"},
 			Op:        rule.Ge,
 			Threshold: 0.1,
-		})
+		}}})
 	}
-	f.Rules = append(f.Rules, r)
 
 	c, err := Compile(f, lib, a, b)
 	if err != nil {
@@ -115,37 +119,50 @@ func TestDictProfileSharing(t *testing.T) {
 	}
 	c.EnableProfileCache()
 
+	for _, s := range lib.Names() {
+		fi := c.FeatureIndex(s + "(name,name)")
+		if fi < 0 {
+			t.Fatalf("feature %s(name,name) not bound", s)
+		}
+		fp := c.profiles[fi]
+		switch c.Features[fi].Fn.(type) {
+		case sim.DictProfiler:
+			if fp == nil || fp.dict == nil || fp.shareKey == "" {
+				t.Errorf("%s: want encoded profiles over a dictionary, got %+v", s, fp)
+			}
+		case sim.ValueProfiler:
+			if fp == nil || fp.dict != nil || fp.shareKey != "" {
+				t.Errorf("%s: want unshared value profiles, got %+v", s, fp)
+			}
+		default:
+			if fp != nil {
+				t.Errorf("%s: unprofiled similarity caches profiles", s)
+			}
+		}
+	}
+	if mi := c.FeatureIndex("monge_elkan(name,name)"); c.profiles[mi] == nil {
+		t.Error("monge_elkan caches no value profiles")
+	}
+
 	// Token spaces: whitespace words (jaccard/dice/overlap/cosine/
-	// tf_idf/soft_tf_idf) and soundex codes — two dictionaries.
-	if len(c.dicts) != 2 {
-		t.Errorf("got %d dictionaries, want 2 (whitespace + soundex)", len(c.dicts))
+	// tf_idf/soft_tf_idf), 3-grams (jaccard_3gram), padded 3-grams
+	// (trigram) and soundex codes — four dictionaries.
+	if len(c.dicts) != 4 {
+		t.Errorf("got %d dictionaries, want 4 (ws, 3gram, 3gramp, sdx)", len(c.dicts))
 	}
 	// Profile kinds: set|ws (jaccard=dice=overlap), count|ws (cosine),
-	// tfidf|ws (tf_idf=soft_tf_idf), set|sdx (soundex) — four sets.
-	if len(c.sharedSides) != 4 {
-		t.Errorf("got %d shared profile sets, want 4", len(c.sharedSides))
+	// tfidf|ws (tf_idf=soft_tf_idf), set|3gram, set|3gramp and set|sdx
+	// — six sets.
+	if len(c.sharedSides) != 6 {
+		t.Errorf("got %d shared profile sets, want 6", len(c.sharedSides))
 	}
 	// Same-kind features must alias the same slices, not copies.
-	ji, di := c.FeatureIndex("jaccard(name,name)"), c.FeatureIndex("dice(name,name)")
-	if ji < 0 || di < 0 {
-		t.Fatalf("feature keys not found (jaccard=%d dice=%d)", ji, di)
-	}
-	jp, dp := c.profiles[ji], c.profiles[di]
-	if jp == nil || dp == nil {
-		t.Fatal("profiled features missing profile sets")
-	}
+	jp, dp := c.profiles[c.FeatureIndex("jaccard(name,name)")], c.profiles[c.FeatureIndex("dice(name,name)")]
 	if &jp.side[0][0] != &dp.side[0][0] {
 		t.Error("jaccard and dice do not share their encoded profile set")
 	}
-	if jp.dict == nil || jp.dict != dp.dict {
-		t.Error("jaccard and dice do not share a dictionary")
-	}
-	mi := c.FeatureIndex("monge_elkan(name,name)")
-	if mi < 0 {
-		t.Fatal("monge_elkan feature key not found")
-	}
-	if mp := c.profiles[mi]; mp == nil || mp.dict != nil || mp.shareKey != "" {
-		t.Error("monge_elkan should cache unshared map profiles")
+	if jp.dict != dp.dict || jp.dict != c.profiles[c.FeatureIndex("tf_idf(name,name)")].dict {
+		t.Error("jaccard, dice and tf_idf do not share a dictionary")
 	}
 
 	if got := c.ProfileBytes(); got <= 0 {
@@ -163,7 +180,7 @@ func TestDictProfileSharing(t *testing.T) {
 	for fi := range c.Features {
 		for _, p := range []table.Pair{{A: 0, B: 0}, {A: 0, B: 1}, {A: 1, B: 0}, {A: 1, B: 1}} {
 			if want, got := raw.ComputeFeature(fi, p), c.ComputeFeature(fi, p); got != want {
-				t.Fatalf("feature %d pair %v: cached %v != raw %v", fi, p, got, want)
+				t.Fatalf("%s pair %v: cached %v != raw %v", c.Features[fi].Key, p, got, want)
 			}
 		}
 	}

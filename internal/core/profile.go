@@ -6,24 +6,25 @@ import (
 	"rulematch/internal/sim"
 )
 
-// Profile caching: similarity functions implementing sim.Profiler can
-// precompute per-record profiles (token sets, count vectors, TF-IDF
-// weights). A record participates in many candidate pairs, so caching
-// its profile amortizes tokenization and vector construction across all
-// of them. Profiles are built eagerly when the cache is enabled (and
-// for features bound afterwards), so matching — including the sharded
-// methods — only reads them.
+// Profile caching: similarity functions implementing sim.Profiler
+// compare precomputed per-record profiles (token sets, count vectors,
+// TF-IDF weights). A record participates in many candidate pairs, so
+// caching its profile amortizes tokenization and vector construction
+// across all of them. Profiles are built eagerly when the cache is
+// enabled (and for features bound afterwards), so matching — including
+// the sharded methods — only reads them.
 //
-// Similarities that additionally implement sim.DictProfiler and have an
-// ID emitter (sim.EmitterFor) are cached in dictionary-encoded form: a
-// per-column-pair token dictionary interns tokens to dense uint32 IDs,
-// and profiles become sorted integer slices compared by merge
-// intersection. The column pair is scanned once by the emitter —
-// interning tokens and recording the ID stream — and every record's
-// profile is carved out of shared slab arrays. Other profilers
-// (MongeElkan) cache map profiles. Encoded profiles, map profiles and
-// raw strings all score bit-identically, so the profile cache never
-// changes a match result.
+// A profile has one form per similarity. A sim.DictProfiler is cached
+// dictionary-encoded: a per-column-pair token dictionary interns tokens
+// to dense uint32 IDs, and profiles become sorted integer slices
+// compared by merge intersection. The column pair is scanned once by
+// the similarity's ID emitter (sim.EmitterFor) — interning tokens and
+// recording the ID stream — and every record's profile is carved out
+// of shared slab arrays. A DictProfiler that cannot be stream-encoded
+// (a tokenizer without an emitter) stays unprofiled and scores raw
+// strings. A sim.ValueProfiler (MongeElkan) caches Profile per value.
+// Cached profiles score bit-identically to raw strings, so the profile
+// cache never changes a match result.
 //
 // Two levels of sharing cut the build cost and footprint:
 //
@@ -38,7 +39,7 @@ import (
 
 // featureProfiles holds the cached per-record profiles of one bound
 // feature: [0] indexes table A records, [1] table B records. nil when
-// the feature's similarity does not implement sim.Profiler.
+// the feature's similarity is not profiled.
 type featureProfiles struct {
 	fn   sim.Profiler
 	side [2][]any
@@ -47,7 +48,7 @@ type featureProfiles struct {
 	// counts each shared set once.
 	shareKey string
 	// dict is the sealed dictionary the profiles are encoded against;
-	// nil for map profiles.
+	// nil for value profiles.
 	dict *sim.Dict
 }
 
@@ -74,34 +75,29 @@ func (c *Compiled) buildProfiles(fi int) {
 		c.profiles = append(c.profiles, nil)
 	}
 	f := &c.Features[fi]
-	pr, ok := f.Fn.(sim.Profiler)
-	if !ok {
-		return
-	}
-	if dp, ok := f.Fn.(sim.DictProfiler); ok {
-		if fp := c.buildDictProfiles(f, dp); fp != nil {
-			c.profiles[fi] = fp
-			return
+	switch fn := f.Fn.(type) {
+	case sim.DictProfiler:
+		c.profiles[fi] = c.buildDictProfiles(f, fn)
+	case sim.ValueProfiler:
+		fp := &featureProfiles{fn: fn}
+		fp.side[0] = make([]any, c.A.Len())
+		for i := range c.A.Records {
+			fp.side[0][i] = fn.Profile(c.A.Value(i, f.ColA))
 		}
+		fp.side[1] = make([]any, c.B.Len())
+		for j := range c.B.Records {
+			fp.side[1][j] = fn.Profile(c.B.Value(j, f.ColB))
+		}
+		c.profiles[fi] = fp
 	}
-	fp := &featureProfiles{fn: pr}
-	fp.side[0] = make([]any, c.A.Len())
-	for i := range c.A.Records {
-		fp.side[0][i] = pr.Profile(c.A.Value(i, f.ColA))
-	}
-	fp.side[1] = make([]any, c.B.Len())
-	for j := range c.B.Records {
-		fp.side[1][j] = pr.Profile(c.B.Value(j, f.ColB))
-	}
-	c.profiles[fi] = fp
 }
 
 // buildDictProfiles builds (or reuses) the dictionary-encoded profile
 // set of one feature through the single-pass ID stream. The dictionary
 // is looked up by token space and column pair; the profile set by
-// profile kind and column pair. Returns nil when the similarity has no
-// ID emitter or its kind no stream encoding; the caller then caches map
-// profiles.
+// profile kind and column pair. Returns nil — the feature then scores
+// raw strings — when the similarity has no ID emitter or the sealed
+// dictionary misses a token.
 func (c *Compiled) buildDictProfiles(f *BoundFeature, dp sim.DictProfiler) *featureProfiles {
 	em, ok := sim.EmitterFor(dp)
 	if !ok {
@@ -129,8 +125,8 @@ func (c *Compiled) buildDictProfiles(f *BoundFeature, dp sim.DictProfiler) *feat
 // (interning into a fresh dictionary, or re-emitting against an
 // already-sealed one), the stream is cached per dictionary key for
 // later kinds over the same token space, and every record's profile is
-// carved out of shared slabs. Reports false when the kind has no
-// stream encoding.
+// carved out of shared slabs. Reports false when a re-emission misses
+// the sealed dictionary (see emitSealedStream).
 func (c *Compiled) bindStreamProfiles(fp *featureProfiles, dp sim.DictProfiler, em sim.IDEmitter, dictKey string, colA, colB int) bool {
 	ts := c.streams[dictKey]
 	if ts == nil {
@@ -152,10 +148,7 @@ func (c *Compiled) bindStreamProfiles(fp *featureProfiles, dp sim.DictProfiler, 
 		}
 		c.streams[dictKey] = ts
 	}
-	all, ok := sim.ProfilesFromStream(dp, ts)
-	if !ok {
-		return false
-	}
+	all := sim.ProfilesFromStream(dp, ts)
 	fp.dict = ts.Dict
 	nA := c.A.Len()
 	// Full-capacity slices: a later ExtendRecords append reallocates
@@ -197,7 +190,7 @@ func (c *Compiled) emitSealedStream(em sim.IDEmitter, d *sim.Dict, colA, colB in
 }
 
 // ExtendRecords brings the profile cache in sync with tables that have
-// grown since the profiles were built. Map profiles append the new
+// grown since the profiles were built. Value profiles append the new
 // records' profiles in place. Dictionary-encoded profiles emit the new
 // records against the sealed dictionary: if it covers every token the
 // new profiles are append-encoded against it; if not the dictionary is
@@ -224,12 +217,12 @@ func (c *Compiled) ExtendRecords() {
 			continue
 		}
 		f := &c.Features[fi]
-		if fp.dict == nil {
+		if vp, ok := fp.fn.(sim.ValueProfiler); ok {
 			for i := len(fp.side[0]); i < c.A.Len(); i++ {
-				fp.side[0] = append(fp.side[0], fp.fn.Profile(c.A.Value(i, f.ColA)))
+				fp.side[0] = append(fp.side[0], vp.Profile(c.A.Value(i, f.ColA)))
 			}
 			for j := len(fp.side[1]); j < c.B.Len(); j++ {
-				fp.side[1] = append(fp.side[1], fp.fn.Profile(c.B.Value(j, f.ColB)))
+				fp.side[1] = append(fp.side[1], vp.Profile(c.B.Value(j, f.ColB)))
 			}
 			continue
 		}
@@ -274,9 +267,10 @@ func (c *Compiled) extendSharedSides(shareKey, dictKey string, dp sim.DictProfil
 }
 
 // appendStreamProfiles append-encodes records added past (oldA, oldB)
-// by emitting their token IDs against the sealed dictionary d. Reports
+// by emitting their token IDs against the sealed dictionary d; each new
+// profile gets arrays of its own, so ReleaseRecords frees them. Reports
 // false — leaving sides untouched — when a new record carries a token
-// outside d (the caller must rebuild) or the kind has no ID encoding.
+// outside d (the caller must rebuild).
 func (c *Compiled) appendStreamProfiles(sides *[2][]any, em sim.IDEmitter, dp sim.DictProfiler, d *sim.Dict, colA, colB, oldA, oldB int) bool {
 	var sc sim.TokScratch
 	var ids []uint32
@@ -286,7 +280,7 @@ func (c *Compiled) appendStreamProfiles(sides *[2][]any, em sim.IDEmitter, dp si
 		if !ok {
 			return nil, false
 		}
-		return sim.ProfileFromIDs(dp, d, ids)
+		return sim.ProfileFromIDs(dp, d, ids), true
 	}
 	newA := make([]any, 0, c.A.Len()-oldA)
 	for i := oldA; i < c.A.Len(); i++ {
@@ -311,7 +305,7 @@ func (c *Compiled) appendStreamProfiles(sides *[2][]any, em sim.IDEmitter, dp si
 
 // ReleaseRecords drops the cached profiles of records idx of one side
 // (0 = table A, 1 = table B) from every profile set — shared encoded
-// sets and map-profile sets alike — and drops the cached token
+// sets and value-profile sets alike — and drops the cached token
 // streams, which still hold those records' token IDs. The caller
 // guarantees that no candidate pair references the records any more
 // and that their values now read "" (table.ReleaseTombstones), so

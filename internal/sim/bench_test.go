@@ -57,26 +57,17 @@ func BenchmarkTokenizers(b *testing.B) {
 	}
 }
 
-// benchDict builds a sealed dictionary over the benchmark inputs.
-func benchDict(f DictProfiler) *Dict {
-	db := NewDictBuilder()
-	for _, in := range benchInputs {
-		db.Add(f.DictTokens(in.a))
-		db.Add(f.DictTokens(in.b))
-	}
-	return db.Build()
-}
-
-// BenchmarkKernelsProfiles compares the map-profile kernels against
-// their dictionary-encoded counterparts on prebuilt profiles — the hot
-// loop of a profiled matching run. One -bench=Kernels regexp catches
-// the whole kernel family (CI runs it with -benchtime=1x as a smoke
-// test).
+// BenchmarkKernelsProfiles compares each dictionary-encoded kernel on
+// prebuilt profiles — the hot loop of a profiled matching run — with
+// its raw Sim on the same values. One -bench=Kernels regexp catches the
+// whole kernel family (CI runs it with -benchtime=1x as a smoke test).
 func BenchmarkKernelsProfiles(b *testing.B) {
 	corpus := NewCorpus(nil)
+	var vals []string
 	for _, in := range benchInputs {
 		corpus.Add(in.a)
 		corpus.Add(in.b)
+		vals = append(vals, in.a, in.b)
 	}
 	funcs := []DictProfiler{
 		Jaccard{Label: "jaccard"}, Dice{Label: "dice"}, Overlap{Label: "overlap"},
@@ -84,22 +75,17 @@ func BenchmarkKernelsProfiles(b *testing.B) {
 		TFIDF{Corpus: corpus}, SoftTFIDF{Corpus: corpus},
 	}
 	for _, f := range funcs {
-		d := benchDict(f)
-		var mapA, mapB, encA, encB []any
-		for _, in := range benchInputs {
-			mapA = append(mapA, f.Profile(in.a))
-			mapB = append(mapB, f.Profile(in.b))
-			encA = append(encA, f.ProfileDict(in.a, d))
-			encB = append(encB, f.ProfileDict(in.b, d))
-		}
-		b.Run(f.Name()+"/map", func(b *testing.B) {
+		_, profs := encodeStream(b, f, vals...)
+		b.Run(f.Name()+"/raw", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f.SimProfiles(mapA[i%len(mapA)], mapB[i%len(mapB)])
+				k := 2 * (i % len(benchInputs))
+				f.Sim(vals[k], vals[k+1])
 			}
 		})
 		b.Run(f.Name()+"/encoded", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f.SimProfiles(encA[i%len(encA)], encB[i%len(encB)])
+				k := 2 * (i % len(benchInputs))
+				f.SimProfiles(profs[k], profs[k+1])
 			}
 		})
 	}

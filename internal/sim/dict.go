@@ -1,32 +1,29 @@
 package sim
 
-import (
-	"slices"
-	"sort"
-)
+import "sort"
 
 // Dictionary-encoded similarity profiles. A Dict interns the token
 // universe of one (tokenizer, column pair) to dense uint32 IDs whose
 // numeric order equals the lexicographic order of the tokens. Set and
 // vector profiles then become sorted []uint32 slices (with parallel
 // []float64 count/weight arrays), and profile comparison runs as a
-// branch-light sorted-merge intersection instead of hash-map probes.
+// branch-light sorted-merge intersection over integers.
 //
-// Exactness contract: every encoded kernel reproduces the map-based
-// SimProfiles (and hence Sim) bit for bit. Two properties make that
-// hold without further care:
+// Exactness contract: every encoded kernel reproduces Sim on the raw
+// strings bit for bit. Two properties make that hold without further
+// care:
 //
 //   - Set kernels (Jaccard, Dice, Overlap, Trigram, Soundex) and the
 //     Cosine dot product accumulate integers in float64, which is exact
 //     in any summation order.
 //   - Because IDs are assigned in lexicographic rank order, a merge
-//     intersection visits tokens in exactly the sorted-string order the
-//     map kernels iterate in, so weighted dot products (TF-IDF family)
-//     add the same float terms in the same order.
+//     intersection visits tokens in exactly the sorted-string order Sim
+//     iterates in, so weighted dot products (TF-IDF family) add the
+//     same float terms in the same order.
 
 // Dict is a sealed token dictionary: token -> dense uint32 ID, with
-// IDs assigned in lexicographic token order. Build one with
-// DictBuilder; a sealed Dict holds no mutable state, so it is safe for
+// IDs assigned in lexicographic token order. Build one with a
+// StreamBuilder; a sealed Dict holds no mutable state, so it is safe for
 // concurrent use and its footprint is fixed at Bytes.
 type Dict struct {
 	ids  map[string]uint32
@@ -71,10 +68,10 @@ func (d *Dict) Bytes() int {
 // DictBuilder accumulates the token universe before sealing it into a
 // Dict. Rank-ordered IDs require the full universe up front, which is
 // why dictionaries are built in one pass over a column pair rather than
-// interned on the fly. While building, the builder doubles as a
-// TokenSink handing out provisional insertion-order IDs, so an
-// ID-emitting tokenizer can intern and encode in the same scan;
-// BuildRemap then converts the provisional stream to rank IDs.
+// interned on the fly. The builder is the TokenSink of that pass,
+// handing out provisional insertion-order IDs, so an ID-emitting
+// tokenizer interns and encodes in the same scan; BuildRemap then
+// converts the provisional stream to rank IDs. StreamBuilder drives it.
 type DictBuilder struct {
 	ids  map[string]uint32 // token -> provisional (insertion-order) ID
 	toks []string          // provisional ID -> token
@@ -83,16 +80,6 @@ type DictBuilder struct {
 // NewDictBuilder returns an empty builder.
 func NewDictBuilder() *DictBuilder {
 	return &DictBuilder{ids: make(map[string]uint32)}
-}
-
-// Add interns each token of one value.
-func (b *DictBuilder) Add(tokens []string) {
-	for _, t := range tokens {
-		if _, ok := b.ids[t]; !ok {
-			b.ids[t] = uint32(len(b.toks))
-			b.toks = append(b.toks, t)
-		}
-	}
 }
 
 // TokenID implements TokenSink: tok is interned (the string copy is
@@ -109,15 +96,9 @@ func (b *DictBuilder) TokenID(tok []byte) (uint32, bool) {
 	return id, true
 }
 
-// Build seals the accumulated universe: tokens are sorted and assigned
-// IDs equal to their lexicographic rank.
-func (b *DictBuilder) Build() *Dict {
-	d, _ := b.BuildRemap()
-	return d
-}
-
-// BuildRemap seals the universe and additionally returns the mapping
-// from the builder's provisional IDs to the sealed rank IDs
+// BuildRemap seals the accumulated universe — tokens are sorted and
+// assigned IDs equal to their lexicographic rank — and returns the
+// mapping from the builder's provisional IDs to the sealed rank IDs
 // (remap[provisional] = rank), which a StreamBuilder applies to the
 // token stream it emitted during interning.
 func (b *DictBuilder) BuildRemap() (*Dict, []uint32) {
@@ -136,26 +117,54 @@ func (b *DictBuilder) BuildRemap() (*Dict, []uint32) {
 }
 
 // ProfileSpec identifies the universe of an encoded profile for
-// sharing. Kind keys whole profile sets (features with equal Kind over
-// the same columns share their encoded profiles outright); Space keys
-// dictionaries (features whose profiles draw tokens from the same
-// tokenizer share one Dict across kinds).
+// sharing, and how a record's token IDs encode to it. Kind keys whole
+// profile sets (features with equal Kind over the same columns share
+// their encoded profiles outright); Space keys dictionaries (features
+// whose profiles draw tokens from the same tokenizer share one Dict
+// across kinds).
 type ProfileSpec struct {
 	Kind  string
 	Space string
+	enc   encoding
+	// corpus supplies the IDF of the weight encoding.
+	corpus *Corpus
 }
 
-// DictProfiler is a Profiler whose profiles can be dictionary-encoded.
-// DictTokens returns the tokens of s that a dictionary must intern;
-// ProfileDict builds the encoded profile of s against a sealed Dict
-// covering every token DictTokens yields for the values being profiled.
-// SimProfiles accepts the encoded profiles ProfileDict returns as well
-// as the map profiles Profile returns, and scores them identically.
+// encoding names the profile type a DictProfiler's records encode to.
+type encoding uint8
+
+const (
+	setEncoding    encoding = iota // *setProfile
+	countEncoding                  // *countProfile
+	weightEncoding                 // *weightProfile
+)
+
+// setSpec is the spec of distinct-token sets over a token space.
+func setSpec(space string) ProfileSpec {
+	return ProfileSpec{Kind: "set|" + space, Space: space, enc: setEncoding}
+}
+
+// countSpec is the spec of token-count vectors over a token space.
+func countSpec(space string) ProfileSpec {
+	return ProfileSpec{Kind: "count|" + space, Space: space, enc: countEncoding}
+}
+
+// weightSpec is the spec of c's TF-IDF weight vectors. TF-IDF and Soft
+// TF-IDF share it: both compare the same L2-normalized weight vectors,
+// built from the same corpus when bound to the same columns.
+func weightSpec(c *Corpus) ProfileSpec {
+	space := c.Tokenizer().Name()
+	return ProfileSpec{Kind: "tfidf|" + space, Space: space, enc: weightEncoding, corpus: c}
+}
+
+// DictProfiler is a Profiler whose profiles are dictionary-encoded: a
+// StreamBuilder interns a column pair's tokens (its IDEmitter comes
+// from EmitterFor), and ProfilesFromStream or ProfileFromIDs encode
+// records into the kind ProfileSpec names. SimProfiles accepts exactly
+// those encoded profiles.
 type DictProfiler interface {
 	Profiler
 	ProfileSpec() ProfileSpec
-	DictTokens(s string) []string
-	ProfileDict(s string, d *Dict) any
 }
 
 // setProfile is the encoded form of a token (or phonetic-code) set:
@@ -181,64 +190,6 @@ type weightProfile struct {
 	d   *Dict
 	ids []uint32
 	w   []float64
-}
-
-// encodeTokenSet builds the sorted-ID set profile of a token multiset.
-// Every token must be present in d (the dictionary is built over the
-// same values being encoded).
-func encodeTokenSet(d *Dict, tokens []string) *setProfile {
-	ids := make([]uint32, 0, len(tokens))
-	for _, t := range tokens {
-		id, ok := d.ids[t]
-		if !ok {
-			panic("sim: token " + t + " missing from profile dictionary")
-		}
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	return &setProfile{d: d, ids: ids}
-}
-
-// encodeCounts builds the sorted-ID count profile of a token-count map.
-// The squared norm is a sum of integer squares, exact in any order.
-func encodeCounts(d *Dict, counts map[string]int) *countProfile {
-	p := &countProfile{d: d, ids: make([]uint32, 0, len(counts))}
-	for t := range counts {
-		id, ok := d.ids[t]
-		if !ok {
-			panic("sim: token " + t + " missing from profile dictionary")
-		}
-		p.ids = append(p.ids, id)
-	}
-	slices.Sort(p.ids)
-	p.counts = make([]float64, len(p.ids))
-	for i, id := range p.ids {
-		x := float64(counts[d.toks[id]])
-		p.counts[i] = x
-		p.norm += x * x
-	}
-	return p
-}
-
-// encodeWeights builds the sorted-ID weight profile of a TF-IDF weight
-// map. The weights are copied verbatim, so they carry exactly the bits
-// Corpus.weights produced.
-func encodeWeights(d *Dict, w map[string]float64) *weightProfile {
-	p := &weightProfile{d: d, ids: make([]uint32, 0, len(w))}
-	for t := range w {
-		id, ok := d.ids[t]
-		if !ok {
-			panic("sim: token " + t + " missing from profile dictionary")
-		}
-		p.ids = append(p.ids, id)
-	}
-	slices.Sort(p.ids)
-	p.w = make([]float64, len(p.ids))
-	for i, id := range p.ids {
-		p.w[i] = w[d.toks[id]]
-	}
-	return p
 }
 
 // gallopRatio is the size skew at which intersection switches from the
@@ -288,8 +239,8 @@ func intersectCount(a, b []uint32) int {
 
 // dotSorted returns Σ aw[i]·bw[j] over matching IDs of two sorted
 // profiles. Terms accumulate in ascending ID order — lexicographic
-// token order — matching the sorted-key iteration of the map kernels,
-// so float results are bit-identical to them.
+// token order — matching the sorted-key iteration of Sim, so float
+// results are bit-identical to it.
 func dotSorted(ai []uint32, aw []float64, bi []uint32, bw []float64) float64 {
 	if len(ai) > len(bi) {
 		ai, aw, bi, bw = bi, bw, ai, aw
@@ -352,46 +303,20 @@ func gallopSearch(s []uint32, start int, x uint32) int {
 	return lo
 }
 
-// ProfileBytes estimates the memory footprint of one cached profile of
-// any kind (encoded or map-based). Map profiles are charged the ~8
-// bytes/entry of Go map bucket overhead on top of key and value bytes.
+// ProfileBytes estimates the memory footprint of one cached profile:
+// its struct (sizes on 64-bit platforms) plus the arrays it reaches.
 func ProfileBytes(p any) int {
-	const strHeader = 16
-	const mapOverhead = 8
-	mapStrings := func(n int, keyBytes int) int {
-		return keyBytes + n*(strHeader+mapOverhead)
-	}
 	switch v := p.(type) {
-	case nil:
-		return 0
 	case *setProfile:
-		return 24 /* slice header */ + 4*len(v.ids)
+		return 32 + 4*len(v.ids)
 	case *countProfile:
-		return 2*24 + 12*len(v.ids) + 8
+		return 64 + 12*len(v.ids)
 	case *weightProfile:
-		return 2*24 + 12*len(v.ids)
-	case map[string]struct{}: // tokenSetProfile, soundexProfile
-		b := 0
-		for t := range v {
-			b += len(t)
-		}
-		return mapStrings(len(v), b)
-	case cosineProfile:
-		b := 0
-		for t := range v.counts {
-			b += len(t)
-		}
-		return mapStrings(len(v.counts), b) + 8*len(v.counts) + 8
-	case weightsProfile:
-		b := 0
-		for _, t := range v.sorted {
-			b += 2 * len(t) // once in the map key, once in the sorted slice
-		}
-		return mapStrings(len(v.w), b) + 8*len(v.w) + strHeader*len(v.sorted) + 24
+		return 56 + 12*len(v.ids)
 	case []string:
 		b := 24
 		for _, t := range v {
-			b += strHeader + len(t)
+			b += 16 /* string header */ + len(t)
 		}
 		return b
 	default:

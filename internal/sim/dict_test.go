@@ -2,27 +2,56 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
-// buildDict builds a sealed dictionary covering the DictTokens of every
-// given string.
-func buildDict(dp DictProfiler, vals ...string) *Dict {
-	b := NewDictBuilder()
-	for _, v := range vals {
-		b.Add(dp.DictTokens(v))
+// encodeStream encodes the profiles of vals, of dp's kind, the way the
+// profile cache builds a column pair's: one StreamBuilder pass, one
+// seal, one slab encode. The sealed stream comes back too, so callers
+// can encode more values against its dictionary.
+func encodeStream(t testing.TB, dp DictProfiler, vals ...string) (*TokenStream, []any) {
+	t.Helper()
+	em, ok := EmitterFor(dp)
+	if !ok {
+		t.Fatalf("%s has no ID emitter", dp.Name())
 	}
-	return b.Build()
+	sb := NewStreamBuilder(em)
+	for _, v := range vals {
+		sb.AddValue(v)
+	}
+	ts := sb.Seal()
+	return ts, ProfilesFromStream(dp, ts)
 }
 
+// encodeAlone encodes v's profile of dp's kind on its own, the way the
+// profile cache encodes an appended record: emit against the sealed d,
+// then ProfileFromIDs.
+func encodeAlone(t testing.TB, dp DictProfiler, d *Dict, v string) any {
+	t.Helper()
+	em, _ := EmitterFor(dp)
+	var sc TokScratch
+	ids, ok := em.AppendTokenIDs(nil, v, d, &sc)
+	if !ok {
+		t.Fatalf("%s: dictionary does not cover %q", dp.Name(), v)
+	}
+	return ProfileFromIDs(dp, d, ids)
+}
+
+// sameBits reports whether two scores are bit-identical.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 func TestDictRankOrder(t *testing.T) {
-	b := NewDictBuilder()
-	b.Add([]string{"pear", "apple", "fig", "apple"})
-	b.Add([]string{"banana", "fig"})
-	d := b.Build()
+	em, _ := EmitterFor(Jaccard{})
+	sb := NewStreamBuilder(em)
+	sb.AddValue("pear apple fig apple")
+	sb.AddValue("banana fig")
+	ts := sb.Seal()
+	d := ts.Dict
 	if d.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", d.Len())
 	}
@@ -41,6 +70,10 @@ func TestDictRankOrder(t *testing.T) {
 	}
 	if d.Bytes() <= 0 {
 		t.Error("Bytes() not positive")
+	}
+	// Sealing remaps the stream's provisional IDs to the ranks.
+	if got := fmt.Sprint(ts.Record(0), ts.Record(1)); got != "[3 0 2 0] [1 2]" {
+		t.Errorf("sealed stream = %s, want [3 0 2 0] [1 2]", got)
 	}
 }
 
@@ -68,11 +101,13 @@ func randomCorpusStrings(rng *rand.Rand, n int) []string {
 }
 
 // TestProfilerEquivalenceAllRegistered is the single table-driven
-// property test over every registered similarity: for each function in
-// the standard library that implements Profiler,
-// SimProfiles(Profile(a), Profile(b)) == Sim(a, b) bit for bit — and
-// for DictProfilers the dictionary-encoded profiles must score
-// identically too — over random unicode and ASCII corpora.
+// property test over every registered similarity that implements
+// Profiler: over all cross pairs of a random unicode and ASCII corpus,
+// its cached profiles must score bit for bit like Sim on the raw
+// strings. A DictProfiler's profiles are checked twice, as the stream
+// builds them (one slab encode over the corpus) and as an append
+// encodes them (ProfileFromIDs, one value at a time), alone and mixed
+// with slab profiles; Monge-Elkan's come from Profile.
 func TestProfilerEquivalenceAllRegistered(t *testing.T) {
 	lib := Standard()
 	rng := rand.New(rand.NewSource(7))
@@ -98,26 +133,33 @@ func TestProfilerEquivalenceAllRegistered(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			dp, hasDict := fn.(DictProfiler)
-			var d *Dict
-			if hasDict {
-				b := NewDictBuilder()
+			var profs, alone []any
+			switch pr := pr.(type) {
+			case DictProfiler:
+				var ts *TokenStream
+				ts, profs = encodeStream(t, pr, vals...)
 				for _, v := range vals {
-					b.Add(dp.DictTokens(v))
+					alone = append(alone, encodeAlone(t, pr, ts.Dict, v))
 				}
-				d = b.Build()
+			case ValueProfiler:
+				for _, v := range vals {
+					profs = append(profs, pr.Profile(v))
+				}
+				alone = profs
+			default:
+				t.Fatalf("%s profiles neither through a dictionary nor per value", name)
 			}
-			for trial := 0; trial < 400; trial++ {
-				a := vals[rng.Intn(len(vals))]
-				bs := vals[rng.Intn(len(vals))]
-				want := pr.Sim(a, bs)
-				if got := pr.SimProfiles(pr.Profile(a), pr.Profile(bs)); got != want {
-					t.Fatalf("%s(%q,%q): map profile %v, direct %v", name, a, bs, got, want)
-				}
-				if hasDict {
-					got := dp.SimProfiles(dp.ProfileDict(a, d), dp.ProfileDict(bs, d))
-					if got != want {
-						t.Fatalf("%s(%q,%q): encoded profile %v, direct %v", name, a, bs, got, want)
+			for i, a := range vals {
+				for j, b := range vals {
+					want := pr.Sim(a, b)
+					for _, got := range []float64{
+						pr.SimProfiles(profs[i], profs[j]),
+						pr.SimProfiles(alone[i], alone[j]),
+						pr.SimProfiles(alone[i], profs[j]),
+					} {
+						if !sameBits(got, want) {
+							t.Fatalf("%s(%q,%q): profiles score %v, Sim %v", name, a, b, got, want)
+						}
 					}
 				}
 			}
@@ -126,9 +168,11 @@ func TestProfilerEquivalenceAllRegistered(t *testing.T) {
 }
 
 // TestQuickEncodedProfileEquivalence hammers the encoded kernels with
-// arbitrary unicode strings from testing/quick: encoded scores must
-// equal the direct string path bit for bit, including the empty and
-// all-identical corners quick likes to generate.
+// arbitrary unicode strings from testing/quick: over a dictionary built
+// from a and b, the slab-encoded and the ProfileFromIDs-encoded
+// profiles must both score like the direct string path bit for bit,
+// including the empty and all-identical corners quick likes to
+// generate.
 func TestQuickEncodedProfileEquivalence(t *testing.T) {
 	corpus := buildCorpus("sony vaio laptop", "dell inspiron laptop", "the quick brown fox", "a b c d")
 	funcs := []DictProfiler{
@@ -145,11 +189,13 @@ func TestQuickEncodedProfileEquivalence(t *testing.T) {
 	prop := func(a, b string) bool {
 		for _, f := range funcs {
 			want := f.Sim(a, b)
-			d := buildDict(f, a, b)
-			got := f.SimProfiles(f.ProfileDict(a, d), f.ProfileDict(b, d))
-			if got != want {
-				t.Logf("%s(%q,%q): encoded %v, direct %v", f.Name(), a, b, got, want)
-				return false
+			ts, profs := encodeStream(t, f, a, b)
+			pa, pb := encodeAlone(t, f, ts.Dict, a), encodeAlone(t, f, ts.Dict, b)
+			for _, got := range []float64{f.SimProfiles(profs[0], profs[1]), f.SimProfiles(pa, pb)} {
+				if !sameBits(got, want) {
+					t.Logf("%s(%q,%q): encoded %v, direct %v", f.Name(), a, b, got, want)
+					return false
+				}
 			}
 		}
 		return true
@@ -234,29 +280,45 @@ func TestGallopSearch(t *testing.T) {
 	}
 }
 
+// TestProfileBytesMeasurable pins ProfileBytes to the real footprint of
+// one profile of each kind: its struct, as unsafe.Sizeof measures it,
+// plus 4 bytes per ID and 8 per count or weight. Slab-encoded and
+// appended profiles are charged alike.
 func TestProfileBytesMeasurable(t *testing.T) {
 	corpus := buildCorpus("sony vaio laptop", "dell laptop")
-	val := "sony vaio laptop"
-	for _, f := range []DictProfiler{
-		Jaccard{Label: "jaccard"}, Cosine{Label: "cosine"}, TFIDF{Corpus: corpus}, Soundex{},
+	val := "sony vaio laptop sony" // three distinct tokens
+	for _, tc := range []struct {
+		f    DictProfiler
+		want int
+	}{
+		{Jaccard{Label: "jaccard"}, int(unsafe.Sizeof(setProfile{})) + 3*4},
+		{Soundex{}, int(unsafe.Sizeof(setProfile{})) + 3*4},
+		{Cosine{Label: "cosine"}, int(unsafe.Sizeof(countProfile{})) + 3*(4+8)},
+		{TFIDF{Corpus: corpus}, int(unsafe.Sizeof(weightProfile{})) + 3*(4+8)},
 	} {
-		d := buildDict(f, val)
-		if got := ProfileBytes(f.ProfileDict(val, d)); got <= 0 {
-			t.Errorf("%s: encoded ProfileBytes = %d, want > 0", f.Name(), got)
+		ts, profs := encodeStream(t, tc.f, val)
+		if got := ProfileBytes(profs[0]); got != tc.want {
+			t.Errorf("%s: slab ProfileBytes = %d, want %d", tc.f.Name(), got, tc.want)
 		}
-		if got := ProfileBytes(f.Profile(val)); got <= 0 {
-			t.Errorf("%s: map ProfileBytes = %d, want > 0", f.Name(), got)
+		if got := ProfileBytes(encodeAlone(t, tc.f, ts.Dict, val)); got != tc.want {
+			t.Errorf("%s: appended ProfileBytes = %d, want %d", tc.f.Name(), got, tc.want)
 		}
 	}
 	if ProfileBytes(nil) != 0 {
 		t.Error("ProfileBytes(nil) != 0")
 	}
-	if ProfileBytes(MongeElkan{}.Profile("a b")) <= 0 {
-		t.Error("ProfileBytes([]string) not positive")
+	// A []string: its boxed slice header, then a header and the bytes
+	// of each string.
+	if got, want := ProfileBytes(MongeElkan{}.Profile("a bc")), 24+(16+1)+(16+2); got != want {
+		t.Errorf("ProfileBytes([]string) = %d, want %d", got, want)
 	}
 }
 
-// Encoded profiles must be reusable and safe to compare repeatedly.
+// TestEncodedProfilesAreReusable: comparing a profile against many
+// counterparts must not mutate it, and a stream encoded once must
+// encode to the same profiles again — kinds only consume each record's
+// token multiset, so the in-place sort of the first encode changes
+// nothing for the next kind over a shared stream.
 func TestEncodedProfilesAreReusable(t *testing.T) {
 	corpus := buildCorpus("sony vaio laptop", "dell inspiron laptop")
 	funcs := []DictProfiler{
@@ -264,26 +326,38 @@ func TestEncodedProfilesAreReusable(t *testing.T) {
 		Cosine{Label: "cosine"}, Trigram{}, Soundex{},
 		TFIDF{Corpus: corpus}, SoftTFIDF{Corpus: corpus},
 	}
-	vals := []string{"sony vaio laptop", "sony laptop", "dell inspiron", "", "laptop"}
+	vals := []string{"sony vaio laptop", "sony laptop", "dell inspiron", "", "laptop laptop sony"}
 	for _, f := range funcs {
-		d := buildDict(f, vals...)
-		pa := f.ProfileDict(vals[0], d)
-		first := f.SimProfiles(pa, f.ProfileDict(vals[1], d))
-		for _, other := range vals {
-			f.SimProfiles(pa, f.ProfileDict(other, d))
+		ts, profs := encodeStream(t, f, vals...)
+		pa := profs[0]
+		first := f.SimProfiles(pa, profs[1])
+		for _, other := range profs {
+			f.SimProfiles(pa, other)
+			f.SimProfiles(other, pa)
 		}
-		if again := f.SimProfiles(pa, f.ProfileDict(vals[1], d)); again != first {
+		if again := f.SimProfiles(pa, profs[1]); !sameBits(again, first) {
 			t.Errorf("%s: encoded profile mutated by reuse (%v vs %v)", f.Name(), first, again)
+		}
+		// The first encode sorted the stream's records in place; encoding
+		// them again reproduces every profile.
+		for i, p := range ProfilesFromStream(f, ts) {
+			if !profileEqual(p, profs[i]) {
+				t.Errorf("%s: re-encoding the shared stream changed profile %d (%q)", f.Name(), i, vals[i])
+			}
 		}
 	}
 }
 
+// ExampleDictBuilder shows the sealing step of a stream: tokens take
+// provisional IDs in order of first sight, and BuildRemap assigns each
+// its lexicographic rank.
 func ExampleDictBuilder() {
 	b := NewDictBuilder()
-	b.Add([]string{"sony", "vaio", "laptop"})
-	b.Add([]string{"dell", "laptop"})
-	d := b.Build()
+	for _, tok := range []string{"sony", "vaio", "laptop", "dell", "laptop"} {
+		b.TokenID([]byte(tok))
+	}
+	d, remap := b.BuildRemap()
 	id, _ := d.ID("laptop")
-	fmt.Println(d.Len(), id, d.Token(id))
-	// Output: 4 1 laptop
+	fmt.Println(d.Len(), id, d.Token(id), remap)
+	// Output: 4 1 laptop [2 3 1 0]
 }

@@ -83,7 +83,7 @@ func TestJaroMaskEqualsRunes(t *testing.T) {
 // TestKernelsAllocateNothing is the allocation gate of the Jaro family
 // and the kernels built on it: on input of at most 64 runes, ASCII or
 // not, scoring allocates nothing — not Jaro, not Jaro-Winkler, not
-// Monge-Elkan over token profiles, not Soft TF-IDF over map or encoded
+// Monge-Elkan over token profiles, not Soft TF-IDF over encoded
 // profiles. Edit distance over rune slices allocates nothing either,
 // from the DP's stack row up to 256-rune ASCII patterns in the blocked
 // Myers kernel.
@@ -101,7 +101,7 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	}
 	vals = append(vals, long64, long64[1:]+"x", wide64, "日本誤"+wide64[9:], "café crème brûlée", "cafe creme brulee")
 	soft := SoftTFIDF{Corpus: buildCorpus(vals...)}
-	d := buildDict(soft, vals...)
+	_, encoded := encodeStream(t, soft, vals...)
 	gate := func(name string, fn func()) {
 		t.Helper()
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
@@ -118,10 +118,8 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		ma, mb := me.Profile(a), me.Profile(b)
 		gate("MongeElkan.SimProfiles", func() { me.SimProfiles(ma, mb) })
 
-		wa, wb := soft.Profile(a), soft.Profile(b)
-		gate("SoftTFIDF.SimProfiles(map)", func() { soft.SimProfiles(wa, wb) })
-		ea, eb := soft.ProfileDict(a, d), soft.ProfileDict(b, d)
-		gate("SoftTFIDF.SimProfiles(encoded)", func() { soft.SimProfiles(ea, eb) })
+		ea, eb := encoded[k], encoded[k+1]
+		gate("SoftTFIDF.SimProfiles", func() { soft.SimProfiles(ea, eb) })
 	}
 	for _, n := range []int{3, 65, 128, 256} {
 		a, b := []rune(strings.Repeat("abcdefgh", 32)[:n]), []rune(strings.Repeat("abdcefhg", 32)[:n])
@@ -140,13 +138,8 @@ func TestSoftTFIDFConcurrentSharedProfiles(t *testing.T) {
 		vals = append(vals, in.a, in.b)
 	}
 	vals = append(vals, "robert smith madison", "rupert smyth madson", "", "日本語 テキスト")
-	corpus := buildCorpus(vals...)
-	soft := SoftTFIDF{Corpus: corpus}
-	d := buildDict(soft, vals...)
-	profs := make([]any, len(vals))
-	for i, v := range vals {
-		profs[i] = soft.ProfileDict(v, d)
-	}
+	soft := SoftTFIDF{Corpus: buildCorpus(vals...)}
+	_, profs := encodeStream(t, soft, vals...)
 	serial := make([]float64, len(vals)*len(vals))
 	for i := range profs {
 		for j := range profs {

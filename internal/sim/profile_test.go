@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -34,14 +33,35 @@ func profiledFuncs(t *testing.T) []Profiler {
 	return out
 }
 
-// Property: SimProfiles(Profile(a), Profile(b)) == Sim(a, b), exactly.
+// cachedProfiles profiles vals the way the profile cache profiles one
+// column pair: a DictProfiler through one token stream over all of
+// them, a ValueProfiler one value at a time.
+func cachedProfiles(t *testing.T, f Profiler, vals ...string) []any {
+	t.Helper()
+	switch f := f.(type) {
+	case DictProfiler:
+		_, profs := encodeStream(t, f, vals...)
+		return profs
+	case ValueProfiler:
+		profs := make([]any, len(vals))
+		for i, v := range vals {
+			profs[i] = f.Profile(v)
+		}
+		return profs
+	}
+	t.Fatalf("%s profiles neither through a dictionary nor per value", f.Name())
+	return nil
+}
+
+// Property: SimProfiles over the cached profiles of a and b ==
+// Sim(a, b), exactly, for every profiled similarity.
 func TestQuickProfileEquivalence(t *testing.T) {
 	funcs := profiledFuncs(t)
 	prop := func(a, b string) bool {
 		for _, f := range funcs {
 			want := f.Sim(a, b)
-			got := f.SimProfiles(f.Profile(a), f.Profile(b))
-			if math.IsNaN(got) || got != want {
+			profs := cachedProfiles(t, f, a, b)
+			if got := f.SimProfiles(profs[0], profs[1]); !sameBits(got, want) {
 				t.Logf("%s(%q,%q): profile %v, direct %v", f.Name(), a, b, got, want)
 				return false
 			}
@@ -67,8 +87,8 @@ func TestProfileEquivalenceOnRealisticInputs(t *testing.T) {
 	for _, f := range funcs {
 		for _, in := range inputs {
 			want := f.Sim(in.a, in.b)
-			got := f.SimProfiles(f.Profile(in.a), f.Profile(in.b))
-			if got != want {
+			profs := cachedProfiles(t, f, in.a, in.b)
+			if got := f.SimProfiles(profs[0], profs[1]); !sameBits(got, want) {
 				t.Errorf("%s(%q,%q): profile %v, direct %v", f.Name(), in.a, in.b, got, want)
 			}
 		}
@@ -78,14 +98,15 @@ func TestProfileEquivalenceOnRealisticInputs(t *testing.T) {
 // Profiles are reusable: comparing the same profile against many
 // counterparts must not mutate it.
 func TestProfilesAreReusable(t *testing.T) {
+	vals := []string{"sony vaio laptop", "sony laptop", "dell inspiron", "", "sony vaio laptop"}
 	for _, f := range profiledFuncs(t) {
-		pa := f.Profile("sony vaio laptop")
-		first := f.SimProfiles(pa, f.Profile("sony laptop"))
-		for _, other := range []string{"dell inspiron", "", "sony vaio laptop"} {
-			f.SimProfiles(pa, f.Profile(other))
+		profs := cachedProfiles(t, f, vals...)
+		pa := profs[0]
+		first := f.SimProfiles(pa, profs[1])
+		for _, other := range profs[2:] {
+			f.SimProfiles(pa, other)
 		}
-		again := f.SimProfiles(pa, f.Profile("sony laptop"))
-		if first != again {
+		if again := f.SimProfiles(pa, profs[1]); !sameBits(again, first) {
 			t.Errorf("%s: profile mutated by reuse (%v vs %v)", f.Name(), first, again)
 		}
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"slices"
-	"strings"
 )
 
 // Token streams: the single-pass, arena-backed profile build. A
@@ -12,8 +11,8 @@ import (
 // provisional IDs to rank IDs in place. ProfilesFromStream then encodes
 // every record's profile out of shared slab arrays — one []uint32, one
 // []float64 and one struct slab per profile set instead of three small
-// allocations per record — producing values bit-identical to
-// ProfileDict (same IDs, same float operations in the same order).
+// allocations per record. ProfileFromIDs encodes one record alone,
+// through the same encoder, into arrays of its own.
 
 // TokenStream is the dictionary-ID form of every value of a column
 // pair: record r's token IDs, in token order with duplicates, are
@@ -73,216 +72,127 @@ func (sb *StreamBuilder) Seal() *TokenStream {
 }
 
 // ProfilesFromStream encodes every record's profile of dp's kind from a
-// sealed stream. ok=false when the kind has no stream encoding (caller
-// falls back to ProfileDict per record). Each record's stream subslice
-// is sorted in place; kinds only consume the token multiset, so a
-// shared stream may be encoded by several kinds in any order.
-func ProfilesFromStream(dp DictProfiler, ts *TokenStream) ([]any, bool) {
-	switch kindPrefix(dp) {
-	case "set":
-		return setProfilesFromStream(ts), true
-	case "count":
-		return countProfilesFromStream(ts), true
-	case "tfidf":
-		c := corpusOf(dp)
-		if c == nil {
-			return nil, false
+// sealed stream. Each record's stream subslice is sorted in place;
+// kinds only consume the token multiset, so a shared stream may be
+// encoded by several kinds in any order.
+func ProfilesFromStream(dp DictProfiler, ts *TokenStream) []any {
+	spec := dp.ProfileSpec()
+	e := newEncoder(spec, ts.Dict, ts.NumRecords(), len(ts.IDs))
+	if spec.enc == weightEncoding {
+		// IDF per dictionary token, computed once, so the encode loop
+		// does no per-token corpus lookup.
+		e.idf = make([]float64, ts.Dict.Len())
+		for id := range e.idf {
+			e.idf[id] = spec.corpus.IDF(ts.Dict.Token(uint32(id)))
 		}
-		return weightProfilesFromStream(ts, c), true
 	}
-	return nil, false
+	out := make([]any, ts.NumRecords())
+	for r := range out {
+		out[r] = e.encode(ts.Record(r))
+	}
+	return out
 }
 
 // ProfileFromIDs encodes one record's profile of dp's kind from its
 // (unsorted, duplicate-preserving) token IDs against the sealed dict d.
-// ids is sorted in place. ok=false when the kind has no ID encoding.
-// Streaming appends use this after emitting a new record against a
-// covering dictionary.
-func ProfileFromIDs(dp DictProfiler, d *Dict, ids []uint32) (any, bool) {
-	slices.Sort(ids)
-	switch kindPrefix(dp) {
-	case "set":
-		set := slices.Compact(slices.Clone(ids))
-		return &setProfile{d: d, ids: set}, true
-	case "count":
-		p := &countProfile{d: d}
-		for k := 0; k < len(ids); {
-			id := ids[k]
-			j := k + 1
-			for j < len(ids) && ids[j] == id {
-				j++
+// ids is sorted in place. The profile gets arrays of its own, so
+// dropping it frees them whatever becomes of other records. Streaming
+// appends use this after emitting a new record against a covering
+// dictionary.
+func ProfileFromIDs(dp DictProfiler, d *Dict, ids []uint32) any {
+	e := newEncoder(dp.ProfileSpec(), d, 1, len(ids))
+	return e.encode(ids)
+}
+
+// encoder encodes records' sorted token IDs into profiles of one kind.
+// It carves every profile out of slabs sized up front for all the
+// records it will encode — the struct slab of its kind, the ID slab and
+// (counts and weights) the value slab — so no slab reallocates and each
+// profile's slices are full-capacity subslices: appending to one can
+// never clobber its neighbour.
+type encoder struct {
+	spec    ProfileSpec
+	d       *Dict
+	idf     []float64 // IDF by token ID; nil asks the corpus per token
+	ids     []uint32
+	vals    []float64
+	sets    []setProfile
+	counts  []countProfile
+	weights []weightProfile
+}
+
+// newEncoder returns an encoder with room for n records of at most
+// tokens token IDs in total.
+func newEncoder(spec ProfileSpec, d *Dict, n, tokens int) encoder {
+	e := encoder{spec: spec, d: d, ids: make([]uint32, 0, tokens)}
+	switch spec.enc {
+	case setEncoding:
+		e.sets = make([]setProfile, 0, n)
+	case countEncoding:
+		e.counts = make([]countProfile, 0, n)
+		e.vals = make([]float64, 0, tokens)
+	case weightEncoding:
+		e.weights = make([]weightProfile, 0, n)
+		e.vals = make([]float64, 0, tokens)
+	}
+	return e
+}
+
+// encode sorts rec in place and returns its profile. One run-length
+// loop serves every kind: each distinct ID is kept once, with its
+// multiplicity as the count, or with its TF-IDF weight (1 + ln tf)·idf.
+// IDs ascend in token rank, so weights and norms accumulate in exactly
+// the sorted token order Corpus.weights uses: bit-identical floats.
+func (e *encoder) encode(rec []uint32) any {
+	slices.Sort(rec)
+	start := len(e.ids)
+	var norm float64
+	for k := 0; k < len(rec); {
+		id := rec[k]
+		j := k + 1
+		for j < len(rec) && rec[j] == id {
+			j++
+		}
+		e.ids = append(e.ids, id)
+		if e.spec.enc != setEncoding {
+			v := float64(j - k)
+			if e.spec.enc == weightEncoding {
+				v = (1 + math.Log(v)) * e.idfOf(id)
 			}
-			x := float64(j - k)
-			p.ids = append(p.ids, id)
-			p.counts = append(p.counts, x)
-			p.norm += x * x
-			k = j
-		}
-		if p.ids == nil {
-			p.ids = []uint32{}
-			p.counts = []float64{}
-		}
-		return p, true
-	case "tfidf":
-		c := corpusOf(dp)
-		if c == nil {
-			return nil, false
-		}
-		p := &weightProfile{d: d}
-		var norm float64
-		for k := 0; k < len(ids); {
-			id := ids[k]
-			j := k + 1
-			for j < len(ids) && ids[j] == id {
-				j++
-			}
-			v := (1 + math.Log(float64(j-k))) * c.IDF(d.Token(id))
-			p.ids = append(p.ids, id)
-			p.w = append(p.w, v)
+			e.vals = append(e.vals, v)
 			norm += v * v
-			k = j
 		}
-		if norm == 0 {
-			return &weightProfile{d: d, ids: []uint32{}, w: []float64{}}, true
-		}
+		k = j
+	}
+	ids := e.ids[start:len(e.ids):len(e.ids)]
+	switch e.spec.enc {
+	case setEncoding:
+		e.sets = append(e.sets, setProfile{d: e.d, ids: ids})
+		return &e.sets[len(e.sets)-1]
+	case countEncoding:
+		e.counts = append(e.counts, countProfile{d: e.d, ids: ids, counts: e.vals[start:len(e.vals):len(e.vals)], norm: norm})
+		return &e.counts[len(e.counts)-1]
+	}
+	w := e.vals[start:len(e.vals):len(e.vals)]
+	if norm == 0 {
+		// Corpus.weights returns nil here: an empty profile. Drop the
+		// zero-weight entries appended above.
+		e.ids, e.vals = e.ids[:start], e.vals[:start]
+		ids, w = ids[:0:0], w[:0:0]
+	} else {
 		norm = math.Sqrt(norm)
-		for i := range p.w {
-			p.w[i] /= norm
+		for i := range w {
+			w[i] /= norm
 		}
-		return p, true
 	}
-	return nil, false
+	e.weights = append(e.weights, weightProfile{d: e.d, ids: ids, w: w})
+	return &e.weights[len(e.weights)-1]
 }
 
-// kindPrefix returns the profile-kind family of dp ("set", "count",
-// "tfidf").
-func kindPrefix(dp DictProfiler) string {
-	kind := dp.ProfileSpec().Kind
-	if i := strings.IndexByte(kind, '|'); i >= 0 {
-		return kind[:i]
+// idfOf returns the IDF of token id.
+func (e *encoder) idfOf(id uint32) float64 {
+	if e.idf != nil {
+		return e.idf[id]
 	}
-	return kind
-}
-
-// corpusOf returns the corpus behind a TF-IDF family profiler.
-func corpusOf(dp DictProfiler) *Corpus {
-	switch v := dp.(type) {
-	case TFIDF:
-		return v.Corpus
-	case SoftTFIDF:
-		return v.Corpus
-	}
-	return nil
-}
-
-func setProfilesFromStream(ts *TokenStream) []any {
-	n := ts.NumRecords()
-	out := make([]any, n)
-	slab := make([]setProfile, n)
-	// The deduped IDs of all records fit in len(IDs), so the slab never
-	// reallocates and earlier subslices stay valid.
-	idSlab := make([]uint32, 0, len(ts.IDs))
-	for r := 0; r < n; r++ {
-		rec := ts.Record(r)
-		slices.Sort(rec)
-		start := len(idSlab)
-		var prev uint32
-		for k, id := range rec {
-			if k == 0 || id != prev {
-				idSlab = append(idSlab, id)
-				prev = id
-			}
-		}
-		// Full-capacity subslices: appending to a profile can never
-		// clobber its neighbor in the shared slab.
-		slab[r] = setProfile{d: ts.Dict, ids: idSlab[start:len(idSlab):len(idSlab)]}
-		out[r] = &slab[r]
-	}
-	return out
-}
-
-func countProfilesFromStream(ts *TokenStream) []any {
-	n := ts.NumRecords()
-	out := make([]any, n)
-	slab := make([]countProfile, n)
-	idSlab := make([]uint32, 0, len(ts.IDs))
-	cntSlab := make([]float64, 0, len(ts.IDs))
-	for r := 0; r < n; r++ {
-		rec := ts.Record(r)
-		slices.Sort(rec)
-		start := len(idSlab)
-		var norm float64
-		for k := 0; k < len(rec); {
-			id := rec[k]
-			j := k + 1
-			for j < len(rec) && rec[j] == id {
-				j++
-			}
-			x := float64(j - k)
-			idSlab = append(idSlab, id)
-			cntSlab = append(cntSlab, x)
-			norm += x * x
-			k = j
-		}
-		slab[r] = countProfile{
-			d:      ts.Dict,
-			ids:    idSlab[start:len(idSlab):len(idSlab)],
-			counts: cntSlab[start:len(cntSlab):len(cntSlab)],
-			norm:   norm,
-		}
-		out[r] = &slab[r]
-	}
-	return out
-}
-
-func weightProfilesFromStream(ts *TokenStream, c *Corpus) []any {
-	// IDF per dictionary token, computed once: IDs ascend in token rank,
-	// so per-record weights below accumulate terms in exactly the sorted
-	// token order Corpus.weights uses — bit-identical floats.
-	idf := make([]float64, ts.Dict.Len())
-	for id := range idf {
-		idf[id] = c.IDF(ts.Dict.Token(uint32(id)))
-	}
-	n := ts.NumRecords()
-	out := make([]any, n)
-	slab := make([]weightProfile, n)
-	idSlab := make([]uint32, 0, len(ts.IDs))
-	wSlab := make([]float64, 0, len(ts.IDs))
-	for r := 0; r < n; r++ {
-		rec := ts.Record(r)
-		slices.Sort(rec)
-		start := len(idSlab)
-		var norm float64
-		for k := 0; k < len(rec); {
-			id := rec[k]
-			j := k + 1
-			for j < len(rec) && rec[j] == id {
-				j++
-			}
-			v := (1 + math.Log(float64(j-k))) * idf[id]
-			idSlab = append(idSlab, id)
-			wSlab = append(wSlab, v)
-			norm += v * v
-			k = j
-		}
-		if norm == 0 {
-			// Matches weights() returning nil: an empty profile. Drop
-			// any zero-weight entries appended above.
-			idSlab = idSlab[:start]
-			wSlab = wSlab[:start]
-			slab[r] = weightProfile{d: ts.Dict, ids: idSlab[start:start:start], w: wSlab[start:start:start]}
-		} else {
-			norm = math.Sqrt(norm)
-			for i := start; i < len(wSlab); i++ {
-				wSlab[i] /= norm
-			}
-			slab[r] = weightProfile{
-				d:   ts.Dict,
-				ids: idSlab[start:len(idSlab):len(idSlab)],
-				w:   wSlab[start:len(wSlab):len(wSlab)],
-			}
-		}
-		out[r] = &slab[r]
-	}
-	return out
+	return e.spec.corpus.IDF(e.d.Token(id))
 }

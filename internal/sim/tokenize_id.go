@@ -14,10 +14,10 @@ import (
 // a byte slice — the sink interns it (DictBuilder) or looks it up
 // (sealed Dict), and only the first sighting of a token ever allocates.
 //
-// Equivalence contract: for every value s, the ID sequence an emitter
-// produces through a DictBuilder sink equals, token for token, the
-// sequence obtained by interning Tokens(s) (or DictTokens(s)) through
-// the same builder. TestEmitterParity and FuzzEmitterParity pin this.
+// Equivalence contract: for every value s, the token sequence an
+// emitter produces equals, token for token, its string tokenizer's
+// Tokens(s) (for Soundex: the code of each whitespace token).
+// TestEmitterParity and FuzzEmitterParity pin this.
 
 // TokenSink consumes tokens as byte slices and resolves them to IDs.
 // Implemented by DictBuilder (interning, never fails) and by the sealed
@@ -44,9 +44,10 @@ type IDEmitter interface {
 	AppendTokenIDs(dst []uint32, s string, sink TokenSink, sc *TokScratch) ([]uint32, bool)
 }
 
-// EmitterFor returns the IDEmitter that reproduces dp.DictTokens, or
-// ok=false when dp has no byte-scan path (in which case callers fall
-// back to the string tokenizer).
+// EmitterFor returns the IDEmitter that tokenizes values into dp's
+// token space, or ok=false when dp's tokenizer has no byte-scan path
+// (then dp's profiles cannot be encoded, and callers score raw
+// strings).
 func EmitterFor(dp DictProfiler) (IDEmitter, bool) {
 	switch v := dp.(type) {
 	case Jaccard:

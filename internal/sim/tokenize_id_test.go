@@ -95,14 +95,13 @@ func TestEmitterParity(t *testing.T) {
 			assertTokensEqual(t, tok.Name()+" "+s, emitTokens(t, em, s), tok.Tokens(s))
 		}
 	}
-	// Soundex emits phonetic codes; DictTokens is the string reference.
-	var sdx Soundex
-	em, ok := EmitterFor(sdx)
+	// Soundex emits phonetic codes; soundexCodes is the string reference.
+	em, ok := EmitterFor(Soundex{})
 	if !ok {
 		t.Fatal("no emitter for Soundex")
 	}
 	for _, s := range tokenCorpus {
-		assertTokensEqual(t, "soundex "+s, emitTokens(t, em, s), sdx.DictTokens(s))
+		assertTokensEqual(t, "soundex "+s, emitTokens(t, em, s), soundexCodes(s))
 	}
 }
 
@@ -190,10 +189,12 @@ func profileEqual(a, b any) bool {
 	return false
 }
 
-// TestProfilesFromStreamParity proves the arena-backed stream encoding
-// produces profiles bit-identical to the per-record ProfileDict path —
-// same IDs, same counts, same weight bits — for every encodable kind,
-// and that ProfileFromIDs (the streaming-append path) agrees too.
+// TestProfilesFromStreamParity proves the two encoders agree: for every
+// encodable kind, each value's ProfileFromIDs profile (the streaming
+// append path, emitted against the sealed dictionary) equals its slab
+// profile from ProfilesFromStream — same IDs, same counts, same weight
+// bits — and scores against every slab profile exactly like Sim on the
+// raw strings.
 func TestProfilesFromStreamParity(t *testing.T) {
 	values := append([]string(nil), tokenCorpus...)
 	values = append(values, "red apple pie", "green apple", "apple apple apple pie")
@@ -201,61 +202,34 @@ func TestProfilesFromStreamParity(t *testing.T) {
 	corpus.AddAll(values)
 
 	for _, dp := range streamProfilers(corpus) {
-		em, ok := EmitterFor(dp)
-		if !ok {
-			t.Fatalf("no emitter for %s kind %s", dp.Name(), dp.ProfileSpec().Kind)
-		}
-		// Reference path: string tokens -> builder -> per-record encode.
-		b := NewDictBuilder()
-		for _, v := range values {
-			b.Add(dp.DictTokens(v))
-		}
-		d := b.Build()
-		want := make([]any, len(values))
+		ts, slab := encodeStream(t, dp, values...)
 		for i, v := range values {
-			want[i] = dp.ProfileDict(v, d)
-		}
-		// Stream path.
-		sb := NewStreamBuilder(em)
-		for _, v := range values {
-			sb.AddValue(v)
-		}
-		ts := sb.Seal()
-		if ts.Dict.Len() != d.Len() {
-			t.Fatalf("%s: stream dict has %d tokens, reference %d", dp.Name(), ts.Dict.Len(), d.Len())
-		}
-		for id := 0; id < d.Len(); id++ {
-			if ts.Dict.Token(uint32(id)) != d.Token(uint32(id)) {
-				t.Fatalf("%s: dict token %d = %q, reference %q", dp.Name(), id, ts.Dict.Token(uint32(id)), d.Token(uint32(id)))
+			p := encodeAlone(t, dp, ts.Dict, v)
+			if !profileEqual(slab[i], p) {
+				t.Fatalf("%s: append profile %d (%q) differs\nslab   %#v\nappend %#v", dp.Name(), i, v, slab[i], p)
 			}
-		}
-		got, ok := ProfilesFromStream(dp, ts)
-		if !ok {
-			t.Fatalf("%s: kind %s not stream-encodable", dp.Name(), dp.ProfileSpec().Kind)
-		}
-		for i := range values {
-			if !profileEqual(want[i], got[i]) {
-				t.Fatalf("%s: profile %d (%q) differs\nwant %#v\ngot  %#v", dp.Name(), i, values[i], want[i], got[i])
-			}
-		}
-		// Append path: re-emit each value against the sealed dict.
-		var sc TokScratch
-		var ids []uint32
-		for i, v := range values {
-			var emitOK bool
-			ids, emitOK = em.AppendTokenIDs(ids[:0], v, d, &sc)
-			if !emitOK {
-				t.Fatalf("%s: sealed dict rejected covered value %q", dp.Name(), v)
-			}
-			p, pOK := ProfileFromIDs(dp, d, ids)
-			if !pOK {
-				t.Fatalf("%s: ProfileFromIDs not supported", dp.Name())
-			}
-			if !profileEqual(want[i], p) {
-				t.Fatalf("%s: append profile %d (%q) differs\nwant %#v\ngot  %#v", dp.Name(), i, values[i], want[i], p)
+			for j, w := range values {
+				want := dp.Sim(v, w)
+				if got := dp.SimProfiles(p, slab[j]); !sameBits(got, want) {
+					t.Fatalf("%s(%q,%q): append profile scores %v, Sim %v", dp.Name(), v, w, got, want)
+				}
+				if got := dp.SimProfiles(slab[i], slab[j]); !sameBits(got, want) {
+					t.Fatalf("%s(%q,%q): slab profile scores %v, Sim %v", dp.Name(), v, w, got, want)
+				}
 			}
 		}
 	}
+}
+
+// soundexCodes is the string reference of Soundex's emitter: the code
+// of each whitespace token, in token order.
+func soundexCodes(s string) []string {
+	toks := Whitespace{}.Tokens(s)
+	codes := make([]string, len(toks))
+	for i, t := range toks {
+		codes[i] = SoundexCode(t)
+	}
+	return codes
 }
 
 // FuzzEmitterParity is the differential property test behind the CI
@@ -282,10 +256,9 @@ func FuzzEmitterParity(f *testing.F) {
 				}
 			}
 		}
-		var sdx Soundex
-		em, _ := EmitterFor(sdx)
+		em, _ := EmitterFor(Soundex{})
 		got := emitTokens(t, em, s)
-		want := sdx.DictTokens(s)
+		want := soundexCodes(s)
 		if len(got) != len(want) {
 			t.Fatalf("soundex(%q): %d codes, want %d", s, len(got), len(want))
 		}
