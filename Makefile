@@ -38,6 +38,7 @@ FUZZ_TARGETS = \
 	internal/sim:FuzzEmitterParity \
 	internal/sim:FuzzJaroWinkler \
 	internal/server:FuzzCursor \
+	internal/server:FuzzRequestBodies \
 	internal/bitmap:FuzzBitsGobDecode
 
 fuzz:

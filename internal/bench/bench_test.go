@@ -164,9 +164,14 @@ func TestFig3AShape(t *testing.T) {
 	if results[0].Rudimentary == 0 {
 		t.Error("rudimentary skipped under its cap")
 	}
-	// Dynamic memoing beats the unmemoized early exit at 40 rules.
-	if results[1].DynamicMemo >= results[1].EarlyExit {
-		t.Errorf("DM %v not faster than EE %v at 40 rules", results[1].DynamicMemo, results[1].EarlyExit)
+	// Dynamic memoing beats the unmemoized early exit at 40 rules: it
+	// computes each feature of a pair once, where early exit recomputes
+	// it for every rule that reaches it. Compared on work counters, which
+	// repeat exactly; the times are reported, not gated.
+	dm, ee := results[1].DynamicMemoWork.FeatureComputes, results[1].EarlyExitWork.FeatureComputes
+	t.Logf("feature computes at 40 rules: DM+EE %d, EE %d", dm, ee)
+	if dm == 0 || dm >= ee {
+		t.Errorf("DM+EE computed %d features, not fewer than EE's %d at 40 rules", dm, ee)
 	}
 }
 
@@ -224,15 +229,19 @@ func TestFig5CIncrementalWins(t *testing.T) {
 	if len(results) != 30 {
 		t.Fatalf("points = %d", len(results))
 	}
-	// Beyond the cold start, the fully incremental variant should win
-	// on average.
+	// Beyond the cold start, the fully incremental variant does less
+	// work: Algorithm 10 evaluates the new rule over unmatched pairs
+	// only, where the warm-memo re-run evaluates every rule over every
+	// pair. Compared on predicate evaluations, which repeat exactly; the
+	// times are reported, not gated.
 	var incSum, preSum int64
 	for _, r := range results[1:] {
-		incSum += int64(r.Incremental)
-		preSum += int64(r.Precompute)
+		incSum += r.IncrementalWork.PredEvals
+		preSum += r.PrecomputeWork.PredEvals
 	}
-	if incSum >= preSum {
-		t.Errorf("incremental total %d not below precompute total %d", incSum, preSum)
+	t.Logf("predicate evaluations over k >= 2: incremental %d, precompute %d", incSum, preSum)
+	if incSum == 0 || incSum >= preSum {
+		t.Errorf("incremental evaluated %d predicates, not fewer than the precompute re-run's %d", incSum, preSum)
 	}
 }
 

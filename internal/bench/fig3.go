@@ -21,6 +21,14 @@ type StrategyTiming struct {
 	ProdPrecompute time.Duration
 	FullPrecompute time.Duration
 	DynamicMemo    time.Duration
+	// The *Work fields are each strategy's engine work counters,
+	// summed over the draws (zero when skipped). Unlike the times they
+	// repeat exactly, so tests compare strategies on them.
+	RudimentaryWork    core.Stats
+	EarlyExitWork      core.Stats
+	ProdPrecomputeWork core.Stats
+	FullPrecomputeWork core.Stats
+	DynamicMemoWork    core.Stats
 }
 
 // Fig3AConfig bounds the expensive baselines.
@@ -67,33 +75,36 @@ func Fig3A(task *Task, cfg Fig3AConfig) (*Table, []StrategyTiming, error) {
 			if cfg.MaxRudimentary == 0 || n <= cfg.MaxRudimentary {
 				m := &core.Matcher{C: c, Pairs: pairs}
 				sum.Rudimentary += timeIt(func() { m.MatchRudimentary() })
+				sum.RudimentaryWork.Add(m.Stats)
 			}
 			if cfg.MaxEarlyExit == 0 || n <= cfg.MaxEarlyExit {
 				m := &core.Matcher{C: c, Pairs: pairs}
 				sum.EarlyExit += timeIt(func() { m.Match() })
+				sum.EarlyExitWork.Add(m.Stats)
 			}
 			ppr := core.NewMatcher(c, pairs)
 			sum.ProdPrecompute += timeIt(func() {
 				ppr.Precompute(used)
 				ppr.Match()
 			})
+			sum.ProdPrecomputeWork.Add(ppr.Stats)
 			fpr := core.NewMatcher(c, pairs)
 			sum.FullPrecompute += timeIt(func() {
 				fpr.Precompute(all)
 				fpr.Match()
 			})
+			sum.FullPrecomputeWork.Add(fpr.Stats)
 			dm := core.NewMatcher(c, pairs)
 			sum.DynamicMemo += timeIt(func() { dm.Match() })
+			sum.DynamicMemoWork.Add(dm.Stats)
 		}
 		d := time.Duration(cfg.Draws)
-		results = append(results, StrategyTiming{
-			Rules:          n,
-			Rudimentary:    sum.Rudimentary / d,
-			EarlyExit:      sum.EarlyExit / d,
-			ProdPrecompute: sum.ProdPrecompute / d,
-			FullPrecompute: sum.FullPrecompute / d,
-			DynamicMemo:    sum.DynamicMemo / d,
-		})
+		sum.Rudimentary /= d
+		sum.EarlyExit /= d
+		sum.ProdPrecompute /= d
+		sum.FullPrecompute /= d
+		sum.DynamicMemo /= d
+		results = append(results, sum)
 	}
 	out := &Table{
 		Title: fmt.Sprintf("Figure 3A: runtime (ms) vs rule-set size, %s, %d pairs",

@@ -115,6 +115,11 @@ type AddRulePoint struct {
 	K           int
 	Precompute  time.Duration // re-run all rules with warm memo + check-cache-first
 	Incremental time.Duration // Algorithm 10: new rule over unmatched pairs only
+	// PrecomputeWork and IncrementalWork are the same two steps' engine
+	// work counters. Unlike the times they repeat exactly, so tests
+	// compare the variations on them.
+	PrecomputeWork  core.Stats
+	IncrementalWork core.Stats
 }
 
 // Fig5C grows the rule set one rule at a time (k = 1..maxK) and
@@ -156,7 +161,8 @@ func Fig5C(task *Task, maxK, workers int) (*Table, []AddRulePoint, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	results := []AddRulePoint{{K: 1, Precompute: t0p, Incremental: t0}}
+	results := []AddRulePoint{{K: 1, Precompute: t0p, Incremental: t0,
+		PrecomputeWork: pre.LastOp.Stats, IncrementalWork: inc.LastOp.Stats}}
 	for k := 2; k <= maxK; k++ {
 		r := task.Rules[k-1]
 		dInc := timeIt(func() { err = inc.AddRule(r) })
@@ -170,7 +176,8 @@ func Fig5C(task *Task, maxK, workers int) (*Table, []AddRulePoint, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		results = append(results, AddRulePoint{K: k, Precompute: dPre, Incremental: dInc})
+		results = append(results, AddRulePoint{K: k, Precompute: dPre, Incremental: dInc,
+			PrecomputeWork: pre.LastOp.Stats, IncrementalWork: inc.LastOp.Stats})
 	}
 	if err := inc.Verify(); err != nil {
 		return nil, nil, fmt.Errorf("bench: incremental state diverged: %w", err)

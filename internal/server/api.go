@@ -68,7 +68,16 @@ type SessionList struct {
 
 // PredInfo describes one predicate of one rule.
 type PredInfo struct {
-	Index     int     `json:"index"`
+	Index int `json:"index"`
+	// Key is the predicate in DSL form ("jaro_winkler(name,name) >=
+	// 0.9"), the one field that round-trips through
+	// rule.ParsePredicate. It repeats Sim, AttrA, AttrB, Op and
+	// Threshold on purpose: perfbench's debug-loop output check and
+	// clients that re-submit rules (add_predicate, add_rule) rebuild a
+	// rule set from it. It is rendered when the predicate is compiled
+	// (session create or reload, add_predicate, add_rule); tighten,
+	// relax and set_threshold do not re-render it, so Threshold is the
+	// current bound.
 	Key       string  `json:"key"`
 	Sim       string  `json:"sim"`
 	AttrA     string  `json:"attrA"`
@@ -168,7 +177,9 @@ type RecordsResponse struct {
 
 // SweepRequest evaluates candidate thresholds for one predicate
 // without changing session state. Give explicit Thresholds, or Steps
-// for an even spread across (0,1).
+// for an even spread across (0,1). A sweep evaluates at most 1,024
+// points: a larger Steps or a longer Thresholds list is refused with
+// 400 invalid_request before any work starts.
 type SweepRequest struct {
 	Rule       int       `json:"rule"`
 	RuleName   string    `json:"ruleName,omitempty"`

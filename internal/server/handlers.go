@@ -465,6 +465,12 @@ func (s *Server) hRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxSweepPoints caps the thresholds one sweep evaluates, whether
+// given as Steps or as Thresholds. Every point allocates a bitmap over
+// all candidate pairs and runs one matching pass, so without a cap one
+// small request could claim gigabytes and hours.
+const maxSweepPoints = 1024
+
 // hSweep evaluates candidate thresholds for one predicate. The sweep
 // reads session state and warms the memo (hence the write lock) but
 // never moves a live threshold; cancellation mid-sweep leaves the
@@ -473,6 +479,12 @@ func (s *Server) hSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := s.decode(w, r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		return
+	}
+	if req.Steps > maxSweepPoints || len(req.Thresholds) > maxSweepPoints {
+		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf(
+			"a sweep evaluates at most %d points (got steps %d, %d thresholds)",
+			maxSweepPoints, req.Steps, len(req.Thresholds)))
 		return
 	}
 	h, ok := s.acquire(w, r, sessionstore.ModeWrite)

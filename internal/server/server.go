@@ -183,10 +183,17 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
+// writeJSON is the one writer behind every JSON response, error
+// envelopes included: compact JSON, one trailing newline, and no HTML
+// escaping, so a rule listing's ">=" goes out as ">=", not "\u003e=".
+// Rule names, record IDs and DSL are client-supplied and reach the
+// body raw, so nosniff keeps a browser from reading a body as HTML.
+// json.Encoder hands the whole encoded body to one Write.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 }
