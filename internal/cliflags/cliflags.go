@@ -37,7 +37,7 @@ func NewEngine() *Engine {
 
 // Register binds -parallel, the engine flag every tool exposes.
 func (e *Engine) Register(fs *flag.FlagSet) {
-	fs.IntVar(&e.Parallel, "parallel", e.Parallel, "shard workers for full runs and sweeps (0 = GOMAXPROCS)")
+	fs.IntVar(&e.Parallel, "parallel", e.Parallel, "shard workers for full runs (0 = GOMAXPROCS)")
 }
 
 // Config materializes the flag as a core.Config — the single value

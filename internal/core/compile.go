@@ -199,22 +199,6 @@ func (c *Compiled) RemoveRule(i int) {
 	c.Rules = append(c.Rules[:i], c.Rules[i+1:]...)
 }
 
-// cloneForEval returns a copy whose Rules (and their predicate slices)
-// are private, while the bound features, corpora and profile caches
-// remain shared read-only. The sweep kernel uses it: each chunk
-// mutates thresholds on its own clone without synchronizing. The
-// clone must not bind new features or add rules.
-func (c *Compiled) cloneForEval() *Compiled {
-	cc := *c
-	cc.Rules = make([]CompiledRule, len(c.Rules))
-	for i, r := range c.Rules {
-		cr := r
-		cr.Preds = append([]CompiledPred(nil), r.Preds...)
-		cc.Rules[i] = cr
-	}
-	return &cc
-}
-
 // ComputeFeature evaluates bound feature fi for candidate pair p,
 // without memoization. This is the raw similarity computation whose cost
 // dominates matching time. With the profile cache enabled, profiled

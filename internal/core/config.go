@@ -13,7 +13,7 @@ import (
 // Config.NewMatcher, incremental.NewSessionConfig and
 // Session.Reconfigure all build the same matcher.
 type Config struct {
-	// Workers is the shard worker count for full runs and sweeps. The
+	// Workers is the shard worker count for full runs. The
 	// normalization contract is NormalizeWorkers: <= 0 means
 	// GOMAXPROCS.
 	Workers int
@@ -39,7 +39,7 @@ func (cfg Config) Apply(m *Matcher) {
 
 // NormalizeWorkers is the single place that defines worker-count
 // semantics for the sharded methods (and through them the incremental
-// session's runs and sweeps, the CLIs and the server): n <= 0 selects
+// session's full runs, the CLIs and the server): n <= 0 selects
 // runtime.GOMAXPROCS(0), any positive value is used as given.
 func NormalizeWorkers(n int) int {
 	if n <= 0 {

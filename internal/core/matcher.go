@@ -55,7 +55,7 @@ type Matcher struct {
 	// bookkeeping.
 	BlockSize int
 	// Workers is the configured shard worker count that callers (the
-	// incremental session, the debug server) pass to the sharded
+	// incremental session's full runs, the CLIs) pass to the sharded
 	// methods. It is carried configuration, not a cap: the sharded
 	// methods take an explicit count and normalize it through
 	// NormalizeWorkers (<= 0 means GOMAXPROCS).

@@ -22,8 +22,8 @@ func (r pairRange) len() int { return r.hi - r.lo }
 // itself a multiple of 64), so batch blocks start at the same pair
 // indices for every worker count as in one whole-range run — with
 // check-cache-first, the per-block predicate order and with it every
-// Stats counter of a marks-only run or sweep is independent of the
-// worker count — and every stitch is whole-word.
+// Stats counter of a marks-only run is independent of the worker
+// count — and every stitch is whole-word.
 func chunkRanges(n, workers, blockSize int) []pairRange {
 	if n <= 0 || workers <= 0 {
 		return nil
@@ -182,40 +182,4 @@ func (m *Matcher) MatchStateParallelCtx(ctx context.Context, workers int) (*Matc
 		return nil, err
 	}
 	return st, nil
-}
-
-// SweepParallelCtx is the what-if threshold sweep: for each candidate
-// threshold it returns the match marks of the function with that
-// threshold substituted into predicate pj of rule ri (which must
-// exist), leaving m.C untouched. Each chunk evaluates every threshold
-// in order with MatchBits on a private clone of the compiled function,
-// so a later point reads the features an earlier one memoized, and
-// ctx is also checked between threshold points. Memo, Stats and
-// cancellation behave as in MatchParallelCtx.
-func (m *Matcher) SweepParallelCtx(ctx context.Context, workers, ri, pj int, thresholds []float64) ([]*bitmap.Bits, error) {
-	out := make([]*bitmap.Bits, len(thresholds))
-	for ti := range out {
-		out[ti] = bitmap.New(len(m.Pairs))
-	}
-	err := runSharded(ctx, m, workers, func(sm *Matcher) []*bitmap.Bits {
-		sm.C = sm.C.cloneForEval()
-		p := &sm.C.Rules[ri].Preds[pj]
-		bits := make([]*bitmap.Bits, len(thresholds))
-		for ti, thr := range thresholds {
-			if ctx.Err() != nil {
-				return nil
-			}
-			p.Threshold = thr
-			bits[ti] = sm.MatchBits()
-		}
-		return bits
-	}, func(bits []*bitmap.Bits, lo int) {
-		for ti := range out {
-			out[ti].OrRange(bits[ti], lo)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

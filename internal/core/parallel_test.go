@@ -359,25 +359,33 @@ func TestShardValueCachePrivate(t *testing.T) {
 
 // TestShardedWorkIndependentOfWorkers: chunks are whole batch blocks, so
 // the per-block check-cache-first order — and with it every counter of
-// a sweep and of a marks-only run over the memo the sweep left — is the
-// same at every worker count, as is the memo.
+// a marks-only run over a memo warmed by earlier runs at other
+// thresholds — is the same at every worker count, as is the memo.
 func TestShardedWorkIndependentOfWorkers(t *testing.T) {
 	c, pairs := gapFixture(t)
 	thresholds := []float64{0.95, 0.5, 0.8, 0.2, 0.65}
+	p := &c.Rules[1].Preds[0]
+	orig := p.Threshold
 	type result struct {
-		sweep, marks Stats
-		entries      int64
-		points       []*bitmap.Bits
+		warm, marks Stats
+		entries     int64
+		points      []*bitmap.Bits
 	}
 	var ref *result
 	for _, workers := range []int{1, 2, 3, 4} {
 		m := NewMatcher(c, pairs)
 		m.CheckCacheFirst = true
-		points, err := m.SweepParallelCtx(context.Background(), workers, 1, 0, thresholds)
-		if err != nil {
-			t.Fatal(err)
+		got := &result{}
+		for _, thr := range thresholds {
+			p.Threshold = thr
+			bits, err := m.MatchParallelCtx(context.Background(), workers)
+			p.Threshold = orig
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.points = append(got.points, bits)
 		}
-		got := &result{sweep: m.Stats, entries: m.Memo.Entries(), points: points}
+		got.warm, got.entries = m.Stats, m.Memo.Entries()
 		m.ResetStats()
 		if _, err := m.MatchParallelCtx(context.Background(), workers); err != nil {
 			t.Fatal(err)
@@ -387,40 +395,14 @@ func TestShardedWorkIndependentOfWorkers(t *testing.T) {
 			ref = got
 			continue
 		}
-		if got.sweep != ref.sweep || got.marks != ref.marks || got.entries != ref.entries {
-			t.Errorf("workers=%d: sweep %+v marks %+v entries %d; workers=1: %+v %+v %d",
-				workers, got.sweep, got.marks, got.entries, ref.sweep, ref.marks, ref.entries)
+		if got.warm != ref.warm || got.marks != ref.marks || got.entries != ref.entries {
+			t.Errorf("workers=%d: warm-up %+v marks %+v entries %d; workers=1: %+v %+v %d",
+				workers, got.warm, got.marks, got.entries, ref.warm, ref.marks, ref.entries)
 		}
-		for ti := range points {
-			if !points[ti].Equal(ref.points[ti]) {
+		for ti := range got.points {
+			if !got.points[ti].Equal(ref.points[ti]) {
 				t.Errorf("workers=%d: point %d differs", workers, ti)
 			}
-		}
-	}
-}
-
-// TestSweepParallelMatchesFreshEvaluation: every sweep point equals a
-// from-scratch evaluation with that threshold, and the sweep leaves the
-// compiled function's thresholds as they were.
-func TestSweepParallelMatchesFreshEvaluation(t *testing.T) {
-	c, pairs := gapFixture(t)
-	thresholds := []float64{0.1, 0.5, 0.9, 1}
-	orig := c.Rules[0].Preds[1].Threshold
-	m := NewMatcher(c, pairs)
-	m.CheckCacheFirst = true
-	points, err := m.SweepParallelCtx(context.Background(), 3, 0, 1, thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Rules[0].Preds[1].Threshold != orig {
-		t.Fatal("sweep left a threshold mutated")
-	}
-	for ti, thr := range thresholds {
-		fc := c.cloneForEval()
-		fc.Rules[0].Preds[1].Threshold = thr
-		want := (&Matcher{C: fc, Pairs: pairs}).MatchRudimentary()
-		if !points[ti].Equal(want) {
-			t.Errorf("threshold %v: sweep point differs from a fresh evaluation", thr)
 		}
 	}
 }

@@ -97,7 +97,7 @@ func TestSweepThresholdParallelCtx(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, thr := range thresholds {
-			if !got[i].Matched.Equal(freshSweepPoint(t, s, 0, 0, thr)) {
+			if !got[i].Matched.Equal(freshSweepPoint(s, 0, 0, thr)) {
 				t.Fatalf("workers=%d: sweep point %d differs from a fresh evaluation", workers, i)
 			}
 		}

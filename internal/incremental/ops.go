@@ -2,41 +2,12 @@ package incremental
 
 import (
 	"fmt"
+	"slices"
 
 	"rulematch/internal/bitmap"
 	"rulematch/internal/core"
 	"rulematch/internal/rule"
 )
-
-// owner returns the index of the rule that matched pair pi, or -1.
-// Ownership is tracked lazily: built on first use after Run and
-// updated by every operation.
-func (s *Session) ownerOf(pi int) int {
-	s.ensureOwners()
-	return int(s.owners[pi])
-}
-
-func (s *Session) ensureOwners() {
-	if s.owners != nil {
-		return
-	}
-	s.owners = make([]int32, len(s.M.Pairs))
-	for i := range s.owners {
-		s.owners[i] = -1
-	}
-	for ri := range s.St.RuleTrue {
-		ri := ri
-		s.St.RuleTrue[ri].ForEach(func(pi int) bool {
-			s.owners[pi] = int32(ri)
-			return true
-		})
-	}
-}
-
-func (s *Session) setOwner(pi, ri int) {
-	s.ensureOwners()
-	s.owners[pi] = int32(ri)
-}
 
 // AddPredicate adds predicate p to rule ri and incrementally updates
 // the match result (Algorithm 7): only pairs previously matched *by*
@@ -177,9 +148,9 @@ func (s *Session) mergePredicate(ri, pj int, cp core.CompiledPred) error {
 // constrainScan re-examines the pairs currently matched by rule ri
 // against predicate pj (just added or made stricter): failures are
 // recorded in the predicate's false set, the pair falls out of the
-// rule's match set and is re-evaluated against the rules after ri.
+// rule's match set and moves to the first later rule that fires.
 // Live NextSet iteration is safe: the loop body only clears the
-// *current* bit of RuleTrue[ri] (never a later one) and reEvalAfter
+// *current* bit of RuleTrue[ri] (never a later one) and firstFiring
 // writes to other rules' bitmaps.
 func (s *Session) constrainScan(ri, pj int) int {
 	cp := s.M.C.Rules[ri].Preds[pj]
@@ -195,23 +166,12 @@ func (s *Session) constrainScan(ri, pj int) int {
 		s.St.PredFalse[ri][pj].Set(pi)
 		s.St.RuleTrue[ri].Clear(pi)
 		s.St.Matched.Clear(pi)
-		s.setOwner(pi, -1)
-		if s.reEvalAfter(ri, pi) {
-			s.setOwner(pi, s.findOwnerAfter(ri, pi))
+		if rj := s.firstFiring(ri+1, pi, s.St); rj >= 0 {
+			s.St.RuleTrue[rj].Set(pi)
+			s.St.Matched.Set(pi)
 		}
 	}
 	return examined
-}
-
-// findOwnerAfter locates the rule (after ri) whose RuleTrue was just set
-// for pi by reEvalAfter.
-func (s *Session) findOwnerAfter(ri, pi int) int {
-	for rj := ri + 1; rj < len(s.St.RuleTrue); rj++ {
-		if s.St.RuleTrue[rj].Get(pi) {
-			return rj
-		}
-	}
-	return -1
 }
 
 // TightenPredicate makes predicate pj of rule ri stricter by moving its
@@ -230,7 +190,7 @@ func (s *Session) TightenPredicate(ri, pj int, newThreshold float64) error {
 		return err
 	}
 	before := s.M.Stats
-	p.Threshold = newThreshold
+	s.moveThreshold(p, newThreshold)
 
 	examined := s.constrainScan(ri, pj)
 	s.LastOp = OpReport{Op: "tighten_predicate", PairsExamined: examined, Stats: diffStats(before, s.M.Stats)}
@@ -254,12 +214,12 @@ func (s *Session) RelaxPredicate(ri, pj int, newThreshold float64) error {
 		return err
 	}
 	before := s.M.Stats
-	p.Threshold = newThreshold
+	s.moveThreshold(p, newThreshold)
 
 	examined, moves := 0, 0
 	// Safe live iteration: the body clears only the current bit of this
-	// false set (evalRuleRecordFalse touches pair pi alone, and the
-	// relaxed predicate evaluates true for it, so the bit stays clear).
+	// false set (regain touches pair pi alone, and the relaxed predicate
+	// evaluates true for it, so the bit stays clear).
 	falseSet := s.St.PredFalse[ri][pj]
 	for pi := falseSet.NextSet(0); pi >= 0; pi = falseSet.NextSet(pi + 1) {
 		examined++
@@ -268,31 +228,47 @@ func (s *Session) RelaxPredicate(ri, pj int, newThreshold float64) error {
 		if !p.Eval(v) {
 			continue // still false; the recorded bit stays sound
 		}
-		s.St.PredFalse[ri][pj].Clear(pi)
-		if !s.St.Matched.Get(pi) {
-			// Previously unmatched: rule ri may now fire. All predicates
-			// must be re-checked (footnote 2: check-cache-first means the
-			// stored exit point is order-dependent).
-			if s.evalRuleRecordFalse(ri, pi) {
-				s.St.RuleTrue[ri].Set(pi)
-				s.St.Matched.Set(pi)
-				s.setOwner(pi, ri)
-			}
-			continue
-		}
-		// Matched pair: if owned by a later rule and ri now fires,
-		// ownership migrates to keep invariant 1 sound.
-		if owner := s.ownerOf(pi); owner > ri {
-			if s.evalRuleRecordFalse(ri, pi) {
-				s.St.RuleTrue[owner].Clear(pi)
-				s.St.RuleTrue[ri].Set(pi)
-				s.setOwner(pi, ri)
-				moves++
-			}
+		falseSet.Clear(pi)
+		if s.regain(ri, pi) {
+			moves++
 		}
 	}
 	s.LastOp = OpReport{Op: "relax_predicate", PairsExamined: examined, Stats: diffStats(before, s.M.Stats), OwnershipMoves: moves}
 	return nil
+}
+
+// moveThreshold sets predicate p's threshold and re-renders its Key,
+// which rule listings serve and a reloaded session renders afresh.
+func (s *Session) moveThreshold(p *core.CompiledPred, t float64) {
+	p.Threshold = t
+	p.Key = rule.Predicate{Feature: s.M.C.Features[p.Feat].Feature, Op: p.Op, Threshold: t}.Key()
+}
+
+// regain re-examines pair pi after rule ri lost its recorded false bit
+// for it (Algorithm 8). If ri now fires, an unmatched pair matches and
+// a pair a later rule owns moves to ri (invariant 1); a pair an earlier
+// rule owns stays put. It reports whether ownership moved. All of ri's
+// predicates are re-checked (footnote 2: check-cache-first means the
+// stored exit point is order-dependent).
+func (s *Session) regain(ri, pi int) bool {
+	owner := -1 // a later rule that owns pi; ri itself held a false bit for it
+	if s.St.Matched.Get(pi) {
+		k := slices.IndexFunc(s.St.RuleTrue[ri+1:], func(rt *bitmap.Bits) bool { return rt.Get(pi) })
+		if k < 0 {
+			return false // an earlier rule owns pi
+		}
+		owner = ri + 1 + k
+	}
+	if !s.evalRuleRecordFalse(ri, pi) {
+		return false
+	}
+	s.St.RuleTrue[ri].Set(pi)
+	s.St.Matched.Set(pi)
+	if owner < 0 {
+		return false
+	}
+	s.St.RuleTrue[owner].Clear(pi)
+	return true
 }
 
 // RemovePredicate deletes predicate pj from rule ri (Algorithm 8 with
@@ -320,21 +296,8 @@ func (s *Session) RemovePredicate(ri, pj int) error {
 	examined, moves := 0, 0
 	for pi := falseSet.NextSet(0); pi >= 0; pi = falseSet.NextSet(pi + 1) {
 		examined++
-		if !s.St.Matched.Get(pi) {
-			if s.evalRuleRecordFalse(ri, pi) {
-				s.St.RuleTrue[ri].Set(pi)
-				s.St.Matched.Set(pi)
-				s.setOwner(pi, ri)
-			}
-			continue
-		}
-		if owner := s.ownerOf(pi); owner > ri {
-			if s.evalRuleRecordFalse(ri, pi) {
-				s.St.RuleTrue[owner].Clear(pi)
-				s.St.RuleTrue[ri].Set(pi)
-				s.setOwner(pi, ri)
-				moves++
-			}
+		if s.regain(ri, pi) {
+			moves++
 		}
 	}
 	s.LastOp = OpReport{Op: "remove_predicate", PairsExamined: examined, Stats: diffStats(before, s.M.Stats), OwnershipMoves: moves}
@@ -352,26 +315,20 @@ func (s *Session) RemoveRule(ri int) error {
 	}
 	before := s.M.Stats
 	// Capture the removed rule's match set before splicing it out of the
-	// state; reEvalAfter writes only to the surviving rules' bitmaps, so
+	// state; firstFiring writes only to the surviving rules' bitmaps, so
 	// live NextSet iteration is safe.
 	orphans := s.St.RuleTrue[ri]
 	s.M.C.RemoveRule(ri)
 	s.St.RuleTrue = append(s.St.RuleTrue[:ri], s.St.RuleTrue[ri+1:]...)
 	s.St.PredFalse = append(s.St.PredFalse[:ri], s.St.PredFalse[ri+1:]...)
-	s.ensureOwners()
-	for pi := range s.owners {
-		if int(s.owners[pi]) > ri {
-			s.owners[pi]--
-		}
-	}
 	examined := 0
 	for pi := orphans.NextSet(0); pi >= 0; pi = orphans.NextSet(pi + 1) {
 		examined++
 		s.St.Matched.Clear(pi)
-		s.setOwner(pi, -1)
 		// Rules formerly after ri now start at index ri.
-		if s.reEvalAfter(ri-1, pi) {
-			s.setOwner(pi, s.findOwnerAfter(ri-1, pi))
+		if rj := s.firstFiring(ri, pi, s.St); rj >= 0 {
+			s.St.RuleTrue[rj].Set(pi)
+			s.St.Matched.Set(pi)
 		}
 	}
 	s.LastOp = OpReport{Op: "remove_rule", PairsExamined: examined, Stats: diffStats(before, s.M.Stats)}
@@ -407,7 +364,6 @@ func (s *Session) AddRule(r rule.Rule) error {
 		if s.M.EvalRule(ri, pi, s.St) {
 			s.St.RuleTrue[ri].Set(pi)
 			s.St.Matched.Set(pi)
-			s.setOwner(pi, ri)
 		}
 	}
 	s.LastOp = OpReport{Op: "add_rule", PairsExamined: examined, Stats: diffStats(before, s.M.Stats)}

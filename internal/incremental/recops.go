@@ -40,10 +40,10 @@ import (
 
 // AddRecords appends a batch of records to the session's tables,
 // blocks them incrementally through the session Blocker, grows the
-// pair dimension of memo, bitmaps and owner bookkeeping in place, and
-// evaluates only the delta pairs. The whole batch is validated
-// (schema arity, duplicate IDs) before anything is mutated, so an
-// error leaves the session untouched.
+// pair dimension of memo and bitmaps in place, and evaluates only the
+// delta pairs. The whole batch is validated (schema arity, duplicate
+// IDs) before anything is mutated, so an error leaves the session
+// untouched.
 func (s *Session) AddRecords(aRecs, bRecs []table.Record) error {
 	if err := s.checkState(); err != nil {
 		return err
@@ -87,20 +87,6 @@ func (s *Session) AddRecords(aRecs, bRecs []table.Record) error {
 		s.dead.Grow(n)
 	}
 	s.M.MatchStateRange(s.St, oldN, n)
-	if s.owners != nil {
-		for pi := oldN; pi < n; pi++ {
-			owner := int32(-1)
-			if s.St.Matched.Get(pi) {
-				for ri := range s.St.RuleTrue {
-					if s.St.RuleTrue[ri].Get(pi) {
-						owner = int32(ri)
-						break
-					}
-				}
-			}
-			s.owners = append(s.owners, owner)
-		}
-	}
 	s.LastOp = OpReport{
 		Op:            "add_records",
 		PairsExamined: len(delta),
@@ -201,9 +187,6 @@ func (s *Session) DeleteRecords(aIDs, bIDs []string) error {
 		}
 		newDead.Set(pi)
 		removed++
-		if s.owners != nil {
-			s.owners[pi] = -1
-		}
 	}
 	if removed > 0 {
 		s.St.ClearPairs(newDead)
@@ -221,10 +204,10 @@ func (s *Session) DeleteRecords(aIDs, bIDs []string) error {
 }
 
 // reclaimDead compacts the pair dimension in place down to the live
-// pairs, in order: the pair list, the memo, every state bitmap and the
-// owner bookkeeping, then drops the dead mask. It returns the number of
-// pairs reclaimed. Nothing is evaluated, so the work counters, feature
-// values and matches stay as they are.
+// pairs, in order: the pair list, the memo and every state bitmap,
+// then drops the dead mask. It returns the number of pairs reclaimed.
+// Nothing is evaluated, so the work counters, feature values and
+// matches stay as they are.
 //
 // Once the dead pairs are gone no pair references a tombstoned record,
 // so the records tombstoned since the last reclamation are released
@@ -255,13 +238,6 @@ func (s *Session) reclaimDead() int {
 		s.M.Memo.KeepPairs(keep)
 	}
 	s.St = s.St.Gather(keep)
-	if s.owners != nil {
-		owners := make([]int32, len(keep))
-		for i, pi := range keep {
-			owners[i] = s.owners[pi]
-		}
-		s.owners = owners
-	}
 	s.dead = nil
 	c := s.M.C
 	c.ReleaseRecords(0, c.A.ReleaseTombstones())

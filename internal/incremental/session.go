@@ -20,11 +20,15 @@
 // pair currently owned by a later rule; the session migrates ownership
 // to preserve invariant 1 (the paper's Algorithms 7/8 as literally
 // written would otherwise mis-unmatch such pairs on a later tighten).
+// The state is the only source of these decisions: owners are read
+// from RuleTrue, and a rule holding a recorded false bit for a pair is
+// false for it (invariant 3), so cascades and sweeps skip it.
 package incremental
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"rulematch/internal/bitmap"
 	"rulematch/internal/block"
@@ -47,7 +51,6 @@ type Session struct {
 	// LastOp reports work done by the most recent operation.
 	LastOp OpReport
 
-	owners []int32 // per-pair owning rule index, -1 when unmatched
 	// baseA/baseB are the table lengths at session creation; records
 	// past them arrived through AddRecords. Snapshots persist the
 	// appended suffix so recovery can rebuild the grown pair space.
@@ -114,7 +117,6 @@ func (s *Session) Run(ctx context.Context) error {
 	if s.dead != nil {
 		s.St.ClearPairs(s.dead)
 	}
-	s.owners = nil // rebuilt lazily from the fresh state
 	s.LastOp = OpReport{Op: "full_parallel", PairsExamined: len(s.M.Pairs), Stats: diffStats(before, s.M.Stats)}
 	return nil
 }
@@ -161,18 +163,18 @@ func (s *Session) checkRule(ri int) error {
 	return nil
 }
 
-// reEvalAfter evaluates rules after ri for pair pi (whose earlier rules
-// are known false) and records ownership if one fires. Returns whether
-// the pair matched.
-func (s *Session) reEvalAfter(ri, pi int) bool {
-	for rj := ri + 1; rj < len(s.M.C.Rules); rj++ {
-		if s.M.EvalRule(rj, pi, s.St) {
-			s.St.RuleTrue[rj].Set(pi)
-			s.St.Matched.Set(pi)
-			return true
+// firstFiring returns the first rule at or after from that fires for
+// pair pi, or -1, recording the false bits it finds into st when st is
+// non-nil. A rule that already holds a recorded false bit for pi is
+// false (invariant 3), so it is skipped without being evaluated.
+func (s *Session) firstFiring(from, pi int, st *core.MatchState) int {
+	for rj := from; rj < len(s.M.C.Rules); rj++ {
+		refuted := slices.ContainsFunc(s.St.PredFalse[rj], func(pf *bitmap.Bits) bool { return pf.Get(pi) })
+		if !refuted && s.M.EvalRule(rj, pi, st) {
+			return rj
 		}
 	}
-	return false
+	return -1
 }
 
 // evalRuleRecordFalse evaluates every predicate of rule ri for pair pi

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rulematch/internal/bitmap"
@@ -91,19 +92,22 @@ func sweep(t testing.TB, s *Session, ri, pj int, thresholds []float64) []SweepPo
 
 // freshSweepPoint evaluates the session's function from scratch
 // (Algorithm 1: no memo, no state) with predicate pj of rule ri set to
-// thr, on a private copy of the compiled function.
-func freshSweepPoint(t testing.TB, s *Session, ri, pj int, thr float64) *bitmap.Bits {
-	t.Helper()
-	f := s.M.C.Function()
-	f.Rules[ri].Preds[pj].Threshold = thr
-	c, err := core.Compile(f, sim.Standard(), s.M.C.A, s.M.C.B)
-	if err != nil {
-		t.Fatal(err)
+// thr, on a private copy of the compiled rules, and clears the dead
+// pairs. It does not recompile: Compile rejects always-false rules such
+// as "< 0", which threshold edits can reach.
+func freshSweepPoint(s *Session, ri, pj int, thr float64) *bitmap.Bits {
+	c := *s.M.C
+	c.Rules = make([]core.CompiledRule, len(s.M.C.Rules))
+	for i, r := range s.M.C.Rules {
+		r.Preds = slices.Clone(r.Preds)
+		c.Rules[i] = r
 	}
-	if len(c.Rules[ri].Preds) != len(s.M.C.Rules[ri].Preds) {
-		t.Fatalf("recompiling rule %d changed its shape", ri)
+	c.Rules[ri].Preds[pj].Threshold = thr
+	bits := (&core.Matcher{C: &c, Pairs: s.M.Pairs}).MatchRudimentary()
+	if dead := s.DeadPairs(); dead != nil {
+		bits.AndNot(dead)
 	}
-	return (&core.Matcher{C: c, Pairs: s.M.Pairs}).MatchRudimentary()
+	return bits
 }
 
 const baseFunc = `
@@ -339,6 +343,80 @@ rule r2: levenshtein(phone, phone) >= 0.9 and jaccard(name, name) >= 0.3`
 	mustVerify(t, s, "after remove")
 	if !s.Matched(weiPair) {
 		t.Fatal("pair lost despite earlier rule matching it (ownership migration broken)")
+	}
+}
+
+// TestRemoveRuleThenRelaxKeepsOwners: RemoveRule as the first op after
+// Run, then a relax that makes r1 fire for the "wei chen" pair that r2
+// owns, then removing r2. Ownership must move from r2 itself (the one
+// rule whose match set holds the pair), or the pair sits in two match
+// sets and removing r2 drops it. VerifyDeep runs after every op.
+func TestRemoveRuleThenRelaxKeepsOwners(t *testing.T) {
+	s := newSession(t, `
+rule r1: jaro_winkler(name, name) >= 0.9 and trigram(name, name) < 0.99
+rule rx: levenshtein(city, city) >= 0.99 and trigram(name, name) < 0.5
+rule ry: levenshtein(city, city) >= 0.98 and trigram(name, name) < 0.4
+rule r2: levenshtein(phone, phone) >= 0.9 and jaccard(name, name) >= 0.3`)
+	for _, op := range []struct {
+		name string
+		do   func() error
+	}{
+		{"remove rx", func() error { return s.RemoveRule(1) }},
+		{"relax r1", func() error { return s.RelaxPredicate(0, 1, 1.01) }},
+		{"remove r2", func() error { return s.RemoveRule(2) }},
+	} {
+		if err := op.do(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if err := s.VerifyDeep(); err != nil {
+			t.Fatalf("after %s: %v", op.name, err)
+		}
+	}
+}
+
+// TestTightenBackEvaluatesNoRule: relaxing r1 gains one pair and moves
+// no ownership, so every pair it gained was unmatched and holds a false
+// bit in every later rule (invariant 2). Tightening back drops exactly
+// those pairs, and the cascade must skip every later rule for them
+// without evaluating one.
+func TestTightenBackEvaluatesNoRule(t *testing.T) {
+	s := newSession(t, baseFunc)
+	before := s.St.Matched.Clone()
+	thr := s.M.C.Rules[0].Preds[0].Threshold
+	if err := s.RelaxPredicate(0, 0, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if s.MatchCount() <= before.Count() || s.LastOp.OwnershipMoves != 0 {
+		t.Fatalf("fixture: relax gained %d pairs with %d ownership moves; want a gain and no move",
+			s.MatchCount()-before.Count(), s.LastOp.OwnershipMoves)
+	}
+	if err := s.TightenPredicate(0, 0, thr); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.LastOp.Stats.RuleEvals; n != 0 {
+		t.Errorf("tighten back evaluated %d rules, want 0", n)
+	}
+	if !s.St.Matched.Equal(before) {
+		t.Error("tighten back did not restore the match set")
+	}
+	mustVerify(t, s, "after tighten back")
+}
+
+// TestSweepRuleEvalsBounded: a sweep evaluates rules only to ask
+// whether a later rule fires for a pair the swept rule owns, at most
+// once per pair, so a 9-point sweep enters at most (pairs ri owns) ×
+// (rules after ri) rules — not a matching pass per point.
+func TestSweepRuleEvalsBounded(t *testing.T) {
+	s := newSession(t, baseFunc)
+	for ri := range s.M.C.Rules {
+		for pj := range s.M.C.Rules[ri].Preds {
+			before := s.M.Stats
+			sweep(t, s, ri, pj, DefaultSweep(9))
+			bound := int64(s.St.RuleTrue[ri].Count() * (len(s.M.C.Rules) - ri - 1))
+			if n := s.M.Stats.RuleEvals - before.RuleEvals; n > bound {
+				t.Errorf("sweep of rule %d predicate %d entered %d rules, bound %d", ri, pj, n, bound)
+			}
+		}
 	}
 }
 
@@ -596,7 +674,7 @@ func TestSweepThresholdParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(thresholds))
 		}
 		for i, thr := range thresholds {
-			if got[i].Threshold != thr || !got[i].Matched.Equal(freshSweepPoint(t, s, 2, 0, thr)) {
+			if got[i].Threshold != thr || !got[i].Matched.Equal(freshSweepPoint(s, 2, 0, thr)) {
 				t.Fatalf("workers=%d: point %d (thr=%v) differs from a fresh evaluation",
 					workers, i, got[i].Threshold)
 			}
@@ -644,11 +722,8 @@ func TestSweepThresholdValidation(t *testing.T) {
 // gapSession builds a session over 80 x 80 records (6,400 pairs,
 // several chunks at every worker count) with the given worker count.
 // Codes differ on every pair except ten, spread ~650 pairs apart, so
-// r1 computes the name feature for every pair but those. Sweep points
-// above r1's 0.5 name threshold send pairs to r2 whose city feature
-// was never computed, and check-cache-first then puts r2's name
-// predicate first in exactly the batch blocks that hold no gap — the
-// per-block decision a sweep's counters depend on.
+// r1 computes the name feature for every pair but those: the memo the
+// sharded Run leaves has gaps, and the sweeps that follow read it.
 func gapSession(t testing.TB, workers int) *Session {
 	t.Helper()
 	names := []string{"ann lee", "anne lee", "bo kim", "bob kim", "cy wu", "dee jones", "dee jonas"}
@@ -688,8 +763,9 @@ rule r3: levenshtein(city, city) >= 0.7 and jaccard(name, name) >= 0.4`)
 
 // TestSweepWorkIndependentOfWorkers: sweeping every predicate at
 // workers 1–4 gives the same points, the same memo entries and the
-// same six Stats counters — chunks are whole batch blocks, so each
-// block's check-cache-first order does not depend on the worker count.
+// same six Stats counters — the sharded Run leaves the same state and
+// memo at every worker count, and a sweep runs on the calling
+// goroutine whatever its workers argument.
 func TestSweepWorkIndependentOfWorkers(t *testing.T) {
 	type result struct {
 		points  [][]SweepPoint

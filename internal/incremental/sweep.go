@@ -14,21 +14,25 @@ type SweepPoint struct {
 	Matched   *bitmap.Bits
 }
 
-// SweepThresholdParallelCtx evaluates the matching function once per
-// candidate threshold for predicate pj of rule ri, without changing
-// session state: the what-if exploration dynamic memoing exists for.
-// Every required feature is already memoized (or gets memoized on
-// first touch), so each sweep point costs mostly lookups. The sweep is
-// sharded over workers (core.NormalizeWorkers semantics; callers pass
-// s.M.Workers) by core.Matcher.SweepParallelCtx: thresholds are only
-// ever mutated on per-chunk clones of the compiled function, and the
-// features the sweep computed are absorbed into the session memo
-// afterwards, so later sweeps and edits find them warm.
+// SweepThresholdParallelCtx returns, for each candidate threshold, the
+// match marks of the function with that threshold substituted into
+// predicate pj of rule ri, moving no threshold: the what-if exploration
+// of threshold choices. It is answered from the materialized state. At
+// a threshold t only two sets of pairs can change their mark:
 //
-// ctx is checked between chunks and between threshold points. On
-// cancellation it returns ctx's error and the session is left exactly
-// as before the call — no shard memo is absorbed and no stats are
-// added — so a client timeout mid-sweep leaves the session valid.
+//   - a pair ri owns stays matched iff pj passes at t or a later rule
+//     fires for it (asked at most once per pair, skipping refuted rules);
+//   - an unmatched pair whose one false bit in ri is on pj, and whose
+//     other predicates of ri hold, matches iff pj passes at t.
+//
+// A pair another rule owns stays matched, and every other unmatched
+// pair keeps a false witness in ri (invariant 2). So each point is the
+// current match set with those candidates flipped, and each candidate's
+// pj value is read once. Features read for the first time are memoized.
+// workers is unused: the sweep runs on the calling goroutine.
+//
+// ctx is checked once, before any work: a cancelled sweep returns ctx's
+// error and leaves the session exactly as it was.
 func (s *Session) SweepThresholdParallelCtx(ctx context.Context, ri, pj int, thresholds []float64, workers int) ([]SweepPoint, error) {
 	if err := s.checkState(); err != nil {
 		return nil, err
@@ -36,18 +40,67 @@ func (s *Session) SweepThresholdParallelCtx(ctx context.Context, ri, pj int, thr
 	if err := s.checkPred(ri, pj); err != nil {
 		return nil, err
 	}
-	bits, err := s.M.SweepParallelCtx(ctx, workers, ri, pj, thresholds)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	out := make([]SweepPoint, len(thresholds))
 	for ti, thr := range thresholds {
-		if s.dead != nil {
-			bits[ti].AndNot(s.dead)
+		out[ti] = SweepPoint{Threshold: thr, Matched: s.St.Matched.Clone()}
+	}
+	q := s.M.C.Rules[ri].Preds[pj] // a copy: the live threshold never moves
+	passes := func(v float64, ti int) bool {
+		q.Threshold = out[ti].Threshold
+		s.M.Stats.PredEvals++
+		return q.Eval(v)
+	}
+	owned := s.St.RuleTrue[ri]
+	for pi := owned.NextSet(0); pi >= 0; pi = owned.NextSet(pi + 1) {
+		v, later := s.M.FeatureValue(q.Feat, pi), -2 // -2: not asked yet
+		for ti := range out {
+			if passes(v, ti) {
+				continue
+			}
+			if later == -2 {
+				later = s.firstFiring(ri+1, pi, nil)
+			}
+			if later < 0 {
+				out[ti].Matched.Clear(pi)
+			}
 		}
-		out[ti] = SweepPoint{Threshold: thr, Matched: bits[ti]}
+	}
+	falseSet := s.St.PredFalse[ri][pj]
+	for pi := falseSet.NextSet(0); pi >= 0; pi = falseSet.NextSet(pi + 1) {
+		if s.St.Matched.Get(pi) || !s.othersHold(ri, pj, pi) {
+			continue
+		}
+		v := s.M.FeatureValue(q.Feat, pi)
+		for ti := range out {
+			if passes(v, ti) {
+				out[ti].Matched.Set(pi)
+			}
+		}
 	}
 	return out, nil
+}
+
+// othersHold reports whether every predicate of rule ri but pj holds
+// for pair pi. Recorded false bits answer before anything is evaluated.
+func (s *Session) othersHold(ri, pj, pi int) bool {
+	for k, pf := range s.St.PredFalse[ri] {
+		if k != pj && pf.Get(pi) {
+			return false
+		}
+	}
+	for k, p := range s.M.C.Rules[ri].Preds {
+		if k == pj {
+			continue
+		}
+		s.M.Stats.PredEvals++
+		if !p.Eval(s.M.FeatureValue(p.Feat, pi)) {
+			return false
+		}
+	}
+	return true
 }
 
 // DefaultSweep returns evenly spaced thresholds across (0,1).

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"rulematch/internal/core"
@@ -18,9 +19,10 @@ import (
 // its worker count, check-cache-first and the profile cache. The
 // worker count and the profile cache differ from what persist.Load
 // builds (one worker, no profile cache), so a path that drops its
-// Reconfigure fails here. The cold create also carries the removed
-// per-session "config" field the way an old client would send it: it
-// must still be accepted, and ignored.
+// Reconfigure fails here. A create that carries the removed
+// per-session "config" field the way an old client would send it is
+// refused with 400 invalid_request, as is any field the request does
+// not declare, so the override cannot be mistaken for applied.
 func TestEverySessionEntryRunsStoreConfig(t *testing.T) {
 	cfg := core.Config{Workers: 2}
 
@@ -40,10 +42,15 @@ func TestEverySessionEntryRunsStoreConfig(t *testing.T) {
 
 	dir := t.TempDir()
 	ts, srv := newPrimaryAt(t, cfg, dir)
-	legacy := fmt.Sprintf(`{"name":"cold","tableA":%q,"tableB":%q,"rules":%q,"block":"cat",`+
-		`"config":{"parallel":8,"batch":true,"profiles":false}}`, tableACSV, tableBCSV, rulesDSL)
-	if code := doJSON(t, "POST", ts.URL+"/v1/sessions", legacy, nil); code != http.StatusCreated {
-		t.Fatalf("create with a legacy config field: status %d", code)
+	cold := fmt.Sprintf(`{"name":"cold","tableA":%q,"tableB":%q,"rules":%q,"block":"cat"`, tableACSV, tableBCSV, rulesDSL)
+	var refusal []byte
+	legacy := cold + `,"config":{"parallel":8,"batch":true,"profiles":false}}`
+	if code := doJSON(t, "POST", ts.URL+"/v1/sessions", legacy, &refusal); code != http.StatusBadRequest ||
+		!strings.Contains(string(refusal), `"code":"invalid_request"`) {
+		t.Fatalf("create with a legacy config field: status %d, body %s; want 400 invalid_request", code, refusal)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/v1/sessions", cold+"}", nil); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
 	}
 	check("HTTP create", srv.Store(), "cold")
 

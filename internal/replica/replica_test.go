@@ -375,3 +375,38 @@ func TestSessionLifecycleSync(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestRuleListingAgreesAfterThresholdEdit: after set_threshold 0.9 →
+// 0.95, the primary's rule listing, a follower bootstrapped afterwards
+// and the primary's session after an evict and reload serve
+// byte-identical bodies, each predicate key rendering the moved
+// threshold.
+func TestRuleListingAgreesAfterThresholdEdit(t *testing.T) {
+	cfg := engineConfig()
+	pts, psrv := newPrimary(t, cfg, 0)
+	createSession(t, pts.URL, "k")
+	edit(t, pts.URL, "k", `{"op":"set_threshold","rule":0,"pred":0,"threshold":0.95}`)
+	listing := func(url string) string {
+		t.Helper()
+		var data []byte
+		if code := doJSON(t, "GET", url+"/v1/sessions/k/rules", "", &data); code != http.StatusOK {
+			t.Fatalf("rules at %s: status %d", url, code)
+		}
+		return string(data)
+	}
+	primary := listing(pts.URL)
+	if !strings.Contains(primary, `"key":"jaro_winkler(name,name) >= 0.95"`) {
+		t.Fatalf("primary listing does not render the moved threshold: %s", primary)
+	}
+	fts, m := newFollower(t, cfg, pts.URL)
+	waitConverged(t, m, "k", primarySeq(t, pts.URL, "k"))
+	if got := listing(fts.URL); got != primary {
+		t.Fatalf("follower listing differs from the primary's:\n got %s\nwant %s", got, primary)
+	}
+	if !psrv.Store().Evict("k") {
+		t.Fatal("primary refused to evict the session")
+	}
+	if got := listing(pts.URL); got != primary {
+		t.Fatalf("listing after evict and reload differs:\n got %s\nwant %s", got, primary)
+	}
+}

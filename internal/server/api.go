@@ -11,7 +11,8 @@ import "rulematch/internal/core"
 // snapshot (base64 in JSON) taken by emmatch -save, emdebug save or a
 // previous GET .../snapshot — then only the tables are needed. Every
 // session runs the server's engine configuration; there is no
-// per-session override.
+// per-session override, and the removed "config" field is refused like
+// any other field this type does not declare.
 type CreateSessionRequest struct {
 	Name string `json:"name"`
 	// Tenant optionally attributes the session to a tenant for
@@ -75,9 +76,9 @@ type PredInfo struct {
 	// Threshold on purpose: perfbench's debug-loop output check and
 	// clients that re-submit rules (add_predicate, add_rule) rebuild a
 	// rule set from it. It is rendered when the predicate is compiled
-	// (session create or reload, add_predicate, add_rule); tighten,
-	// relax and set_threshold do not re-render it, so Threshold is the
-	// current bound.
+	// (session create or reload, add_predicate, add_rule) and again by
+	// every threshold move (tighten, relax, set_threshold), so it always
+	// carries the current Threshold.
 	Key       string  `json:"key"`
 	Sim       string  `json:"sim"`
 	AttrA     string  `json:"attrA"`

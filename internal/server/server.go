@@ -31,8 +31,10 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 
@@ -173,12 +175,18 @@ func (s *Server) hHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": status})
 }
 
-// decode reads a JSON body under the size cap.
+// decode reads a body holding exactly one JSON value, under the size
+// cap. A field v does not declare and any input after the value are
+// errors: a misspelt field would otherwise decode as its zero value.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decode request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decode request: unexpected input after the JSON value")
 	}
 	return nil
 }

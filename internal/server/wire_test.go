@@ -146,6 +146,31 @@ func TestSweepPointBound(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownAndTrailing: a body carrying a field its
+// request type does not declare, or input after its JSON value, is a
+// 400 invalid_request and changes nothing, where a lenient decoder
+// would apply a misspelt threshold as 0.
+func TestDecodeRejectsUnknownAndTrailing(t *testing.T) {
+	h := New(core.Config{Workers: 1}).Handler()
+	if rec := serve(h, "POST", "/v1/sessions", mustMarshal(t, smokeCreate("d"))); rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	listing := serve(h, "GET", "/v1/sessions/d/rules", nil).Body.String()
+	for _, body := range []string{
+		`{"op":"set_threshold","rule":0,"pred":0,"threshhold":0.95}`,
+		`{"op":"set_threshold","rule":0,"pred":0,"threshold":0.95} trailing garbage`,
+	} {
+		rec := serve(h, "POST", "/v1/sessions/d/edits", []byte(body))
+		var e ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusBadRequest || err != nil || e.Error.Code != CodeInvalidRequest {
+			t.Errorf("%s: status %d, body %.200s; want 400 %s", body, rec.Code, rec.Body, CodeInvalidRequest)
+		}
+		if got := serve(h, "GET", "/v1/sessions/d/rules", nil).Body.String(); got != listing {
+			t.Errorf("%s: listing changed:\n got %s\nwant %s", body, got, listing)
+		}
+	}
+}
+
 // FuzzRequestBodies posts arbitrary bytes as the body of the edits,
 // sweep and records routes of a fresh smoke-fixture session. Every
 // answer is a 2xx, or a 4xx envelope carrying one of the codes the
