@@ -343,25 +343,6 @@ func BenchmarkFig6Incremental(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMemoLayout compares array vs hash memo layouts.
-func BenchmarkAblationMemoLayout(b *testing.B) {
-	task := benchTask(b)
-	c := compileN(b, task, 25)
-	pairs := task.Pairs()
-	b.Run("array", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := &core.Matcher{C: c, Pairs: pairs, Memo: core.NewArrayMemo(len(pairs))}
-			m.Match()
-		}
-	})
-	b.Run("hash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := &core.Matcher{C: c, Pairs: pairs, Memo: core.NewHashMemo()}
-			m.Match()
-		}
-	})
-}
-
 // BenchmarkAblationCheckCacheFirst toggles the §5.4.3 runtime
 // predicate reordering.
 func BenchmarkAblationCheckCacheFirst(b *testing.B) {

@@ -298,7 +298,6 @@ func run(exp, dataset string, scale float64, rules, draws, trials, maxK, paralle
 	}
 	if exp == "ablations" || exp == "all" {
 		for _, fn := range []func() (*bench.Table, error){
-			func() (*bench.Table, error) { return bench.AblationMemoLayout(task) },
 			func() (*bench.Table, error) { return bench.AblationCheckCacheFirst(task) },
 			func() (*bench.Table, error) { return bench.AblationSampleSize(task, nil) },
 			func() (*bench.Table, error) { return bench.AblationPredicateOrder(task) },

@@ -12,34 +12,6 @@ import (
 	"rulematch/internal/order"
 )
 
-// AblationMemoLayout compares the dense 2-D array memo against the
-// hash-map memo (the §7.4 trade-off): runtime and memory of a DM+EE run.
-func AblationMemoLayout(task *Task) (*Table, error) {
-	c, err := task.CompileSubset(len(task.Rules))
-	if err != nil {
-		return nil, err
-	}
-	pairs := task.Pairs()
-	out := &Table{
-		Title:  fmt.Sprintf("Ablation: memo layout (array vs hash), %s", task.DS.Name),
-		Header: []string{"Memo", "runtime ms", "bytes", "entries"},
-	}
-	for _, cfg := range []struct {
-		name string
-		memo core.Memo
-	}{
-		{"array", core.NewArrayMemo(len(pairs))},
-		{"hash", core.NewHashMemo()},
-	} {
-		m := &core.Matcher{C: c, Pairs: pairs, Memo: cfg.memo}
-		d := timeIt(func() { m.Match() })
-		out.AddRow(cfg.name, ms(d), fmt.Sprint(cfg.memo.Bytes()), fmt.Sprint(cfg.memo.Entries()))
-	}
-	out.Notes = append(out.Notes,
-		"array: O(1) lookups, memory ∝ features×pairs; hash: memory ∝ computed values, slower lookups")
-	return out, nil
-}
-
 // AblationCheckCacheFirst measures the §5.4.3 runtime predicate
 // reordering on and off, after Algorithm 6 rule ordering.
 func AblationCheckCacheFirst(task *Task) (*Table, error) {

@@ -298,9 +298,6 @@ func TestMemoryReport(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	task := tinyTask(t, 25)
-	if _, err := AblationMemoLayout(task); err != nil {
-		t.Errorf("memo layout: %v", err)
-	}
 	if _, err := AblationCheckCacheFirst(task); err != nil {
 		t.Errorf("check cache first: %v", err)
 	}

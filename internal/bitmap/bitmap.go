@@ -130,8 +130,8 @@ func (b *Bits) AndNot(other *Bits) {
 // OrRange ORs all bits of src into b starting at bit offset at, so bit
 // i of src lands on bit at+i of b. The merge is word-level: an aligned
 // offset (at % 64 == 0) ORs whole words; an unaligned one shift-merges
-// each source word into two destination words. Shard stitching uses
-// this to place a shard-local bitset into the full pair range.
+// each source word into two destination words. The batch engine uses
+// this to place a block-local bitset into the full pair range.
 func (b *Bits) OrRange(src *Bits, at int) {
 	b.checkRange(src, at)
 	if src.n == 0 {

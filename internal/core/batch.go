@@ -13,7 +13,7 @@ import "rulematch/internal/bitmap"
 // exit at the AND level). Match, the pair-at-a-time path, stays as the
 // per-pair path of the incremental operations, the replay the cost
 // model is calibrated against, and the differential oracle (see the
-// parity note on BatchEvaluator).
+// parity note on batchEvaluator).
 
 // DefaultBlockSize is the batch engine's pairs-per-block when
 // Matcher.BlockSize is zero. Blocks are sized so a block's feature
@@ -27,7 +27,9 @@ const DefaultBlockSize = 1024
 // recorded in the static predicate order, so they are deterministic
 // across block sizes and worker counts.
 func (m *Matcher) MatchState() *MatchState {
-	return m.Batch().MatchState()
+	st := NewMatchState(len(m.Pairs), m.C.Rules)
+	m.batch().run(st, st.Matched, 0, len(m.Pairs))
+	return st
 }
 
 // MatchStateRange evaluates only the pairs [lo, hi) of the matcher's
@@ -37,17 +39,7 @@ func (m *Matcher) MatchState() *MatchState {
 // those pairs as a full run would — the property Session.AddRecords'
 // parity rests on.
 func (m *Matcher) MatchStateRange(st *MatchState, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	e := m.Batch()
-	for blo := lo; blo < hi; blo += e.blockSize {
-		bhi := blo + e.blockSize
-		if bhi > hi {
-			bhi = hi
-		}
-		e.block(st, st.Matched, blo, bhi)
-	}
+	m.batch().run(st, st.Matched, lo, hi)
 }
 
 // MatchBits evaluates the function over all pairs on the batch engine
@@ -55,22 +47,24 @@ func (m *Matcher) MatchStateRange(st *MatchState, lo, hi int) {
 // materialized state is not needed — applying check-cache-first per
 // block when configured.
 func (m *Matcher) MatchBits() *bitmap.Bits {
-	return m.Batch().MatchBits()
+	bits := bitmap.New(len(m.Pairs))
+	m.batch().run(nil, bits, 0, len(m.Pairs))
+	return bits
 }
 
-// BatchEvaluator runs the columnar block engine over a matcher's pairs.
+// batchEvaluator runs the columnar block engine over a matcher's pairs.
 // Scratch buffers (feature column, active/false bitmaps) are allocated
-// once and reused across blocks, so a full run allocates O(block size)
+// once and reused across blocks, so a run allocates O(block size)
 // beyond its output.
 //
 // Parity: with the static predicate order the engine is byte-identical
 // to Match — same MatchState, same memo contents, same Stats — for
-// every block size. With check-cache-first (MatchBits only) the
+// every block size. With check-cache-first (marks-only runs) the
 // predicate order is chosen once per block from the memo's column
 // presence instead of per pair, so Matched stays identical but the
 // features computed along the way (and therefore compute/hit counters)
 // may differ from a cache-first Match.
-type BatchEvaluator struct {
+type batchEvaluator struct {
 	m         *Matcher
 	blockSize int
 
@@ -81,15 +75,15 @@ type BatchEvaluator struct {
 	order      []int // reused predicate-order buffer
 }
 
-// Batch returns a block evaluator over the matcher's pairs, in blocks
+// batch returns a block evaluator over the matcher's pairs, in blocks
 // of blockSize pairs.
-func (m *Matcher) Batch() *BatchEvaluator {
-	return &BatchEvaluator{m: m, blockSize: m.blockSize()}
+func (m *Matcher) batch() *batchEvaluator {
+	return &batchEvaluator{m: m, blockSize: m.blockSize()}
 }
 
 // blockSize is the batch engine's pairs-per-block: m.BlockSize (0 =
 // DefaultBlockSize) rounded up to a multiple of 64, so block boundaries
-// fall on bitmap words and every OrRange stitch is whole-word.
+// fall on bitmap words and every block writes whole words.
 func (m *Matcher) blockSize() int {
 	bs := m.BlockSize
 	if bs <= 0 {
@@ -98,39 +92,19 @@ func (m *Matcher) blockSize() int {
 	return (bs + 63) &^ 63
 }
 
-// MatchState materializes the full incremental state (match marks,
-// per-rule true sets, per-predicate false sets) block by block, in the
-// static predicate order.
-func (e *BatchEvaluator) MatchState() *MatchState {
-	st := NewMatchState(len(e.m.Pairs), e.m.C.Rules)
-	e.run(st, st.Matched)
-	return st
-}
-
-// MatchBits returns only the match marks, applying check-cache-first
-// per block when the matcher has it configured.
-func (e *BatchEvaluator) MatchBits() *bitmap.Bits {
-	bits := bitmap.New(len(e.m.Pairs))
-	e.run(nil, bits)
-	return bits
-}
-
-// run evaluates every block in ascending pair order. st is nil for
-// marks-only runs.
-func (e *BatchEvaluator) run(st *MatchState, matched *bitmap.Bits) {
-	n := len(e.m.Pairs)
-	for lo := 0; lo < n; lo += e.blockSize {
-		hi := lo + e.blockSize
-		if hi > n {
-			hi = n
-		}
-		e.block(st, matched, lo, hi)
+// run evaluates the pairs [lo, hi) block by block, in ascending pair
+// order, into st (nil for marks-only runs) and matched. Blocks start at
+// lo, so a run over whole blocks of a larger range evaluates exactly
+// the blocks that range would.
+func (e *batchEvaluator) run(st *MatchState, matched *bitmap.Bits, lo, hi int) {
+	for blo := lo; blo < hi; blo += e.blockSize {
+		e.block(st, matched, blo, min(blo+e.blockSize, hi))
 	}
 }
 
 // block evaluates pairs [lo, hi). All scratch bitmaps are block-local
 // (bit i ↔ pair lo+i).
-func (e *BatchEvaluator) block(st *MatchState, matched *bitmap.Bits, lo, hi int) {
+func (e *batchEvaluator) block(st *MatchState, matched *bitmap.Bits, lo, hi int) {
 	m := e.m
 	nb := hi - lo
 	e.ensureScratch(nb)
@@ -138,7 +112,7 @@ func (e *BatchEvaluator) block(st *MatchState, matched *bitmap.Bits, lo, hi int)
 	m.Stats.PairEvals += int64(nb)
 	// Check-cache-first is only applied on marks-only runs; the
 	// materializing run keeps the static order so recorded false bits
-	// are deterministic (the same choice MatchStateParallelCtx makes).
+	// are deterministic.
 	useCacheFirst := st == nil && m.CheckCacheFirst && m.Memo != nil
 	for ri := range m.C.Rules {
 		remaining := e.notMatched.Count()
@@ -189,7 +163,7 @@ func (e *BatchEvaluator) block(st *MatchState, matched *bitmap.Bits, lo, hi int)
 
 // ensureScratch sizes the block-local buffers. Only the final partial
 // block triggers a reallocation.
-func (e *BatchEvaluator) ensureScratch(nb int) {
+func (e *batchEvaluator) ensureScratch(nb int) {
 	if e.notMatched != nil && e.notMatched.Len() == nb {
 		return
 	}
@@ -200,42 +174,20 @@ func (e *BatchEvaluator) ensureScratch(nb int) {
 }
 
 // featureColumn fills e.vals with feature fi for every active pair of
-// the block starting at lo, going through the memo (bulk column reads
-// and writes on the array layouts) and the value cache.
-func (e *BatchEvaluator) featureColumn(fi, lo int) {
+// the block starting at lo, going through the memo — one presence test
+// and one slice index per pair, with the row allocated only when a
+// value is actually written (matching the scalar Put behavior) — and
+// the value cache.
+func (e *batchEvaluator) featureColumn(fi, lo int) {
 	m := e.m
 	active := e.active
-	switch memo := m.Memo.(type) {
-	case *ArrayMemo:
-		e.columnArray(memo, fi, lo)
-	case *overlayMemo:
-		e.columnOverlay(memo, fi, lo)
-	case nil:
+	if m.Memo == nil {
 		for i := active.NextSet(0); i >= 0; i = active.NextSet(i + 1) {
 			e.vals[i] = m.computeRaw(fi, lo+i)
 		}
-	default:
-		for i := active.NextSet(0); i >= 0; i = active.NextSet(i + 1) {
-			pi := lo + i
-			if v, ok := memo.Get(fi, pi); ok {
-				m.Stats.MemoHits++
-				e.vals[i] = v
-				continue
-			}
-			v := m.computeRaw(fi, pi)
-			memo.Put(fi, pi, v)
-			e.vals[i] = v
-		}
+		return
 	}
-}
-
-// columnArray is the dense-memo fast path: one presence test and one
-// slice index per pair, no interface calls, with the row allocated only
-// when a value is actually written (matching the scalar Put behavior).
-func (e *BatchEvaluator) columnArray(am *ArrayMemo, fi, lo int) {
-	m := e.m
-	active := e.active
-	row, present := am.column(fi, false)
+	row, present := m.Memo.column(fi, false)
 	for i := active.NextSet(0); i >= 0; i = active.NextSet(i + 1) {
 		pi := lo + i
 		if present != nil && present.Get(pi) {
@@ -245,45 +197,10 @@ func (e *BatchEvaluator) columnArray(am *ArrayMemo, fi, lo int) {
 		}
 		v := m.computeRaw(fi, pi)
 		if row == nil {
-			row, present = am.column(fi, true)
+			row, present = m.Memo.column(fi, true)
 		}
 		row[pi] = v
 		present.Set(pi)
-		am.entries++
-		e.vals[i] = v
-	}
-}
-
-// columnOverlay reads the shard overlay column first, falls back to the
-// (read-only, concurrently shared) warm base at the shard offset, and
-// writes misses to the overlay column — the batch analogue of
-// overlayMemo.Get/Put.
-func (e *BatchEvaluator) columnOverlay(om *overlayMemo, fi, lo int) {
-	m := e.m
-	active := e.active
-	over := om.over
-	row, present := over.column(fi, false)
-	for i := active.NextSet(0); i >= 0; i = active.NextSet(i + 1) {
-		pi := lo + i
-		if present != nil && present.Get(pi) {
-			m.Stats.MemoHits++
-			e.vals[i] = row[pi]
-			continue
-		}
-		if om.base != nil {
-			if v, ok := om.base.Get(fi, pi+om.off); ok {
-				m.Stats.MemoHits++
-				e.vals[i] = v
-				continue
-			}
-		}
-		v := m.computeRaw(fi, pi)
-		if row == nil {
-			row, present = over.column(fi, true)
-		}
-		row[pi] = v
-		present.Set(pi)
-		over.entries++
 		e.vals[i] = v
 	}
 }
@@ -293,7 +210,7 @@ func (e *BatchEvaluator) columnOverlay(om *overlayMemo, fi, lo int) {
 // every active pair of the block come first, preserving the optimized
 // static order within each class. Called at rule entry, when e.active
 // holds the block's not-yet-matched pairs.
-func (e *BatchEvaluator) blockOrder(r *CompiledRule, lo int) []int {
+func (e *batchEvaluator) blockOrder(r *CompiledRule, lo int) []int {
 	order := e.order[:0]
 	if cap(order) < len(r.Preds) {
 		order = make([]int, 0, len(r.Preds))
@@ -316,10 +233,13 @@ func (e *BatchEvaluator) blockOrder(r *CompiledRule, lo int) []int {
 
 // blockCached reports whether feature fi is memoized for every active
 // pair of the block at lo.
-func (e *BatchEvaluator) blockCached(fi, lo int) bool {
-	memo := e.m.Memo
+func (e *batchEvaluator) blockCached(fi, lo int) bool {
+	_, present := e.m.Memo.column(fi, false)
+	if present == nil {
+		return false
+	}
 	for i := e.active.NextSet(0); i >= 0; i = e.active.NextSet(i + 1) {
-		if !memo.Has(fi, lo+i) {
+		if !present.Get(lo + i) {
 			return false
 		}
 	}

@@ -75,8 +75,8 @@ func TestNormalizeWorkers(t *testing.T) {
 func TestNewMatcherDefaultsPreserved(t *testing.T) {
 	c, pairs := configFixture(t)
 	m := NewMatcher(c, pairs)
-	if _, ok := m.Memo.(*ArrayMemo); !ok {
-		t.Fatalf("default matcher memo = %T, want *ArrayMemo", m.Memo)
+	if m.Memo == nil {
+		t.Fatal("default matcher has no memo")
 	}
 	if m.CheckCacheFirst || m.ValueCache || m.Workers != 1 {
 		t.Fatal("default matcher must run one worker without cache-first or value cache")
@@ -97,8 +97,8 @@ func TestNewMatcherDefaultsPreserved(t *testing.T) {
 func TestNewMatcherOptions(t *testing.T) {
 	c, pairs := configFixture(t)
 	m := Config{Workers: 3}.NewMatcher(c, pairs)
-	if _, ok := m.Memo.(*ArrayMemo); !ok {
-		t.Errorf("memo = %T, want *ArrayMemo", m.Memo)
+	if m.Memo == nil {
+		t.Error("configured matcher has no memo")
 	}
 	if m.Workers != 3 || !m.CheckCacheFirst {
 		t.Errorf("matcher fields not applied: %+v", m)

@@ -143,9 +143,6 @@ func TestStrategiesAgree(t *testing.T) {
 	pre.Precompute(allFeats)
 	preSt := pre.Match()
 
-	hash := &Matcher{C: c, Pairs: pairs, Memo: NewHashMemo()}
-	hashSt := hash.Match()
-
 	for pi := range pairs {
 		want := rudimentary.Get(pi)
 		for name, got := range map[string]bool{
@@ -153,7 +150,6 @@ func TestStrategiesAgree(t *testing.T) {
 			"dm":             dmSt.Matched.Get(pi),
 			"dm_cache_first": dmcSt.Matched.Get(pi),
 			"precompute":     preSt.Matched.Get(pi),
-			"dm_hash_memo":   hashSt.Matched.Get(pi),
 		} {
 			if got != want {
 				t.Errorf("pair %d: %s = %v, rudimentary = %v", pi, name, got, want)

@@ -72,10 +72,9 @@ func randomFunction(rng *rand.Rand) rule.Function {
 // batch execution engine: over random rule sets, tables and seeds, the
 // pair-at-a-time Match oracle, the serial batch engine (several block
 // sizes) and the sharded batch engine (several worker counts) must
-// produce
-// byte-identical MatchState — match bitmap, per-rule true sets,
-// per-predicate false bits — identical memo contents, matching Stats
-// counters on the serial paths, and state passing Validate.
+// produce byte-identical MatchState — match bitmap, per-rule true sets,
+// per-predicate false bits — identical memo contents, identical Stats
+// counters, and state passing Validate.
 func TestBatchDifferentialParity(t *testing.T) {
 	lib := sim.Standard()
 	for trial := 0; trial < 30; trial++ {
@@ -87,14 +86,10 @@ func TestBatchDifferentialParity(t *testing.T) {
 			continue // contradictory random rule: fine
 		}
 		valueCache := trial%3 == 0
-		useHashMemo := trial%5 == 4
 		noMemo := trial%7 == 6
 
 		newMatcher := func(blockSize int) *Matcher {
 			m := NewMatcher(c, pairs)
-			if useHashMemo {
-				m.Memo = NewHashMemo()
-			}
 			if noMemo {
 				m.Memo = nil
 			}
@@ -122,16 +117,7 @@ func TestBatchDifferentialParity(t *testing.T) {
 				t.Fatalf("trial %d block=%d: stats diverge: batch %+v Match %+v", trial, bs, m.Stats, ref.Stats)
 			}
 			if !noMemo {
-				for fi := range c.Features {
-					for pi := range pairs {
-						sv, sok := ref.Memo.Get(fi, pi)
-						bv, bok := m.Memo.Get(fi, pi)
-						if sok != bok || sv != bv {
-							t.Fatalf("trial %d block=%d: memo (%d,%d) = %v,%v want %v,%v",
-								trial, bs, fi, pi, bv, bok, sv, sok)
-						}
-					}
-				}
+				assertMemoEqual(t, fmt.Sprintf("trial %d block=%d", trial, bs), m.Memo, ref.Memo, len(c.Features), len(pairs))
 			}
 			// Marks-only path agrees too.
 			bits := newMatcher(bs).MatchBits()
@@ -152,8 +138,11 @@ func TestBatchDifferentialParity(t *testing.T) {
 			if err := got.Validate(c, pairs); err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}
-			if m.Stats.PairEvals != int64(len(pairs)) {
-				t.Fatalf("trial %d workers=%d: %d pair evals, want %d", trial, workers, m.Stats.PairEvals, len(pairs))
+			if m.Stats != ref.Stats {
+				t.Fatalf("trial %d workers=%d: stats diverge: sharded %+v Match %+v", trial, workers, m.Stats, ref.Stats)
+			}
+			if !noMemo {
+				assertMemoEqual(t, fmt.Sprintf("trial %d workers=%d", trial, workers), m.Memo, ref.Memo, len(c.Features), len(pairs))
 			}
 		}
 	}

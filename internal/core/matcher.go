@@ -32,9 +32,10 @@ func (s *Stats) Add(other Stats) {
 type Matcher struct {
 	C     *Compiled
 	Pairs []table.Pair
-	// Memo, when non-nil, enables dynamic memoing: feature values are
-	// computed at most once per pair.
-	Memo Memo
+	// Memo, when non-nil, enables dynamic memoing (Algorithm 4):
+	// feature values are computed at most once per pair. Nil runs
+	// Algorithm 3, early exit without a memo.
+	Memo *ArrayMemo
 	// CheckCacheFirst evaluates predicates whose features are already
 	// memoized before the others, preserving the optimized static order
 	// within each class (§5.4.3).

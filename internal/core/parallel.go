@@ -12,18 +12,16 @@ import (
 // shard.
 type pairRange struct{ lo, hi int }
 
-func (r pairRange) len() int { return r.hi - r.lo }
-
 // chunkRanges splits n pairs into contiguous work-queue chunks for the
 // shard driver: several chunks per worker so cancellation is prompt and
 // stragglers rebalance, but no chunk smaller than a floor so per-chunk
-// bookkeeping — shard state, overlay memo — stays negligible. Chunk
-// sizes are multiples of blockSize (the batch engine's block size,
-// itself a multiple of 64), so batch blocks start at the same pair
-// indices for every worker count as in one whole-range run — with
-// check-cache-first, the per-block predicate order and with it every
-// Stats counter of a marks-only run is independent of the worker
-// count — and every stitch is whole-word.
+// bookkeeping — a shard matcher with its scratch and value map — stays
+// negligible. Chunk sizes are multiples of blockSize (the batch
+// engine's block size, itself a multiple of 64), so batch blocks start
+// at the same pair indices for every worker count as in one whole-range
+// run — with check-cache-first, the per-block predicate order and with
+// it every Stats counter of a marks-only run is independent of the
+// worker count — and chunks write disjoint bitmap words.
 func chunkRanges(n, workers, blockSize int) []pairRange {
 	if n <= 0 || workers <= 0 {
 		return nil
@@ -46,8 +44,7 @@ func chunkRanges(n, workers, blockSize int) []pairRange {
 
 // runShards drains the range queue with `workers` goroutines, calling
 // fn(i, ranges[i]) for each chunk. Workers stop picking up new chunks
-// once ctx is cancelled; in-flight chunks run to completion (their
-// results are discarded by the caller on cancellation).
+// once ctx is cancelled; in-flight chunks run to completion.
 func runShards(ctx context.Context, workers int, ranges []pairRange, fn func(i int, rg pairRange)) {
 	workers = min(workers, len(ranges))
 	var next atomic.Int64
@@ -68,69 +65,46 @@ func runShards(ctx context.Context, workers int, ranges []pairRange, fn func(i i
 	wg.Wait()
 }
 
-// shardMatcher returns a Matcher that evaluates the parent's compiled
-// function over the pair range rg with private mutable state: its own
-// value-cache map, and — when the parent memoizes — an overlayMemo that
-// reads the parent's warm memo at the range offset and writes to a
-// private shard store. The compiled function and profile cache are
-// shared read-only.
-func (m *Matcher) shardMatcher(rg pairRange) *Matcher {
-	sm := &Matcher{
-		C:               m.C,
-		Pairs:           m.Pairs[rg.lo:rg.hi],
-		CheckCacheFirst: m.CheckCacheFirst,
-		ValueCache:      m.ValueCache,
-		BlockSize:       m.BlockSize,
-	}
-	if m.Memo != nil {
-		sm.Memo = newOverlayMemo(m.Memo, rg.lo, rg.len())
-	}
-	return sm
-}
-
-// shardOut carries one chunk's output back to the stitching loop.
-type shardOut[T any] struct {
-	v     T
-	memo  *ArrayMemo
-	stats Stats
-}
-
-// runSharded is the shard driver behind every sharded method: workers
-// (NormalizeWorkers semantics: <= 0 means GOMAXPROCS) drain the
-// chunkRanges queue, eval runs each chunk on a shardMatcher, and
-// once every chunk is done stitch receives each chunk's value at its
-// pair offset while the chunk's overlay memo is absorbed into m.Memo
-// and its Stats are added to m.Stats, in chunk order. Overlay reads of
-// the shared base are safe because nothing writes it until the workers
-// have joined.
+// runSharded is the shard driver behind MatchParallelCtx and
+// MatchStateParallelCtx: workers (NormalizeWorkers semantics: <= 0
+// means GOMAXPROCS) drain the chunkRanges queue, and each chunk's
+// blocks are evaluated in place into st (nil for a marks-only run) and
+// matched on a shard matcher that shares m's compiled function, pairs
+// and memo and keeps its own Stats, scratch and value-cache map. Chunks
+// are whole batch blocks, so workers write disjoint words of every
+// bitmap and disjoint slots of every memo row, and nothing is merged
+// after the join: the chunks' Stats are added to m.Stats once every
+// chunk is done.
 //
 // ctx is checked between chunks. On cancellation runSharded returns
-// ctx's error without stitching, absorbing or counting anything, so m
-// is exactly as before the call.
-func runSharded[T any](ctx context.Context, m *Matcher, workers int, eval func(sm *Matcher) T, stitch func(v T, lo int)) error {
+// ctx's error and adds no Stats; st and matched are then partial and
+// must be dropped. The memo keeps every value computed by the chunks
+// that ran before the cancel — each one exact, so later runs and
+// incremental operations read them as hits.
+func (m *Matcher) runSharded(ctx context.Context, workers int, st *MatchState, matched *bitmap.Bits) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	workers = NormalizeWorkers(workers)
 	ranges := chunkRanges(len(m.Pairs), workers, m.blockSize())
-	outs := make([]shardOut[T], len(ranges))
+	stats := make([]Stats, len(ranges))
 	runShards(ctx, workers, ranges, func(i int, rg pairRange) {
-		sm := m.shardMatcher(rg)
-		outs[i].v = eval(sm)
-		outs[i].stats = sm.Stats
-		if om, ok := sm.Memo.(*overlayMemo); ok {
-			outs[i].memo = om.over
+		sm := &Matcher{
+			C:               m.C,
+			Pairs:           m.Pairs,
+			Memo:            m.Memo,
+			CheckCacheFirst: m.CheckCacheFirst,
+			ValueCache:      m.ValueCache,
+			BlockSize:       m.BlockSize,
 		}
+		sm.batch().run(st, matched, rg.lo, rg.hi)
+		stats[i] = sm.Stats
 	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for i, rg := range ranges {
-		stitch(outs[i].v, rg.lo)
-		if outs[i].memo != nil {
-			absorbMemoRange(m.Memo, outs[i].memo, rg.lo)
-		}
-		m.Stats.Add(outs[i].stats)
+	for _, s := range stats {
+		m.Stats.Add(s)
 	}
 	return nil
 }
@@ -139,46 +113,38 @@ func runSharded[T any](ctx context.Context, m *Matcher, workers int, eval func(s
 // exit and dynamic memoing on `workers` shard workers (NormalizeWorkers
 // semantics), returning only the match marks — the cheapest full run
 // when the materialized state is not needed (batch matching). Each
-// chunk runs MatchBits, so check-cache-first applies as configured.
+// block applies check-cache-first as configured.
 //
-// The Compiled function must not be mutated during the call. On
-// return the matcher's Memo has absorbed every value the workers
-// computed and its Stats hold their aggregate work; on cancellation
-// it returns ctx's error and the matcher is untouched.
+// The Compiled function must not be mutated during the call. On return
+// the matcher's Memo holds every value the workers computed and its
+// Stats their aggregate work. On cancellation it returns ctx's error
+// and leaves Stats as they were; the memo may keep the exact values
+// computed by chunks that ran before the cancel.
 func (m *Matcher) MatchParallelCtx(ctx context.Context, workers int) (*bitmap.Bits, error) {
 	matched := bitmap.New(len(m.Pairs))
-	err := runSharded(ctx, m, workers, (*Matcher).MatchBits, func(bits *bitmap.Bits, lo int) {
-		matched.OrRange(bits, lo)
-	})
-	if err != nil {
+	if err := m.runSharded(ctx, workers, nil, matched); err != nil {
 		return nil, err
 	}
 	return matched, nil
 }
 
 // MatchStateParallelCtx is the materializing run on `workers` shard
-// workers: each chunk is evaluated into a shard of MatchState, and the
-// shards are stitched into one full state with word-level bitmap
-// merges. The result feeds incremental sessions. Predicates are
+// workers: every chunk writes its blocks straight into one full
+// MatchState. The result feeds incremental sessions. Predicates are
 // evaluated in their static order (check-cache-first is suspended for
 // the run: its order depends on memo history, and so would the
 // recorded exit points), so the state is byte-identical to a
 // static-order scalar Match for every worker count and block size.
 //
-// A warm memo is read (not written) by the workers, making re-runs
-// cheap; on return it has absorbed every shard memo. On cancellation
-// it returns ctx's error and the matcher is left exactly as before the
-// call — no shard memo is absorbed, no stats are added — so an
-// interactive session that timed out mid-run stays valid.
+// The workers read and write the matcher's memo in place, so a warm
+// memo makes re-runs cheap. On cancellation it returns ctx's error and
+// no state; Stats are left as they were, so an interactive session
+// that timed out mid-run keeps its previous state and stays valid. The
+// memo may keep the exact values computed by chunks that ran before
+// the cancel.
 func (m *Matcher) MatchStateParallelCtx(ctx context.Context, workers int) (*MatchState, error) {
 	st := NewMatchState(len(m.Pairs), m.C.Rules)
-	err := runSharded(ctx, m, workers, func(sm *Matcher) *MatchState {
-		sm.CheckCacheFirst = false
-		return sm.MatchState()
-	}, func(shard *MatchState, lo int) {
-		st.MergeAt(shard, lo)
-	})
-	if err != nil {
+	if err := m.runSharded(ctx, workers, st, st.Matched); err != nil {
 		return nil, err
 	}
 	return st, nil

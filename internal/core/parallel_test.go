@@ -12,26 +12,48 @@ import (
 	"rulematch/internal/table"
 )
 
-// TestMatchParallelAgreesWithSerial: the sharded marks-only run equals
-// a static-order serial Match in marks, Stats and memo contents, for
-// every worker count.
+// TestMatchParallelAgreesWithSerial: the sharded runs equal a
+// static-order serial Match — marks-only runs in marks, materializing
+// runs in state — with the same Stats and memo contents, for every
+// worker count, over one chunk and over gapFixture's several, where the
+// workers write one memo and one state in place.
 func TestMatchParallelAgreesWithSerial(t *testing.T) {
-	c, pairs := mustCompile(t, testFunc)
-	serial := NewMatcher(c, pairs)
-	want := serial.Match()
-	for _, workers := range []int{1, 2, 3, 8, 100} {
-		m := NewMatcher(c, pairs)
-		got, err := m.MatchParallelCtx(context.Background(), workers)
-		if err != nil {
-			t.Fatal(err)
+	c1, p1 := mustCompile(t, testFunc)
+	c2, p2 := gapFixture(t)
+	for _, fx := range []struct {
+		c     *Compiled
+		pairs []table.Pair
+	}{{c1, p1}, {c2, p2}} {
+		c, pairs := fx.c, fx.pairs
+		serial := NewMatcher(c, pairs)
+		want := serial.Match()
+		for _, workers := range []int{1, 2, 3, 8, 100} {
+			m := NewMatcher(c, pairs)
+			got, err := m.MatchParallelCtx(context.Background(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want.Matched) {
+				t.Fatalf("%d pairs, workers=%d: marks differ from serial Match", len(pairs), workers)
+			}
+			if m.Stats != serial.Stats {
+				t.Errorf("%d pairs, workers=%d: marks-only stats %+v, serial %+v", len(pairs), workers, m.Stats, serial.Stats)
+			}
+			assertMemoEqual(t, fmt.Sprintf("%d pairs, workers=%d, marks only", len(pairs), workers), m.Memo, serial.Memo, len(c.Features), len(pairs))
+
+			m = NewMatcher(c, pairs)
+			st, err := m.MatchStateParallelCtx(context.Background(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Equal(want) {
+				t.Fatalf("%d pairs, workers=%d: state differs from serial Match", len(pairs), workers)
+			}
+			if m.Stats != serial.Stats {
+				t.Errorf("%d pairs, workers=%d: materializing stats %+v, serial %+v", len(pairs), workers, m.Stats, serial.Stats)
+			}
+			assertMemoEqual(t, fmt.Sprintf("%d pairs, workers=%d, materializing", len(pairs), workers), m.Memo, serial.Memo, len(c.Features), len(pairs))
 		}
-		if !got.Equal(want.Matched) {
-			t.Fatalf("workers=%d: marks differ from serial Match", workers)
-		}
-		if m.Stats != serial.Stats {
-			t.Errorf("workers=%d: stats %+v, serial %+v", workers, m.Stats, serial.Stats)
-		}
-		assertMemoEqual(t, m.Memo, serial.Memo, len(c.Features), len(pairs))
 	}
 }
 
@@ -56,18 +78,19 @@ func TestMatchParallelEmptyAndZeroWorkers(t *testing.T) {
 	}
 }
 
-// assertMemoEqual fails unless both memos hold exactly the same values.
-func assertMemoEqual(t *testing.T, got, want Memo, numFeatures, numPairs int) {
+// assertMemoEqual fails, naming the run as label, unless both memos
+// hold exactly the same values.
+func assertMemoEqual(t *testing.T, label string, got, want *ArrayMemo, numFeatures, numPairs int) {
 	t.Helper()
 	if got.Entries() != want.Entries() {
-		t.Fatalf("memo entries %d, want %d", got.Entries(), want.Entries())
+		t.Fatalf("%s: memo entries %d, want %d", label, got.Entries(), want.Entries())
 	}
 	for fi := 0; fi < numFeatures; fi++ {
 		for pi := 0; pi < numPairs; pi++ {
 			gv, gok := got.Get(fi, pi)
 			wv, wok := want.Get(fi, pi)
 			if gok != wok || gv != wv {
-				t.Fatalf("memo (%d,%d) = %v,%v want %v,%v", fi, pi, gv, gok, wv, wok)
+				t.Fatalf("%s: memo (%d,%d) = %v,%v want %v,%v", label, fi, pi, gv, gok, wv, wok)
 			}
 		}
 	}
@@ -265,8 +288,8 @@ func TestMatchStateParallelMatchesSerial(t *testing.T) {
 			if err := got.Validate(c, pairs); err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}
-			// The stitched memo holds exactly the serial memo's values.
-			assertMemoEqual(t, m.Memo, serial.Memo, len(c.Features), len(pairs))
+			// The shared memo holds exactly the serial memo's values.
+			assertMemoEqual(t, fmt.Sprintf("trial %d workers=%d", trial, workers), m.Memo, serial.Memo, len(c.Features), len(pairs))
 			if m.Stats != serial.Stats {
 				t.Errorf("trial %d workers=%d: stats %+v, serial %+v", trial, workers, m.Stats, serial.Stats)
 			}

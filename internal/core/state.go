@@ -98,21 +98,6 @@ func (st *MatchState) Bytes() int64 {
 	return b
 }
 
-// MergeAt ORs a shard state sh — materialized over the contiguous pair
-// range [at, at+n) where n is the shard's bitmap length — into st at
-// that offset. The two states must share rule shapes. Merges are
-// word-level (bitmap.OrRange); shards over disjoint ranges can be
-// stitched in any order.
-func (st *MatchState) MergeAt(sh *MatchState, at int) {
-	st.Matched.OrRange(sh.Matched, at)
-	for ri := range st.RuleTrue {
-		st.RuleTrue[ri].OrRange(sh.RuleTrue[ri], at)
-		for pj := range st.PredFalse[ri] {
-			st.PredFalse[ri][pj].OrRange(sh.PredFalse[ri][pj], at)
-		}
-	}
-}
-
 // Equal reports whether two states have identical shapes and bit
 // contents.
 func (st *MatchState) Equal(other *MatchState) bool {
@@ -149,7 +134,7 @@ func (st *MatchState) Equal(other *MatchState) bool {
 //
 // Features are recomputed from scratch, so the check is O(pairs ×
 // predicates) similarity computations; intended for tests and for
-// verifying stitched shard output.
+// verifying sharded output.
 func (st *MatchState) Validate(c *Compiled, pairs []table.Pair) error {
 	return st.ValidateLive(c, pairs, nil)
 }

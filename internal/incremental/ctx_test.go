@@ -2,6 +2,9 @@ package incremental
 
 import (
 	"context"
+	"errors"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"rulematch/internal/core"
@@ -63,6 +66,82 @@ func TestRunFullParallelCtxCancelled(t *testing.T) {
 			t.Fatalf("workers=%d: re-run changed the match set", workers)
 		}
 		mustVerify(t, s, "after live full run")
+	}
+}
+
+// cancelAtCtx is a context whose Err turns context.Canceled at its
+// k-th call (never, for k == 0); calls counts them.
+type cancelAtCtx struct {
+	context.Context
+	k     int64
+	calls atomic.Int64
+}
+
+func (c *cancelAtCtx) Err() error {
+	if n := c.calls.Add(1); c.k > 0 && n >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A full run cancelled between any two chunks — or at the check after
+// the join — returns context.Canceled and leaves the previous state,
+// Stats and match count standing and valid, while the memo it shares
+// with its workers keeps only exact values. The session has several
+// chunks at one worker, where the shard driver checks ctx once before
+// the run, once before each chunk and once after the join, so an
+// uncancelled run counts the calls to cancel at.
+func TestRunCtxCancelledMidRun(t *testing.T) {
+	a, b := streamTables(t, rand.New(rand.NewSource(3)), 40, 60)
+	var pairs []table.Pair
+	for i := 0; i < a.Len(); i++ {
+		for j := 0; j < b.Len(); j++ {
+			pairs = append(pairs, table.Pair{A: int32(i), B: int32(j)})
+		}
+	}
+	newRun := func() *Session {
+		s := NewSession(compileBase(t, a, b), pairs)
+		mustRun(t, s)
+		// A cold memo, so the cancelled run has values to write.
+		s.M.Memo = core.NewArrayMemo(len(pairs))
+		return s
+	}
+	full := newRun()
+	counter := &cancelAtCtx{Context: context.Background()}
+	if err := full.Run(counter); err != nil {
+		t.Fatal(err)
+	}
+	calls := counter.calls.Load()
+	if chunks := calls - 2; chunks < 2 {
+		t.Fatalf("fixture: %d pairs make %d chunks at one worker, want at least 2", len(pairs), chunks)
+	}
+	fullEntries := full.M.Memo.Entries()
+	partial := false
+	for k := int64(1); k <= calls; k++ {
+		s := newRun()
+		st, stats, matches := s.St, s.M.Stats, s.MatchCount()
+		if err := s.Run(&cancelAtCtx{Context: context.Background(), k: k}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: err = %v, want context.Canceled", k, err)
+		}
+		if s.St != st || s.M.Stats != stats || s.MatchCount() != matches {
+			t.Fatalf("k=%d: cancelled run changed the state, stats or match count", k)
+		}
+		if err := s.VerifyDeep(); err != nil {
+			t.Fatalf("k=%d: after a cancelled run: %v", k, err)
+		}
+		for fi := range s.M.C.Features {
+			for pi, p := range pairs {
+				if v, ok := s.M.Memo.Get(fi, pi); ok && v != s.M.C.ComputeFeature(fi, p) {
+					t.Fatalf("k=%d: memo (%d,%d) = %v, want %v", k, fi, pi, v, s.M.C.ComputeFeature(fi, p))
+				}
+			}
+		}
+		if n := s.M.Memo.Entries(); n > 0 && n < fullEntries {
+			partial = true
+		}
+	}
+	if !partial {
+		t.Error("fixture: no run was cancelled with part of the memo written")
 	}
 }
 

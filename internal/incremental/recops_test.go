@@ -468,9 +468,8 @@ func pairRecords(s *Session) map[[2]string]pairRecord {
 	return out
 }
 
-// TestReclaimDeadPairs drives a seeded append/delete/edit stream on
-// both memo layouts until deletes have reclaimed dead pairs at least
-// twice. Across each reclaiming delete every surviving pair keeps its
+// TestReclaimDeadPairs drives a seeded append/delete/edit stream until
+// deletes have reclaimed dead pairs at least twice. Across each reclaiming delete every surviving pair keeps its
 // state bits and memo entries at its new index, the work counters do
 // not move, every record tombstoned since the last reclamation is
 // released (see assertReleased), and after every delete dead pairs
@@ -479,134 +478,128 @@ func pairRecords(s *Session) map[[2]string]pairRecord {
 // two full-column scans that read the released records as "": binding
 // a new profiled feature and a dictionary rebuild.
 func TestReclaimDeadPairs(t *testing.T) {
-	for _, memo := range []string{"array", "hash"} {
-		t.Run(memo, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(77))
-			a, b := streamTables(t, rng, 12, 14)
-			s := blockedSession(t, a, b)
-			if memo == "hash" {
-				s.M.Memo = core.NewHashMemo()
-				mustRun(t, s)
-			}
-			nextA, nextB := a.Len(), b.Len()
-			// Every record holds one profile per profile set until it is
-			// released.
-			perRecord := s.M.C.ProfileEntries() / (a.Len() + b.Len())
-			if perRecord == 0 {
-				t.Fatal("fixture caches no profiles")
-			}
-			reclaims, released := 0, 0
-			for step := 0; step < 36; step++ {
-				switch step % 3 {
-				case 0:
-					var aRecs, bRecs []table.Record
-					for i := 0; i < 3; i++ {
-						aRecs = append(aRecs, streamRecord(rng, fmt.Sprintf("a%d", nextA)))
-						bRecs = append(bRecs, streamRecord(rng, fmt.Sprintf("b%d", nextB)))
-						nextA++
-						nextB++
-					}
-					if err := s.AddRecords(aRecs, bRecs); err != nil {
-						t.Fatal(err)
-					}
-				case 1:
-					var delA, delB []string
-					for i := 0; i < 3; i++ {
-						if id, ok := pickLive(rng, a); ok && !slices.Contains(delA, id) {
-							delA = append(delA, id)
-						}
-					}
-					if id, ok := pickLive(rng, b); ok {
-						delB = append(delB, id)
-					}
-					before, stats, nPairs := pairRecords(s), s.M.Stats, len(s.M.Pairs)
-					entries := s.M.C.ProfileEntries()
-					if err := s.DeleteRecords(delA, delB); err != nil {
-						t.Fatal(err)
-					}
-					if s.M.Stats != stats {
-						t.Fatalf("step %d: delete moved the work counters: %+v -> %+v", step, stats, s.M.Stats)
-					}
-					if s.NumDead() > s.LivePairCount() {
-						t.Fatalf("step %d: %d dead pairs outnumber %d live ones", step, s.NumDead(), s.LivePairCount())
-					}
-					if n := s.LastOp.PairsReclaimed; n > 0 {
-						reclaims++
-						if s.DeadPairs() != nil || len(s.M.Pairs) != nPairs-n {
-							t.Fatalf("step %d: reclaimed %d of %d pairs, left %d pairs, dead mask %v",
-								step, n, nPairs, len(s.M.Pairs), s.DeadPairs() != nil)
-						}
-						after := pairRecords(s)
-						for k, got := range after {
-							want, ok := before[k]
-							if !ok {
-								t.Fatalf("step %d: pair %v appeared during reclamation", step, k)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("step %d: pair %v state moved across reclamation:\n got %+v\nwant %+v", step, k, got, want)
-							}
-						}
-						// Each record released now held a full set of
-						// profiles and holds none; records released before
-						// are untouched.
-						tombs := a.NumDeleted() + b.NumDeleted()
-						if got, want := s.M.C.ProfileEntries(), entries-perRecord*(tombs-released); got != want {
-							t.Fatalf("step %d: %d profile entries after releasing %d records, want %d",
-								step, got, tombs-released, want)
-						}
-						released = tombs
-						assertReleased(t, s, step)
-					} else if s.M.C.ProfileEntries() != entries {
-						t.Fatalf("step %d: a delete without reclamation changed the profile cache", step)
-					}
-				default:
-					ri := rng.Intn(len(s.M.C.Rules))
-					pj := rng.Intn(len(s.M.C.Rules[ri].Preds))
-					thr := s.M.C.Rules[ri].Preds[pj].Threshold
-					if err := s.SetThreshold(ri, pj, thr+0.04*float64(rng.Intn(3)-1)); err != nil {
-						t.Fatal(err)
+	t.Run("array", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(77))
+		a, b := streamTables(t, rng, 12, 14)
+		s := blockedSession(t, a, b)
+		nextA, nextB := a.Len(), b.Len()
+		// Every record holds one profile per profile set until it is
+		// released.
+		perRecord := s.M.C.ProfileEntries() / (a.Len() + b.Len())
+		if perRecord == 0 {
+			t.Fatal("fixture caches no profiles")
+		}
+		reclaims, released := 0, 0
+		for step := 0; step < 36; step++ {
+			switch step % 3 {
+			case 0:
+				var aRecs, bRecs []table.Record
+				for i := 0; i < 3; i++ {
+					aRecs = append(aRecs, streamRecord(rng, fmt.Sprintf("a%d", nextA)))
+					bRecs = append(bRecs, streamRecord(rng, fmt.Sprintf("b%d", nextB)))
+					nextA++
+					nextB++
+				}
+				if err := s.AddRecords(aRecs, bRecs); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				var delA, delB []string
+				for i := 0; i < 3; i++ {
+					if id, ok := pickLive(rng, a); ok && !slices.Contains(delA, id) {
+						delA = append(delA, id)
 					}
 				}
-				if err := s.VerifyDeep(); err != nil {
-					t.Fatalf("step %d: %v", step, err)
+				if id, ok := pickLive(rng, b); ok {
+					delB = append(delB, id)
+				}
+				before, stats, nPairs := pairRecords(s), s.M.Stats, len(s.M.Pairs)
+				entries := s.M.C.ProfileEntries()
+				if err := s.DeleteRecords(delA, delB); err != nil {
+					t.Fatal(err)
+				}
+				if s.M.Stats != stats {
+					t.Fatalf("step %d: delete moved the work counters: %+v -> %+v", step, stats, s.M.Stats)
+				}
+				if s.NumDead() > s.LivePairCount() {
+					t.Fatalf("step %d: %d dead pairs outnumber %d live ones", step, s.NumDead(), s.LivePairCount())
+				}
+				if n := s.LastOp.PairsReclaimed; n > 0 {
+					reclaims++
+					if s.DeadPairs() != nil || len(s.M.Pairs) != nPairs-n {
+						t.Fatalf("step %d: reclaimed %d of %d pairs, left %d pairs, dead mask %v",
+							step, n, nPairs, len(s.M.Pairs), s.DeadPairs() != nil)
+					}
+					after := pairRecords(s)
+					for k, got := range after {
+						want, ok := before[k]
+						if !ok {
+							t.Fatalf("step %d: pair %v appeared during reclamation", step, k)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("step %d: pair %v state moved across reclamation:\n got %+v\nwant %+v", step, k, got, want)
+						}
+					}
+					// Each record released now held a full set of
+					// profiles and holds none; records released before
+					// are untouched.
+					tombs := a.NumDeleted() + b.NumDeleted()
+					if got, want := s.M.C.ProfileEntries(), entries-perRecord*(tombs-released); got != want {
+						t.Fatalf("step %d: %d profile entries after releasing %d records, want %d",
+							step, got, tombs-released, want)
+					}
+					released = tombs
+					assertReleased(t, s, step)
+				} else if s.M.C.ProfileEntries() != entries {
+					t.Fatalf("step %d: a delete without reclamation changed the profile cache", step)
+				}
+			default:
+				ri := rng.Intn(len(s.M.C.Rules))
+				pj := rng.Intn(len(s.M.C.Rules[ri].Preds))
+				thr := s.M.C.Rules[ri].Preds[pj].Threshold
+				if err := s.SetThreshold(ri, pj, thr+0.04*float64(rng.Intn(3)-1)); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if reclaims < 2 {
-				t.Fatalf("stream reclaimed %d times, want at least 2", reclaims)
-			}
-			assertColdParity(t, s)
-
-			// A newly bound profiled feature encodes every record of the
-			// column pair, released ones as "".
-			entries := s.M.C.ProfileEntries()
-			cos := rule.Predicate{Feature: rule.Feature{Sim: "cosine", AttrA: "name", AttrB: "name"}, Op: rule.Ge, Threshold: 0.5}
-			if err := s.AddPredicate(0, cos); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := s.M.C.ProfileEntries(), entries+a.Len()+b.Len(); got != want {
-				t.Fatalf("after add_predicate: %d profile entries, want %d", got, want)
-			}
 			if err := s.VerifyDeep(); err != nil {
-				t.Fatalf("after add_predicate: %v", err)
+				t.Fatalf("step %d: %v", step, err)
 			}
-			assertColdParity(t, s)
+		}
+		if reclaims < 2 {
+			t.Fatalf("stream reclaimed %d times, want at least 2", reclaims)
+		}
+		assertColdParity(t, s)
 
-			// Unseen tokens force every name dictionary to be rebuilt over
-			// the full columns, which re-encodes released records as "":
-			// every record holds a profile in every set again.
-			unseen := table.Record{ID: fmt.Sprintf("a%d", nextA), Values: []string{"zebulon quixote", "219-555-0199", "seattle"}}
-			if err := s.AddRecords([]table.Record{unseen}, nil); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := s.M.C.ProfileEntries(), (perRecord+1)*(a.Len()+b.Len()); got != want {
-				t.Fatalf("after the rebuilding append: %d profile entries, want %d", got, want)
-			}
-			if err := s.VerifyDeep(); err != nil {
-				t.Fatalf("after the rebuilding append: %v", err)
-			}
-			assertColdParity(t, s)
-		})
-	}
+		// A newly bound profiled feature encodes every record of the
+		// column pair, released ones as "".
+		entries := s.M.C.ProfileEntries()
+		cos := rule.Predicate{Feature: rule.Feature{Sim: "cosine", AttrA: "name", AttrB: "name"}, Op: rule.Ge, Threshold: 0.5}
+		if err := s.AddPredicate(0, cos); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.M.C.ProfileEntries(), entries+a.Len()+b.Len(); got != want {
+			t.Fatalf("after add_predicate: %d profile entries, want %d", got, want)
+		}
+		if err := s.VerifyDeep(); err != nil {
+			t.Fatalf("after add_predicate: %v", err)
+		}
+		assertColdParity(t, s)
+
+		// Unseen tokens force every name dictionary to be rebuilt over
+		// the full columns, which re-encodes released records as "":
+		// every record holds a profile in every set again.
+		unseen := table.Record{ID: fmt.Sprintf("a%d", nextA), Values: []string{"zebulon quixote", "219-555-0199", "seattle"}}
+		if err := s.AddRecords([]table.Record{unseen}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.M.C.ProfileEntries(), (perRecord+1)*(a.Len()+b.Len()); got != want {
+			t.Fatalf("after the rebuilding append: %d profile entries, want %d", got, want)
+		}
+		if err := s.VerifyDeep(); err != nil {
+			t.Fatalf("after the rebuilding append: %v", err)
+		}
+		assertColdParity(t, s)
+	})
 }
 
 // assertReleased checks that, right after a reclaiming delete, every

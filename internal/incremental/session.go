@@ -102,9 +102,11 @@ func NewSessionConfig(c *core.Compiled, pairs []table.Pair, cfg core.Config) *Se
 // false bits are deterministic and identical across worker counts and
 // block sizes; check-cache-first resumes for the per-pair incremental
 // operations that follow. ctx is checked between chunks: on
-// cancellation the session is left exactly as before the call — the
-// previous materialized state, memo and stats all stand, so
-// Verify/VerifyDeep still pass — and ctx's error is returned.
+// cancellation ctx's error is returned and the previous materialized
+// state, match count and stats all stand, so Verify/VerifyDeep still
+// pass. The memo may keep the feature values computed by chunks that
+// ran before the cancel; each is exact, so later operations read them
+// as ordinary hits.
 func (s *Session) Run(ctx context.Context) error {
 	before := s.M.Stats
 	st, err := s.M.MatchStateParallelCtx(ctx, s.M.Workers)
@@ -184,10 +186,12 @@ func (s *Session) firstFiring(from, pi int, st *core.MatchState) int {
 // old exit point is no longer valid (paper footnote 2).
 func (s *Session) evalRuleRecordFalse(ri, pi int) bool {
 	r := &s.M.C.Rules[ri]
+	s.M.Stats.RuleEvals++
 	ok := true
 	for pj := range r.Preds {
 		p := &r.Preds[pj]
 		v := s.M.FeatureValue(p.Feat, pi)
+		s.M.Stats.PredEvals++
 		if p.Eval(v) {
 			if s.St.PredFalse[ri][pj].Get(pi) {
 				s.St.PredFalse[ri][pj].Clear(pi)

@@ -376,9 +376,11 @@ rule r2: levenshtein(phone, phone) >= 0.9 and jaccard(name, name) >= 0.3`)
 
 // TestTightenBackEvaluatesNoRule: relaxing r1 gains one pair and moves
 // no ownership, so every pair it gained was unmatched and holds a false
-// bit in every later rule (invariant 2). Tightening back drops exactly
-// those pairs, and the cascade must skip every later rule for them
-// without evaluating one.
+// bit in every later rule (invariant 2). The relax reports its work:
+// one predicate read per examined pair, and one rule entered, with
+// every predicate of r1 read, per pair whose relaxed predicate now
+// passes. Tightening back drops exactly the gained pairs, and the
+// cascade must skip every later rule for them without evaluating one.
 func TestTightenBackEvaluatesNoRule(t *testing.T) {
 	s := newSession(t, baseFunc)
 	before := s.St.Matched.Clone()
@@ -386,9 +388,18 @@ func TestTightenBackEvaluatesNoRule(t *testing.T) {
 	if err := s.RelaxPredicate(0, 0, 0.7); err != nil {
 		t.Fatal(err)
 	}
-	if s.MatchCount() <= before.Count() || s.LastOp.OwnershipMoves != 0 {
+	gained := s.MatchCount() - before.Count()
+	if gained <= 0 || s.LastOp.OwnershipMoves != 0 {
 		t.Fatalf("fixture: relax gained %d pairs with %d ownership moves; want a gain and no move",
-			s.MatchCount()-before.Count(), s.LastOp.OwnershipMoves)
+			gained, s.LastOp.OwnershipMoves)
+	}
+	relax := s.LastOp
+	if relax.Stats.RuleEvals < int64(gained) {
+		t.Errorf("relax re-checked %d rules for %d gained pairs", relax.Stats.RuleEvals, gained)
+	}
+	if want := int64(relax.PairsExamined) + relax.Stats.RuleEvals*int64(len(s.M.C.Rules[0].Preds)); relax.Stats.PredEvals != want {
+		t.Errorf("relax read %d predicates, want %d examined + %d rules x %d predicates",
+			relax.Stats.PredEvals, relax.PairsExamined, relax.Stats.RuleEvals, len(s.M.C.Rules[0].Preds))
 	}
 	if err := s.TightenPredicate(0, 0, thr); err != nil {
 		t.Fatal(err)

@@ -5,16 +5,12 @@
 // analyst can stop and resume a debugging session without paying the
 // cold-start cost again.
 //
-// Two on-disk formats exist:
-//
-//   - v1 (legacy): a raw encoding/gob stream. Still loadable, no longer
-//     written. It carries no integrity check — a torn or bit-flipped v1
-//     file is detected only if the gob decoder or the structural
-//     validation happens to notice.
-//   - v2 (the format Save writes): an 8-byte magic, a little-endian
-//     uint32 payload length, a CRC-32C (Castagnoli) of the payload,
-//     then the gob payload. Truncation and corruption anywhere in the
-//     file are detected before any state is built.
+// A snapshot (format v2) is an 8-byte magic, a little-endian uint32
+// payload length, a CRC-32C (Castagnoli) of the payload, then the gob
+// payload. Truncation and corruption anywhere in the file are detected
+// before any state is built. A stream without the magic is refused:
+// the unframed raw-gob v1 format, which carried no length bound and no
+// checksum, is no longer read.
 //
 // SaveFile is crash-safe: the snapshot is written to a temporary file
 // in the destination directory, fsynced, atomically renamed over the
@@ -48,10 +44,8 @@ import (
 )
 
 const (
-	// versionV1 marks legacy raw-gob snapshots; versionV2 marks
-	// CRC-framed snapshots. The Version field inside the gob payload
-	// must agree with the outer framing.
-	versionV1 = 1
+	// versionV2 marks CRC-framed snapshots. The Version field inside
+	// the gob payload must agree with the outer framing.
 	versionV2 = 2
 
 	// magicV2 opens every framed snapshot. Eight bytes so the sniff
@@ -90,8 +84,7 @@ type snapshot struct {
 	Stats     core.Stats
 	// Seq is the journal sequence number the snapshot covers: every
 	// edit record with Seq <= this value is already folded into the
-	// bitmaps and memo. Zero for standalone snapshots (and for all v1
-	// files, where the field did not exist).
+	// bitmaps and memo. Zero for standalone snapshots.
 	Seq uint64
 	// Epoch is the replication epoch the snapshot was written under
 	// (see internal/wal): promotion of a replica bumps it, and a node
@@ -155,13 +148,13 @@ func WithSeq(seq uint64) SaveOption { return func(c *saveConfig) { c.seq = seq }
 func WithEpoch(epoch uint64) SaveOption { return func(c *saveConfig) { c.epoch = epoch } }
 
 // buildSnapshot assembles the serializable form of the session.
-func buildSnapshot(s *incremental.Session, version int, seq, epoch uint64) (*snapshot, error) {
+func buildSnapshot(s *incremental.Session, seq, epoch uint64) (*snapshot, error) {
 	if s.St == nil {
 		return nil, fmt.Errorf("persist: session has no materialized state; call Run first")
 	}
 	c := s.M.C
 	snap := &snapshot{
-		Version:   version,
+		Version:   versionV2,
 		TableA:    c.A.Name,
 		TableB:    c.B.Name,
 		Function:  c.Function().String(),
@@ -237,7 +230,7 @@ func Save(w io.Writer, s *incremental.Session, opts ...SaveOption) error {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	snap, err := buildSnapshot(s, versionV2, cfg.seq, cfg.epoch)
+	snap, err := buildSnapshot(s, cfg.seq, cfg.epoch)
 	if err != nil {
 		return err
 	}
@@ -306,53 +299,41 @@ func SaveFileFS(fsys faultio.FS, path string, s *incremental.Session, opts ...Sa
 	return nil
 }
 
-// decodeSnapshot reads either format from r: framed v2 when the magic
-// matches, raw-gob v1 otherwise.
-func decodeSnapshot(r io.Reader) (*snapshot, int, error) {
+// decodeSnapshot reads a framed v2 snapshot from r, refusing any
+// stream that does not open with the magic.
+func decodeSnapshot(r io.Reader) (*snapshot, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(magicV2))
 	if err != nil && len(head) == 0 {
-		return nil, 0, fmt.Errorf("persist: read snapshot: %w", err)
+		return nil, fmt.Errorf("persist: read snapshot: %w", err)
 	}
-	if string(head) == magicV2 {
-		return decodeFramed(br)
+	if string(head) != magicV2 {
+		return nil, fmt.Errorf("persist: not a framed snapshot: missing the %q magic (unframed v1 snapshots are no longer read)", magicV2)
 	}
-	// Legacy v1: the whole stream is one gob message.
-	var snap snapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		return nil, 0, fmt.Errorf("persist: decode snapshot: %w", err)
-	}
-	if snap.Version != versionV1 {
-		return nil, 0, fmt.Errorf("persist: unframed snapshot claims version %d, want %d", snap.Version, versionV1)
-	}
-	return &snap, versionV1, nil
-}
-
-func decodeFramed(br *bufio.Reader) (*snapshot, int, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("persist: corrupt snapshot: truncated header: %w", err)
+		return nil, fmt.Errorf("persist: corrupt snapshot: truncated header: %w", err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[8:12])
 	sum := binary.LittleEndian.Uint32(hdr[12:16])
 	if n == 0 || n > maxPayloadBytes {
-		return nil, 0, fmt.Errorf("persist: corrupt snapshot: implausible payload length %d", n)
+		return nil, fmt.Errorf("persist: corrupt snapshot: implausible payload length %d", n)
 	}
 	payload, got, err := readPayload(br, int(n))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if got != sum {
-		return nil, 0, fmt.Errorf("persist: corrupt snapshot: checksum mismatch (stored %08x, computed %08x)", sum, got)
+		return nil, fmt.Errorf("persist: corrupt snapshot: checksum mismatch (stored %08x, computed %08x)", sum, got)
 	}
 	var snap snapshot
 	if err := gob.NewDecoder(payload).Decode(&snap); err != nil {
-		return nil, 0, fmt.Errorf("persist: decode snapshot payload: %w", err)
+		return nil, fmt.Errorf("persist: decode snapshot payload: %w", err)
 	}
 	if snap.Version != versionV2 {
-		return nil, 0, fmt.Errorf("persist: framed snapshot claims version %d, want %d", snap.Version, versionV2)
+		return nil, fmt.Errorf("persist: framed snapshot claims version %d, want %d", snap.Version, versionV2)
 	}
-	return &snap, versionV2, nil
+	return &snap, nil
 }
 
 // payloadChunk is the size of a framed payload's first read chunk.
@@ -394,7 +375,7 @@ func Load(r io.Reader, lib *sim.Library, a, b *table.Table) (*incremental.Sessio
 // LoadInfo is Load plus the format metadata (version, journal
 // sequence) the durability layer needs.
 func LoadInfo(r io.Reader, lib *sim.Library, a, b *table.Table) (*incremental.Session, Info, error) {
-	snap, version, err := decodeSnapshot(r)
+	snap, err := decodeSnapshot(r)
 	if err != nil {
 		return nil, Info{}, err
 	}
@@ -508,7 +489,7 @@ func LoadInfo(r io.Reader, lib *sim.Library, a, b *table.Table) (*incremental.Se
 			return nil, Info{}, fmt.Errorf("persist: %w", err)
 		}
 	}
-	return s, Info{Version: version, Seq: snap.Seq, Epoch: snap.Epoch}, nil
+	return s, Info{Version: snap.Version, Seq: snap.Seq, Epoch: snap.Epoch}, nil
 }
 
 // extendTable rebuilds a grown table from the caller's base records
@@ -562,7 +543,7 @@ func ReadNames(path string) (string, string, error) {
 		return "", "", err
 	}
 	defer f.Close()
-	snap, _, err := decodeSnapshot(f)
+	snap, err := decodeSnapshot(f)
 	if err != nil {
 		return "", "", err
 	}

@@ -505,34 +505,26 @@ func TestSaveEmitsV2LoadInfoReportsVersion(t *testing.T) {
 	}
 }
 
-// legacyV1Bytes encodes s as a pre-framing snapshot — a raw gob stream
-// exactly as releases before the v2 framing wrote it.
-func legacyV1Bytes(t *testing.T, s *incremental.Session) []byte {
-	t.Helper()
-	snap, err := buildSnapshot(s, versionV1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestLoadLegacyV1Bytes pins that a v1 snapshot already on disk still
-// loads.
+// TestLoadLegacyV1Bytes pins that an unframed v1 snapshot — a raw gob
+// stream exactly as releases before the v2 framing wrote it, with no
+// length bound and no checksum — is refused, not decoded.
 func TestLoadLegacyV1Bytes(t *testing.T) {
 	s, a, b := buildSession(t)
-	got, info, err := LoadInfo(bytes.NewReader(legacyV1Bytes(t, s)), sim.Standard(), a, b)
+	snap, err := buildSnapshot(s, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != versionV1 || info.Seq != 0 {
-		t.Fatalf("info = %+v", info)
+	snap.Version = 1
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(snap); err != nil {
+		t.Fatal(err)
 	}
-	if !got.St.Equal(s.St) {
-		t.Error("legacy v1 state differs")
+	got, _, err := LoadInfo(bytes.NewReader(v1.Bytes()), sim.Standard(), a, b)
+	if err == nil {
+		t.Fatalf("unframed v1 snapshot loaded (%d pairs)", len(got.M.Pairs))
+	}
+	if !strings.Contains(err.Error(), "not a framed snapshot") {
+		t.Fatalf("err = %v, want a refusal of the unframed stream", err)
 	}
 }
 
@@ -543,7 +535,7 @@ func TestLoadLegacyV1Bytes(t *testing.T) {
 func reframe(t *testing.T, mutate func(*snapshot)) []byte {
 	t.Helper()
 	s, _, _ := buildSession(t)
-	snap, err := buildSnapshot(s, versionV2, 0, 0)
+	snap, err := buildSnapshot(s, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,15 +618,6 @@ func TestLoadCorruptInputsTable(t *testing.T) {
 		got, err := Load(bytes.NewReader(mut), sim.Standard(), a, b)
 		if err == nil {
 			t.Errorf("bit flip at %d: loaded a session (%d pairs) from a corrupt snapshot", off, len(got.M.Pairs))
-		}
-	}
-
-	// And v1: truncation must error too (gob streams do not decode
-	// partially).
-	v1 := legacyV1Bytes(t, s)
-	for off := 0; off < len(v1); off += 1024 {
-		if _, err := Load(bytes.NewReader(v1[:off]), sim.Standard(), a, b); err == nil {
-			t.Errorf("v1 truncate at %d: torn snapshot loaded", off)
 		}
 	}
 }
@@ -872,7 +855,7 @@ func TestSaveLoadAfterRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := append([]byte(nil), buf.Bytes()...)
-	snap, _, err := decodeSnapshot(bytes.NewReader(raw))
+	snap, err := decodeSnapshot(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

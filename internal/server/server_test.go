@@ -283,6 +283,36 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	mustVerify(t, ts, "clone", "after snapshot restore")
 }
 
+// An unframed snapshot — the gob payload of a real one, without the
+// magic, length and checksum the v2 framing puts in front — is refused
+// as a 400 invalid_request and creates no session.
+func TestCreateRefusesUnframedSnapshot(t *testing.T) {
+	ts, _ := newTestServer(t)
+	createSession(t, ts, "orig")
+	resp, err := http.Get(ts.URL + "/v1/sessions/orig/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) <= 16 {
+		t.Fatalf("snapshot of %d bytes has no payload", len(snap))
+	}
+	var e ErrorResponse
+	code := doJSON(t, "POST", ts.URL+"/v1/sessions", CreateSessionRequest{
+		Name: "unframed", TableA: tableACSV, TableB: tableBCSV, Snapshot: snap[16:],
+	}, &e)
+	if code != http.StatusBadRequest || e.Error.Code != CodeInvalidRequest {
+		t.Fatalf("create from unframed snapshot: status %d, envelope %+v; want 400 %s", code, e, CodeInvalidRequest)
+	}
+	if code := doJSON(t, "GET", ts.URL+"/v1/sessions/unframed", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("refused create left a session: GET status %d", code)
+	}
+}
+
 // A sweep must not move live thresholds; a client timeout mid-sweep
 // (cancelled request context) must leave the session valid.
 func TestSweepAndCancellation(t *testing.T) {

@@ -39,7 +39,7 @@ const DefaultCompactBytes = 1 << 20
 //     rotates the journal the same way. A crash between the two steps
 //     leaves a new snapshot plus a stale journal; recovery skips every
 //     record the snapshot already covers, so nothing is replayed twice.
-//   - Recovery = load snapshot (v1 or v2), read the journal, truncate
+//   - Recovery = load the framed snapshot, read the journal, truncate
 //     its torn tail, replay the records after the snapshot's sequence.
 type Store struct {
 	fsys      faultio.FS
