@@ -39,7 +39,8 @@ FUZZ_TARGETS = \
 	internal/sim:FuzzJaroWinkler \
 	internal/server:FuzzCursor \
 	internal/server:FuzzRequestBodies \
-	internal/bitmap:FuzzBitsGobDecode
+	internal/bitmap:FuzzBitsGobDecode \
+	internal/wal:FuzzFrames
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

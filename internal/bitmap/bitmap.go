@@ -92,14 +92,6 @@ func (b *Bits) Or(other *Bits) {
 	}
 }
 
-// And sets b = b & other in place. The two sets must have equal length.
-func (b *Bits) And(other *Bits) {
-	b.checkLen(other)
-	for i, w := range other.words {
-		b.words[i] &= w
-	}
-}
-
 // SetAll sets every bit. The unused high bits of the last word stay
 // clear, preserving the invariant OrRange and Count rely on.
 func (b *Bits) SetAll() {
@@ -155,35 +147,6 @@ func (b *Bits) OrRange(src *Bits, at int) {
 	if carry != 0 {
 		b.words[wi+len(src.words)] |= carry
 	}
-}
-
-// CopyRange overwrites bits [at, at+src.Len()) of b with the contents
-// of src, word-level: the range is cleared with boundary masks, then
-// src is OR-merged in. Bits of b outside the range are untouched.
-func (b *Bits) CopyRange(src *Bits, at int) {
-	b.checkRange(src, at)
-	b.clearRange(at, at+src.n)
-	b.OrRange(src, at)
-}
-
-// clearRange zeroes bits [lo, hi) word-level: partial boundary words
-// are masked, interior words are assigned zero.
-func (b *Bits) clearRange(lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	loWord, hiWord := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << (uint(lo) & 63)          // bits >= lo within loWord
-	hiMask := ^uint64(0) >> (63 - (uint(hi-1) & 63)) // bits <= hi-1 within hiWord
-	if loWord == hiWord {
-		b.words[loWord] &^= loMask & hiMask
-		return
-	}
-	b.words[loWord] &^= loMask
-	for w := loWord + 1; w < hiWord; w++ {
-		b.words[w] = 0
-	}
-	b.words[hiWord] &^= hiMask
 }
 
 // Gather returns a new bitset of len(keep) bits whose bit i is bit

@@ -308,59 +308,6 @@ func TestOrRangeOutOfBoundsPanics(t *testing.T) {
 	New(64).OrRange(New(32), 40)
 }
 
-func TestCopyRangeMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
-		srcLen := rng.Intn(n + 1)
-		at := 0
-		if n-srcLen > 0 {
-			at = rng.Intn(n - srcLen + 1)
-		}
-		src := New(srcLen)
-		for i := 0; i < srcLen; i++ {
-			if rng.Intn(2) == 0 {
-				src.Set(i)
-			}
-		}
-		got := New(n)
-		want := New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				got.Set(i)
-				want.Set(i)
-			}
-		}
-		got.CopyRange(src, at)
-		// Naive: bits inside the window mirror src, outside stay put.
-		for i := 0; i < srcLen; i++ {
-			if src.Get(i) {
-				want.Set(at + i)
-			} else {
-				want.Clear(at + i)
-			}
-		}
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: CopyRange(len=%d, at=%d) diverges from naive", trial, srcLen, at)
-		}
-	}
-}
-
-func TestCopyRangeClearsStaleBits(t *testing.T) {
-	dst := New(192)
-	for i := 0; i < 192; i++ {
-		dst.Set(i)
-	}
-	src := New(70) // bits all clear, unaligned placement
-	dst.CopyRange(src, 33)
-	for i := 0; i < 192; i++ {
-		inWindow := i >= 33 && i < 103
-		if dst.Get(i) == inWindow {
-			t.Fatalf("bit %d = %v after clearing copy", i, dst.Get(i))
-		}
-	}
-}
-
 // TestNextSetBoundaries pins the word-edge cases of the zero-alloc
 // iterator.
 func TestNextSetBoundaries(t *testing.T) {
@@ -410,33 +357,6 @@ func TestNextSetAgainstNaive(t *testing.T) {
 			if got[k] != want[k] {
 				t.Fatalf("trial %d: position %d: NextSet %d, Indices %d", trial, k, got[k], want[k])
 			}
-		}
-	}
-}
-
-func TestAndAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 40; trial++ {
-		n := rng.Intn(260)
-		a, b := New(n), New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				a.Set(i)
-			}
-			if rng.Intn(2) == 0 {
-				b.Set(i)
-			}
-		}
-		want := New(n)
-		for i := 0; i < n; i++ {
-			if a.Get(i) && b.Get(i) {
-				want.Set(i)
-			}
-		}
-		got := a.Clone()
-		got.And(b)
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: And diverges from naive", trial)
 		}
 	}
 }

@@ -88,8 +88,8 @@ func TestBatchDifferentialParity(t *testing.T) {
 		valueCache := trial%3 == 0
 		noMemo := trial%7 == 6
 
-		newMatcher := func(blockSize int) *Matcher {
-			m := NewMatcher(c, pairs)
+		newMatcher := func(ps []table.Pair, blockSize int) *Matcher {
+			m := NewMatcher(c, ps)
 			if noMemo {
 				m.Memo = nil
 			}
@@ -98,14 +98,14 @@ func TestBatchDifferentialParity(t *testing.T) {
 			return m
 		}
 
-		ref := newMatcher(0)
+		ref := newMatcher(pairs, 0)
 		want := ref.Match()
 		if err := want.Validate(c, pairs); err != nil {
 			t.Fatalf("trial %d: Match state invalid: %v", trial, err)
 		}
 
 		for _, bs := range []int{1, 64, 100, 1024} {
-			m := newMatcher(bs)
+			m := newMatcher(pairs, bs)
 			got := m.MatchState()
 			if !got.Equal(want) {
 				t.Fatalf("trial %d block=%d: batch state diverges from Match\n%s", trial, bs, f.String())
@@ -120,32 +120,61 @@ func TestBatchDifferentialParity(t *testing.T) {
 				assertMemoEqual(t, fmt.Sprintf("trial %d block=%d", trial, bs), m.Memo, ref.Memo, len(c.Features), len(pairs))
 			}
 			// Marks-only path agrees too.
-			bits := newMatcher(bs).MatchBits()
+			bits := newMatcher(pairs, bs).MatchBits()
 			if !bits.Equal(want.Matched) {
 				t.Fatalf("trial %d block=%d: MatchBits diverges", trial, bs)
 			}
 		}
 
+		// The worker counts run over the pairs tiled past three chunks, so
+		// several goroutines write the state and memo in place.
+		tiled := tilePairs(pairs)
+		tiledRef := newMatcher(tiled, 0)
+		tiledWant := tiledRef.Match()
+		// Each worker count's state must equal tiledWant bit for bit, so
+		// validating tiledWant once validates them all.
+		if err := tiledWant.Validate(c, tiled); err != nil {
+			t.Fatalf("trial %d: tiled Match state invalid: %v", trial, err)
+		}
 		for _, workers := range []int{1, 2, 3, 8} {
-			m := newMatcher(64)
+			m := newMatcher(tiled, 64)
 			got, err := m.MatchStateParallelCtx(context.Background(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(want) {
+			if !got.Equal(tiledWant) {
 				t.Fatalf("trial %d workers=%d: parallel batch state diverges from Match\n%s", trial, workers, f.String())
 			}
-			if err := got.Validate(c, pairs); err != nil {
-				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
+			gotStats, wantStats := m.Stats, tiledRef.Stats
+			if valueCache {
+				// Each chunk keeps its own value cache, so only the sum of
+				// computes and value-cache hits is fixed.
+				for _, s := range []*Stats{&gotStats, &wantStats} {
+					s.FeatureComputes += s.ValueCacheHits
+					s.ValueCacheHits = 0
+				}
 			}
-			if m.Stats != ref.Stats {
-				t.Fatalf("trial %d workers=%d: stats diverge: sharded %+v Match %+v", trial, workers, m.Stats, ref.Stats)
+			if gotStats != wantStats {
+				t.Fatalf("trial %d workers=%d: stats diverge: sharded %+v Match %+v", trial, workers, m.Stats, tiledRef.Stats)
 			}
 			if !noMemo {
-				assertMemoEqual(t, fmt.Sprintf("trial %d workers=%d", trial, workers), m.Memo, ref.Memo, len(c.Features), len(pairs))
+				assertMemoEqual(t, fmt.Sprintf("trial %d workers=%d", trial, workers), m.Memo, tiledRef.Memo, len(c.Features), len(tiled))
 			}
 		}
 	}
+}
+
+// tilePairs repeats pairs until they span more than three of the shard
+// driver's chunks (chunkRanges has a 1,024-pair floor), so a
+// worker-count comparison runs several chunks on several goroutines.
+// State and memo are indexed by position, so a repeated pair is just
+// another pair.
+func tilePairs(pairs []table.Pair) []table.Pair {
+	var out []table.Pair
+	for len(chunkRanges(len(out), 8, 64)) <= 3 {
+		out = append(out, pairs...)
+	}
+	return out
 }
 
 // TestBatchCacheFirstMarksParity: with check-cache-first enabled the

@@ -222,12 +222,14 @@ func TestProfileCacheAgreesAndHelps(t *testing.T) {
 }
 
 // TestMatchStateParallelMatchesSerial is the seeded property test for
-// the sharded materializing run: over random rule sets, every worker
-// count must produce Matched/RuleTrue byte-equal to the serial Match,
+// the sharded materializing run: over random rule sets and the fixture
+// pairs tiled past three chunks, every worker count must produce
+// Matched/RuleTrue byte-equal to the serial Match,
 // PredFalse byte-equal to a static-order serial Match, a memo with
 // identical contents, the same Stats, and state passing Validate.
 func TestMatchStateParallelMatchesSerial(t *testing.T) {
-	a, b, pairs := fixture(t)
+	a, b, small := fixture(t)
+	pairs := tilePairs(small)
 	lib := sim.Standard()
 	sims := []string{"jaro", "jaro_winkler", "levenshtein", "jaccard", "exact_match", "tf_idf", "trigram"}
 	attrs := []string{"name", "phone", "city"}
@@ -265,6 +267,11 @@ func TestMatchStateParallelMatchesSerial(t *testing.T) {
 		cacheFirst := NewMatcher(c, pairs)
 		cacheFirst.CheckCacheFirst = true
 		wantCF := cacheFirst.Match()
+		// Each worker count's state must equal want bit for bit, so
+		// validating want once validates them all.
+		if err := want.Validate(c, pairs); err != nil {
+			t.Fatalf("trial %d: serial state invalid: %v", trial, err)
+		}
 		for _, workers := range []int{1, 2, 3, 8} {
 			m := NewMatcher(c, pairs)
 			got, err := m.MatchStateParallelCtx(context.Background(), workers)
@@ -284,9 +291,6 @@ func TestMatchStateParallelMatchesSerial(t *testing.T) {
 			}
 			if !got.Equal(want) {
 				t.Fatalf("trial %d workers=%d: PredFalse diverges from static-order serial", trial, workers)
-			}
-			if err := got.Validate(c, pairs); err != nil {
-				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}
 			// The shared memo holds exactly the serial memo's values.
 			assertMemoEqual(t, fmt.Sprintf("trial %d workers=%d", trial, workers), m.Memo, serial.Memo, len(c.Features), len(pairs))

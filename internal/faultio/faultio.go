@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -61,6 +62,40 @@ func (osFS) SyncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// WriteFileAtomic publishes a file crash-safely: write streams the
+// content into path.tmp, which is fsynced, closed, renamed over path,
+// and then the directory is fsynced so the rename itself is durable.
+// A crash at any step leaves path holding either its previous content
+// or the complete new content, never a torn file. With fsync false
+// both fsyncs are skipped: the publish is still atomic against a
+// process crash, but not against power loss. On any failure up to and
+// including the rename the temp file is removed.
+func WriteFileAtomic(fsys FS, path string, fsync bool, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil && fsync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp) // best effort: a crashed process leaves it too
+		return err
+	}
+	if fsync {
+		return fsys.SyncDir(filepath.Dir(path))
+	}
+	return nil
 }
 
 // ErrInjected marks every failure produced by an Injector, so tests

@@ -2,38 +2,22 @@ package faultio
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// writeWorkload runs a fixed little protocol — open, two writes,
-// sync, close, rename, syncdir — and returns the first error.
+// writeWorkload publishes "hello world" to dir/f in two writes through
+// WriteFileAtomic: open, two writes, sync, close, rename, syncdir.
 func writeWorkload(fs FS, dir string) error {
-	tmp := filepath.Join(dir, "f.tmp")
-	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	return WriteFileAtomic(fs, filepath.Join(dir, "f"), true, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "hello "); err != nil {
+			return err
+		}
+		_, err := io.WriteString(w, "world")
 		return err
-	}
-	if _, err := f.Write([]byte("hello ")); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := f.Write([]byte("world")); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, "f")); err != nil {
-		return err
-	}
-	return fs.SyncDir(dir)
+	})
 }
 
 func TestOSRoundTrip(t *testing.T) {
@@ -109,6 +93,9 @@ func TestFailModeIsTransient(t *testing.T) {
 	in := &Injector{Base: OS, Mode: ModeFail, At: 4} // the Sync call
 	if err := writeWorkload(in, dir); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "f.tmp")); !os.IsNotExist(err) {
+		t.Fatalf("failed publish left its temp file: %v", err)
 	}
 	// Transient: a retry (new ops, past At) goes through.
 	if err := writeWorkload(in, dir); err != nil {

@@ -30,7 +30,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"rulematch/internal/bitmap"
@@ -244,10 +243,10 @@ func Save(w io.Writer, s *incremental.Session, opts ...SaveOption) error {
 	return writeFramed(w, payload.Bytes())
 }
 
-// SaveFile writes the snapshot to a file crash-safely: encode to
-// memory, write to a temporary file beside the destination, fsync,
-// rename over the destination, fsync the directory. The previous
-// snapshot at path stays intact until the new one is complete.
+// SaveFile writes the snapshot to a file crash-safely: it encodes in
+// memory and publishes the bytes with faultio.WriteFileAtomic, so the
+// previous snapshot at path stays intact until the new one is
+// complete.
 func SaveFile(path string, s *incremental.Session, opts ...SaveOption) error {
 	return SaveFileFS(faultio.OS, path, s, opts...)
 }
@@ -266,35 +265,11 @@ func SaveFileFS(fsys faultio.FS, path string, s *incremental.Session, opts ...Sa
 	if err := Save(&buf, s, opts...); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := faultio.WriteFileAtomic(fsys, path, cfg.fsync, func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
 		return err
-	}
-	cleanup := func(err error) error {
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		_ = f.Close()
-		return cleanup(fmt.Errorf("persist: write snapshot: %w", err))
-	}
-	if cfg.fsync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return cleanup(fmt.Errorf("persist: sync snapshot: %w", err))
-		}
-	}
-	if err := f.Close(); err != nil {
-		return cleanup(fmt.Errorf("persist: close snapshot: %w", err))
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return cleanup(fmt.Errorf("persist: publish snapshot: %w", err))
-	}
-	if cfg.fsync {
-		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-			return fmt.Errorf("persist: sync snapshot directory: %w", err)
-		}
+	}); err != nil {
+		return fmt.Errorf("persist: publish snapshot: %w", err)
 	}
 	return nil
 }

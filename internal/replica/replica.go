@@ -576,7 +576,7 @@ func (f *follower) pollOnce(ctx context.Context) error {
 			return fmt.Errorf("%w: primary advanced to epoch %d", errRotated, ep)
 		}
 	}
-	recs, err := decodeFrames(body)
+	recs, err := wal.DecodeFrames(body)
 	if err != nil {
 		// A garbled stream cannot be resumed from this cursor with
 		// confidence; rebuild from the snapshot.
@@ -637,23 +637,6 @@ func (f *follower) apply(recs []wal.Record) error {
 		mAppliedRecords.Add(1)
 	}
 	return nil
-}
-
-// decodeFrames parses a WAL-endpoint body: journal frames without the
-// file magic. A torn or CRC-failing tail is an error here — HTTP
-// delivered the whole body, so a partial parse means corruption.
-func decodeFrames(body []byte) ([]wal.Record, error) {
-	if len(body) == 0 {
-		return nil, nil
-	}
-	lg, err := wal.ReadLogFrom(bytes.NewReader(append([]byte(wal.Magic), body...)))
-	if err != nil {
-		return nil, err
-	}
-	if lg.Torn {
-		return nil, errors.New("torn frame in replication response")
-	}
-	return lg.Records, nil
 }
 
 // headerSeq parses an Em-Seq header; 0 when absent or malformed.

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -344,6 +346,66 @@ func TestWalRotatedRebootstrap(t *testing.T) {
 			if st.LastErr != "" {
 				t.Fatalf("sticky error after recovery: %s", st.LastErr)
 			}
+		}
+	}
+}
+
+// TestCorruptJournalRebootstraps proves a follower is never reported
+// caught up over a hole in the primary's journal: with one payload byte
+// of record 3 flipped on disk, a cursor at 2 gets 410 wal_rotated, and
+// the follower re-bootstraps from the primary's in-memory state
+// instead of waiting at seq 2 for records the journal cannot ship.
+func TestCorruptJournalRebootstraps(t *testing.T) {
+	cfg := engineConfig()
+	dir := t.TempDir()
+	srv := server.New(cfg)
+	if err := srv.EnableDurability(server.Durability{Dir: dir, Policy: wal.SyncPolicy{Mode: wal.SyncNever}}); err != nil {
+		t.Fatal(err)
+	}
+	pts := httptest.NewServer(srv.Handler())
+	t.Cleanup(pts.Close)
+	createSession(t, pts.URL, "bad")
+	fts, m := newFollower(t, cfg, pts.URL)
+	for i := 0; i < 6; i++ {
+		edit(t, pts.URL, "bad", stormEdit(i))
+	}
+	waitConverged(t, m, "bad", 6)
+
+	path := filepath.Join(dir, "bad", wal.JournalFile)
+	lg, err := wal.ReadLog(path)
+	if err != nil || len(lg.Records) != 6 {
+		t.Fatalf("primary journal: %d records, err %v", len(lg.Records), err)
+	}
+	off := len(wal.Magic) + 8 + 2
+	for _, rec := range lg.Records[:2] {
+		frame, err := wal.EncodeFrame(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += len(frame)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m.mu.Lock()
+	f := m.followers["bad"]
+	m.mu.Unlock()
+	f.mu.Lock()
+	f.applied = 2 // a follower that still needs records 3..6
+	f.mu.Unlock()
+	waitConverged(t, m, "bad", 6)
+	if !bytes.Equal(snapshotBytes(t, pts.URL, "bad"), snapshotBytes(t, fts.URL, "bad")) {
+		t.Fatal("re-bootstrapped follower differs from primary")
+	}
+	for _, st := range m.Status() {
+		if st.Name == "bad" && (st.Rebootstraps == 0 || st.Lag != 0) {
+			t.Fatalf("status %+v, want a counted re-bootstrap and no lag", st)
 		}
 	}
 }

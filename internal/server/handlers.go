@@ -467,8 +467,8 @@ func (s *Server) hRun(w http.ResponseWriter, r *http.Request) {
 
 // maxSweepPoints caps the thresholds one sweep evaluates, whether
 // given as Steps or as Thresholds. Every point allocates a bitmap over
-// all candidate pairs and re-decides every candidate pair, so without
-// a cap one small request could claim gigabytes.
+// all candidate pairs, so without a cap one small request could claim
+// gigabytes.
 const maxSweepPoints = 1024
 
 // hSweep evaluates candidate thresholds for one predicate. The sweep

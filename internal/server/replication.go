@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -18,12 +20,11 @@ import (
 // When compaction rotates the journal past a follower's cursor the WAL
 // endpoint answers 410 wal_rotated and the follower re-bootstraps.
 
-// maxWalWait caps the WAL endpoint's long-poll budget.
+// maxWalWait caps a long poll's ?wait= budget, on the WAL endpoint
+// and the read barrier alike.
 const maxWalWait = 30 * time.Second
 
-// walPollInterval is how often the long poll re-checks the journal.
-// The check acquires and releases the session's read lock each round,
-// so a waiting poll never blocks an edit.
+// walPollInterval is how often pollUntil re-checks.
 const walPollInterval = 25 * time.Millisecond
 
 // Em-* headers carry replication coordinates alongside the binary
@@ -44,9 +45,8 @@ const (
 )
 
 // hWal streams framed journal records with Seq > from. When the
-// follower is caught up and ?wait is set, the handler long-polls: it
-// re-checks the journal every walPollInterval without holding the
-// session lock across the wait, so edits proceed unimpeded.
+// follower is caught up and ?wait is set, the handler long-polls
+// (pollUntil), so edits proceed unimpeded.
 func (s *Server) hWal(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var from uint64
@@ -57,35 +57,61 @@ func (s *Server) hWal(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var wait time.Duration
-	if v := q.Get("wait"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 0 {
-			writeErr(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("bad wait: want milliseconds"))
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > maxWalWait {
-			wait = maxWalWait
-		}
+	wait, err := parseWait(q, 0)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		return
 	}
+	var frames []byte
+	var last, snapSeq, epoch uint64
+	ok := true
+	_, err = pollUntil(r.Context(), wait, func() bool {
+		frames, last, snapSeq, epoch, ok = s.walPoll(w, r, from)
+		return !ok || len(frames) > 0
+	})
+	if !ok || err != nil {
+		return // error response already written, or the client is gone
+	}
+	w.Header().Set(HeaderSeq, strconv.FormatUint(last, 10))
+	w.Header().Set(HeaderSnapshotSeq, strconv.FormatUint(snapSeq, 10))
+	w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(frames)
+}
+
+// parseWait reads a long poll's ?wait= budget in milliseconds, capped
+// at maxWalWait; def when absent.
+func parseWait(q url.Values, def time.Duration) (time.Duration, error) {
+	v := q.Get("wait")
+	if v == "" {
+		return def, nil
+	}
+	ms, err := strconv.Atoi(v)
+	if err != nil || ms < 0 {
+		return 0, errors.New("bad wait: want milliseconds")
+	}
+	return time.Duration(min(ms, int(maxWalWait/time.Millisecond))) * time.Millisecond, nil
+}
+
+// pollUntil is the one long-poll loop, behind the WAL endpoint and
+// the read barrier: it calls check, then again every walPollInterval,
+// until check reports true (pollUntil returns true) or wait has
+// elapsed (false). check takes and releases whatever session handle
+// it needs, so no handle is held across a wait and a waiting poll
+// never blocks an edit. It returns the request context's error if the
+// client goes away first.
+func pollUntil(ctx context.Context, wait time.Duration, check func() bool) (bool, error) {
 	deadline := time.Now().Add(wait)
 	for {
-		frames, last, snapSeq, epoch, ok := s.walPoll(w, r, from)
-		if !ok {
-			return // error response already written
+		if check() {
+			return true, nil
 		}
-		if len(frames) > 0 || !time.Now().Before(deadline) {
-			w.Header().Set(HeaderSeq, strconv.FormatUint(last, 10))
-			w.Header().Set(HeaderSnapshotSeq, strconv.FormatUint(snapSeq, 10))
-			w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = w.Write(frames)
-			return
+		if !time.Now().Before(deadline) {
+			return false, nil
 		}
 		select {
-		case <-r.Context().Done():
-			return
+		case <-ctx.Done():
+			return false, ctx.Err()
 		case <-time.After(walPollInterval):
 		}
 	}
@@ -180,37 +206,28 @@ func (s *Server) waitConsistent(w http.ResponseWriter, r *http.Request) bool {
 		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("bad consistent: want a decimal sequence number"))
 		return false
 	}
-	wait := defaultBarrierWait
-	if wv := q.Get("wait"); wv != "" {
-		ms, err := strconv.Atoi(wv)
-		if err != nil || ms < 0 {
-			writeErr(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("bad wait: want milliseconds"))
-			return false
-		}
-		wait = time.Duration(ms) * time.Millisecond
-	}
-	if wait > maxWalWait {
-		wait = maxWalWait
+	wait, err := parseWait(q, defaultBarrierWait)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		return false
 	}
 	name := r.PathValue("name")
-	deadline := time.Now().Add(wait)
-	for {
-		applied, known := s.appliedSeq(name)
-		if known && applied >= seq {
-			return true
-		}
-		if !time.Now().Before(deadline) {
-			writeErr(w, http.StatusServiceUnavailable, CodeUnavailable,
-				fmt.Errorf("read barrier: applied sequence %d has not reached %d", applied, seq))
-			return false
-		}
-		select {
-		case <-r.Context().Done():
-			writeErr(w, http.StatusServiceUnavailable, CodeCancelled, r.Context().Err())
-			return false
-		case <-time.After(walPollInterval):
-		}
+	var applied uint64
+	reached, err := pollUntil(r.Context(), wait, func() bool {
+		var known bool
+		applied, known = s.appliedSeq(name)
+		return known && applied >= seq
+	})
+	switch {
+	case reached:
+		return true
+	case err != nil:
+		writeErr(w, http.StatusServiceUnavailable, CodeCancelled, err)
+	default:
+		writeErr(w, http.StatusServiceUnavailable, CodeUnavailable,
+			fmt.Errorf("read barrier: applied sequence %d has not reached %d", applied, seq))
 	}
+	return false
 }
 
 // appliedSeq reports how much of the named session's history this node

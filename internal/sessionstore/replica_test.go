@@ -1,7 +1,6 @@
 package sessionstore
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -169,12 +168,9 @@ func TestHandleWalFrames(t *testing.T) {
 
 func parseFrames(t *testing.T, frames []byte) []wal.Record {
 	t.Helper()
-	log, err := wal.ReadLogFrom(bytes.NewReader(append([]byte(wal.Magic), frames...)))
+	recs, err := wal.DecodeFrames(frames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Torn {
-		t.Fatal("framed stream parsed as torn")
-	}
-	return log.Records
+	return recs
 }

@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"rulematch/internal/faultio"
 	"rulematch/internal/incremental"
@@ -61,6 +64,12 @@ type Store struct {
 // a replica, never append.
 var ErrFenced = errors.New("wal: store is fenced (a newer epoch exists)")
 
+// ErrRotated reports that a journal no longer holds the records a
+// cursor asks for: compaction folded them into a snapshot and rotated
+// the file, or the journal lost them. A follower seeing this must
+// re-bootstrap from the latest snapshot instead of retrying the cursor.
+var ErrRotated = errors.New("wal: journal rotated past cursor")
+
 func (st *Store) path(name string) string { return filepath.Join(st.dir, name) }
 
 // Seq returns the sequence number of the last committed edit.
@@ -106,24 +115,7 @@ func Create(fsys faultio.FS, dir string, policy SyncPolicy, sess *incremental.Se
 	if _, err := os.Stat(st.path(SnapshotFile)); err == nil {
 		return nil, fmt.Errorf("wal: session directory %s already holds a snapshot", dir)
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: create session directory: %w", err)
-	}
-	if err := st.writeTable(TableAFile, a); err != nil {
-		return nil, err
-	}
-	if err := st.writeTable(TableBFile, b); err != nil {
-		return nil, err
-	}
-	if err := st.saveSnapshot(sess); err != nil {
-		return nil, err
-	}
-	w, err := OpenWriter(fsys, st.path(JournalFile), policy)
-	if err != nil {
-		return nil, err
-	}
-	st.w = w
-	return st, nil
+	return st.populate(sess, a.WriteCSV, b.WriteCSV)
 }
 
 // CreateAt initializes a session directory at a given recovery point:
@@ -141,19 +133,25 @@ func CreateAt(fsys faultio.FS, dir string, policy SyncPolicy, sess *incremental.
 	if err := fsys.RemoveAll(dir); err != nil {
 		return nil, fmt.Errorf("wal: clear session directory: %w", err)
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	return st.populate(sess, writeBytes(aCSV), writeBytes(bCSV))
+}
+
+// populate fills a fresh session directory: the two base tables, then
+// the first snapshot, then the journal.
+func (st *Store) populate(sess *incremental.Session, writeA, writeB func(io.Writer) error) (*Store, error) {
+	if err := st.fsys.MkdirAll(st.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create session directory: %w", err)
 	}
-	if err := st.writeTableBytes(TableAFile, aCSV); err != nil {
+	if err := st.writeTable(TableAFile, writeA); err != nil {
 		return nil, err
 	}
-	if err := st.writeTableBytes(TableBFile, bCSV); err != nil {
+	if err := st.writeTable(TableBFile, writeB); err != nil {
 		return nil, err
 	}
 	if err := st.saveSnapshot(sess); err != nil {
 		return nil, err
 	}
-	w, err := OpenWriter(fsys, st.path(JournalFile), policy)
+	w, err := OpenWriter(st.fsys, st.path(JournalFile), st.policy)
 	if err != nil {
 		return nil, err
 	}
@@ -161,42 +159,21 @@ func CreateAt(fsys faultio.FS, dir string, policy SyncPolicy, sess *incremental.
 	return st, nil
 }
 
-// writeTableBytes persists one input table from raw CSV bytes.
-func (st *Store) writeTableBytes(name string, csv []byte) error {
-	f, err := st.fsys.OpenFile(st.path(name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: create %s: %w", name, err)
+// writeBytes is the write callback that writes b as it is.
+func writeBytes(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
 	}
-	if _, err := f.Write(csv); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: write %s: %w", name, err)
-	}
-	if st.policy.Mode != SyncNever {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("wal: sync %s: %w", name, err)
-		}
-	}
-	return f.Close()
 }
 
-// writeTable persists one input table as CSV through the store's FS.
-func (st *Store) writeTable(name string, t *table.Table) error {
-	f, err := st.fsys.OpenFile(st.path(name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: create %s: %w", name, err)
-	}
-	if err := t.WriteCSV(f); err != nil {
-		_ = f.Close()
+// writeTable atomically publishes one table CSV, so a crash leaves
+// either the old or the new file.
+func (st *Store) writeTable(name string, write func(io.Writer) error) error {
+	if err := faultio.WriteFileAtomic(st.fsys, st.path(name), st.policy.Mode != SyncNever, write); err != nil {
 		return fmt.Errorf("wal: write %s: %w", name, err)
 	}
-	if st.policy.Mode != SyncNever {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("wal: sync %s: %w", name, err)
-		}
-	}
-	return f.Close()
+	return nil
 }
 
 // Recovered reports what Open reconstructed.
@@ -341,91 +318,90 @@ func (st *Store) CompactRewrite(sess *incremental.Session, a, b *table.Table) er
 		return err
 	}
 	st.snapSeq = st.seq
-	if err := st.writeTableAtomic(TableAFile, a); err != nil {
+	if err := st.writeTable(TableAFile, a.WriteCSV); err != nil {
 		return err
 	}
-	if err := st.writeTableAtomic(TableBFile, b); err != nil {
+	if err := st.writeTable(TableBFile, b.WriteCSV); err != nil {
 		return err
 	}
 	return st.rotateJournal()
 }
 
-// writeTableAtomic rewrites one table CSV via temp + fsync + rename +
-// dir-fsync, so a crash leaves either the old or the new file.
-func (st *Store) writeTableAtomic(name string, t *table.Table) error {
-	tmp := st.path(name + ".tmp")
-	f, err := st.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: rewrite %s: %w", name, err)
-	}
-	cleanup := func(err error) error {
-		_ = st.fsys.Remove(tmp)
-		return fmt.Errorf("wal: rewrite %s: %w", name, err)
-	}
-	if err := t.WriteCSV(f); err != nil {
-		_ = f.Close()
-		return cleanup(err)
-	}
-	if st.policy.Mode != SyncNever {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return cleanup(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return cleanup(err)
-	}
-	if err := st.fsys.Rename(tmp, st.path(name)); err != nil {
-		return cleanup(err)
-	}
-	if st.policy.Mode != SyncNever {
-		if err := st.fsys.SyncDir(st.dir); err != nil {
-			return fmt.Errorf("wal: rewrite %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// rotateJournal swaps in a fresh header-only journal: build it beside
-// the live one, then atomically rename it over.
+// rotateJournal atomically publishes a header-only journal over the
+// live one, then moves the writer onto it. The old writer is closed
+// only after the publish: every record it holds is covered by the
+// snapshot just saved, so its close error changes nothing. A failed
+// publish leaves the store closed, since once the rename may have
+// landed the old writer's file is no longer the journal and appending
+// to it would lose edits.
 func (st *Store) rotateJournal() error {
-	tmp := st.path(JournalFile + ".new")
-	f, err := st.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: rotate journal: %w", err)
-	}
-	if _, err := f.Write([]byte(Magic)); err != nil {
-		_ = f.Close()
-		_ = st.fsys.Remove(tmp)
-		return fmt.Errorf("wal: rotate journal: %w", err)
-	}
-	if st.policy.Mode != SyncNever {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			_ = st.fsys.Remove(tmp)
-			return fmt.Errorf("wal: rotate journal: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		_ = st.fsys.Remove(tmp)
-		return fmt.Errorf("wal: rotate journal: %w", err)
-	}
+	err := faultio.WriteFileAtomic(st.fsys, st.path(JournalFile), st.policy.Mode != SyncNever, writeBytes([]byte(Magic)))
 	_ = st.w.Close()
 	st.w = nil
-	if err := st.fsys.Rename(tmp, st.path(JournalFile)); err != nil {
+	if err != nil {
 		return fmt.Errorf("wal: rotate journal: %w", err)
 	}
-	if st.policy.Mode != SyncNever {
-		if err := st.fsys.SyncDir(st.dir); err != nil {
-			return fmt.Errorf("wal: rotate journal: %w", err)
-		}
+	st.w, err = OpenWriter(st.fsys, st.path(JournalFile), st.policy)
+	return err
+}
+
+// SnapshotSeq returns the sequence number covered by the store's
+// current snapshot: every record with Seq <= SnapshotSeq is folded in
+// and no longer served from the journal. A follower whose cursor is
+// below this must re-bootstrap.
+func (st *Store) SnapshotSeq() uint64 { return st.snapSeq }
+
+// FramesAfter returns the journal's own frame bytes (no magic header)
+// for the records from+1..Seq(), plus the last sequence included
+// (== from when the follower is caught up). Returns ErrRotated when
+// the journal does not hold exactly those records: compaction folded
+// some into the snapshot (the cursor predates SnapshotSeq), or a
+// corrupt frame cut the readable journal short of Seq().
+//
+// Callers must hold at least the session's read lock: the journal is
+// only appended or rotated under the write lock, so the file is
+// quiescent for the duration.
+func (st *Store) FramesAfter(from uint64) ([]byte, uint64, error) {
+	if from < st.snapSeq {
+		return nil, 0, fmt.Errorf("cursor %d predates snapshot seq %d: %w", from, st.snapSeq, ErrRotated)
 	}
-	w, err := OpenWriter(st.fsys, st.path(JournalFile), st.policy)
+	if from >= st.seq {
+		return nil, from, nil
+	}
+	data, err := readJournal(st.path(JournalFile))
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	st.w = w
-	return nil
+	body, ok := bytes.CutPrefix(data, []byte(Magic))
+	if !ok {
+		return nil, 0, fmt.Errorf("journal has no header: %w", ErrRotated)
+	}
+	recs, bounds := scanFrames(body)
+	// Records at or below from are stale (left by a crash between
+	// snapshot publish and rotation, or already shipped); seqs rise
+	// strictly, so the first and last seq pin the whole run.
+	lo := sort.Search(len(recs), func(i int) bool { return recs[i].Seq > from })
+	hi := lo + int(st.seq-from)
+	if hi > len(recs) || recs[lo].Seq != from+1 || recs[hi-1].Seq != st.seq {
+		return nil, 0, fmt.Errorf("journal does not hold records %d..%d: %w", from+1, st.seq, ErrRotated)
+	}
+	return body[bounds[lo]:bounds[hi]], st.seq, nil
+}
+
+// TableBytes returns the raw CSV bytes of the session's base tables —
+// the files a snapshot's base lengths refer to. Followers bootstrap
+// from these plus the snapshot. Callers must hold at least the read
+// lock (CompactRewrite replaces the files under the write lock).
+func (st *Store) TableBytes() (a, b []byte, err error) {
+	a, err = os.ReadFile(st.path(TableAFile))
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: read %s: %w", TableAFile, err)
+	}
+	b, err = os.ReadFile(st.path(TableBFile))
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: read %s: %w", TableBFile, err)
+	}
+	return a, b, nil
 }
 
 // Close syncs and closes the journal.

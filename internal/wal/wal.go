@@ -20,12 +20,12 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"time"
 
@@ -197,13 +197,21 @@ func (w *Writer) Append(rec Record) error {
 	return nil
 }
 
-// Sync forces an fsync regardless of policy.
-func (w *Writer) Sync() error {
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync journal: %w", err)
+// EncodeFrame frames one record exactly as Writer.Append writes it:
+// uint32 LE payload length, uint32 LE CRC-32C, JSON payload.
+func EncodeFrame(rec Record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("wal: encode record: %w", err)
 	}
-	w.lastSync = time.Now()
-	return nil
+	if len(payload) > MaxRecordBytes {
+		return nil, fmt.Errorf("wal: record %d bytes exceeds the %d-byte limit", len(payload), MaxRecordBytes)
+	}
+	frame := make([]byte, 8+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	copy(frame[8:], payload)
+	return frame, nil
 }
 
 // Size returns the journal's current byte size (header + records).
@@ -238,72 +246,84 @@ type Log struct {
 // log. ReadLog never modifies the file; pass the result to RepairFile
 // to truncate the torn tail before appending again.
 func ReadLog(path string) (*Log, error) {
+	data, err := readJournal(path)
+	if err != nil {
+		return nil, err
+	}
+	return parseLog(data), nil
+}
+
+// readJournal reads a whole journal file; a missing file reads as
+// empty.
+func readJournal(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return &Log{}, nil
+		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: read journal: %w", err)
 	}
-	return parseLog(data), nil
+	return data, nil
 }
 
+// parseLog decodes a whole journal file: the magic header, then
+// frames.
 func parseLog(data []byte) *Log {
-	log := &Log{}
-	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
+	body, ok := bytes.CutPrefix(data, []byte(Magic))
+	if !ok {
 		// Header never completed: the whole file is a torn tail.
-		log.Torn = len(data) > 0
-		return log
+		return &Log{Torn: len(data) > 0}
 	}
-	off := int64(len(Magic))
-	log.GoodSize = off
+	recs, bounds := scanFrames(body)
+	good := bounds[len(recs)]
+	return &Log{Records: recs, GoodSize: int64(len(Magic) + good), Torn: good < len(body)}
+}
+
+// DecodeFrames decodes a run of journal frames without the magic
+// header: the body of the replication WAL endpoint. The whole body has
+// arrived, so a bad frame anywhere in it is an error, never a tail to
+// wait for.
+func DecodeFrames(b []byte) ([]Record, error) {
+	recs, bounds := scanFrames(b)
+	if good := bounds[len(recs)]; good < len(b) {
+		return nil, fmt.Errorf("wal: bad frame at byte %d of %d", good, len(b))
+	}
+	return recs, nil
+}
+
+// scanFrames is the one journal frame decoder, behind recovery
+// (ReadLog), shipping (Store.FramesAfter) and following (DecodeFrames).
+// It decodes back-to-back frames and stops at the first bad one: a
+// short frame, an implausible length, a checksum mismatch, a payload
+// that is not a record, or a sequence number that does not increase.
+// Frame i spans data[bounds[i]:bounds[i+1]], and bounds[len(recs)] is
+// where the good prefix ends.
+func scanFrames(data []byte) (recs []Record, bounds []int) {
+	bounds = []int{0}
+	off := 0
 	var lastSeq uint64
-	for {
+	for len(data)-off >= 8 {
 		rest := data[off:]
-		if len(rest) == 0 {
-			return log // clean end
-		}
-		if len(rest) < 8 {
-			log.Torn = true
-			return log
-		}
 		n := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
 		if n == 0 || n > MaxRecordBytes || int64(n) > int64(len(rest)-8) {
-			log.Torn = true
-			return log
+			break
 		}
 		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			log.Torn = true
-			return log
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:8]) {
+			break
 		}
 		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			log.Torn = true
-			return log
-		}
-		if rec.Seq <= lastSeq {
-			// Sequence must be strictly increasing; a repeat or
-			// regression means the tail is not trustworthy.
-			log.Torn = true
-			return log
+		if err := json.Unmarshal(payload, &rec); err != nil || rec.Seq <= lastSeq {
+			// A repeated or regressing sequence means the tail is not
+			// trustworthy.
+			break
 		}
 		lastSeq = rec.Seq
-		log.Records = append(log.Records, rec)
-		off += int64(8 + n)
-		log.GoodSize = off
+		recs = append(recs, rec)
+		off += 8 + int(n)
+		bounds = append(bounds, off)
 	}
-}
-
-// ReadLogFrom parses a journal from an io.Reader (for tests and
-// tooling); semantics match ReadLog.
-func ReadLogFrom(r io.Reader) (*Log, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("wal: read journal: %w", err)
-	}
-	return parseLog(data), nil
+	return recs, bounds
 }
 
 // RepairFile truncates the journal's torn tail in place so appends

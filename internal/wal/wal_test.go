@@ -275,20 +275,6 @@ func recordFrameSize(t *testing.T, rec Record) int64 {
 	return fi.Size() - int64(len(Magic))
 }
 
-func TestReadLogFrom(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.wal")
-	writeJournal(t, path, testRecords(3))
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	log, err := ReadLogFrom(f)
-	if err != nil || log.Torn || len(log.Records) != 3 {
-		t.Fatalf("ReadLogFrom: torn=%v n=%d err=%v", log.Torn, len(log.Records), err)
-	}
-}
-
 // --- replay tests ---
 
 // buildSessionT mirrors the persist tests' small two-table session.
