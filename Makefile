@@ -39,7 +39,8 @@ FUZZ_TARGETS = \
 	internal/sim:FuzzJaroWinkler \
 	internal/server:FuzzCursor \
 	internal/server:FuzzRequestBodies \
-	internal/bitmap:FuzzBitsGobDecode \
+	internal/bitmap:FuzzBitsDecode \
+	internal/persist:FuzzLoad \
 	internal/wal:FuzzFrames
 
 fuzz:

@@ -57,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "session.gob")
+	path := filepath.Join(dir, "session.em")
 	if err := persist.SaveFile(path, s); err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // AblationDurability measures what crash safety costs: snapshot
-// save/load latency in both formats, the fsync premium on SaveFile,
+// save/load latency, the fsync premium on SaveFile,
 // and journal-based recovery (snapshot load + replay of journaled
 // edits) against the cold-start alternative of re-running the full
 // materializing pass.
@@ -36,12 +36,12 @@ func AblationDurability(task *Task) (*Table, error) {
 	out.AddRow("cold Run (baseline)", ms(coldRun), "")
 
 	// In-memory encode/decode: the format cost without any I/O.
-	var v2 bytes.Buffer
-	d := timeIt(func() { err = persist.Save(&v2, sess) })
+	var snap bytes.Buffer
+	d := timeIt(func() { err = persist.Save(&snap, sess) })
 	if err != nil {
 		return nil, err
 	}
-	out.AddRow("save v2 (encode)", ms(d), fmt.Sprint(v2.Len()))
+	out.AddRow("save v3 (encode)", ms(d), fmt.Sprint(snap.Len()))
 
 	dir, err := os.MkdirTemp("", "emdur")
 	if err != nil {
@@ -65,7 +65,7 @@ func AblationDurability(task *Task) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.AddRow("LoadFile v2", ms(d), "")
+	out.AddRow("LoadFile v3", ms(d), "")
 	_ = loaded
 
 	// Journal recovery: a durable session with journaled edits on top

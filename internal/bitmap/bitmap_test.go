@@ -196,40 +196,6 @@ func TestBytes(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	b := New(1000)
-	for i := 0; i < 1000; i += 7 {
-		b.Set(i)
-	}
-	data, err := b.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Bits
-	if err := got.GobDecode(data); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(b) {
-		t.Error("gob round trip lost bits")
-	}
-	// Zero-length bitmap round-trips too.
-	empty := New(0)
-	data, err = empty.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got2 Bits
-	if err := got2.GobDecode(data); err != nil {
-		t.Fatal(err)
-	}
-	if got2.Len() != 0 {
-		t.Errorf("empty round trip len = %d", got2.Len())
-	}
-	if err := got2.GobDecode([]byte{1, 2}); err == nil {
-		t.Error("truncated gob accepted")
-	}
-}
-
 // orRangeNaive is the bit-at-a-time reference for OrRange.
 func orRangeNaive(dst, src *Bits, at int) {
 	for i := 0; i < src.Len(); i++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"rulematch/internal/bitmap"
@@ -50,13 +51,18 @@ func (m *ArrayMemo) newRow() []float64 {
 }
 
 func (m *ArrayMemo) grow(fi int) {
-	for len(m.vals) <= fi {
-		m.vals = append(m.vals, nil)
-		m.present = append(m.present, nil)
-	}
+	m.extend(fi)
 	if m.vals[fi] == nil {
 		m.vals[fi] = m.newRow()
 		m.present[fi] = bitmap.New(m.numPairs)
+	}
+}
+
+// extend makes room for feature fi's row without allocating it.
+func (m *ArrayMemo) extend(fi int) {
+	for len(m.vals) <= fi {
+		m.vals = append(m.vals, nil)
+		m.present = append(m.present, nil)
 	}
 }
 
@@ -79,6 +85,26 @@ func (m *ArrayMemo) Put(fi, pi int, v float64) {
 	m.grow(fi)
 	m.present[fi].Set(pi)
 	m.vals[fi][pi] = v
+}
+
+// Row returns feature fi's value row and presence bitmap — the memo's
+// own storage, not copies — or nils when the row is unallocated. Value
+// pi is meaningful only where bit pi is set. It lets a snapshot encoder
+// read whole rows in place; callers must not modify them.
+func (m *ArrayMemo) Row(fi int) ([]float64, *bitmap.Bits) {
+	return m.column(fi, false)
+}
+
+// SetRow installs a decoded row as feature fi's: vals and present must
+// both cover the memo's numPairs pairs, and the memo takes ownership of
+// them. A snapshot loader uses it to restore a row without a Put per
+// value.
+func (m *ArrayMemo) SetRow(fi int, vals []float64, present *bitmap.Bits) {
+	if len(vals) != m.numPairs || present.Len() != m.numPairs {
+		panic(fmt.Sprintf("core: memo row of %d values and %d presence bits for %d pairs", len(vals), present.Len(), m.numPairs))
+	}
+	m.extend(fi)
+	m.vals[fi], m.present[fi] = vals, present
 }
 
 // Bytes returns the memory footprint of the allocated rows and their

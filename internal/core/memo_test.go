@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"rulematch/internal/bitmap"
 )
 
 func TestArrayMemo(t *testing.T) {
@@ -134,4 +136,33 @@ func TestMemoKeepPairs(t *testing.T) {
 			t.Fatalf("entries %d after dropping every pair", m.Entries())
 		}
 	})
+}
+
+// TestArrayMemoRowSetRow: Row exposes a row in place (nils before it is
+// allocated), and SetRow installs a decoded row whole, refusing one
+// sized for another pair count.
+func TestArrayMemoRowSetRow(t *testing.T) {
+	m := NewArrayMemo(3)
+	if vals, present := m.Row(1); vals != nil || present != nil {
+		t.Fatal("Row of an unallocated feature is not nil")
+	}
+	m.Put(0, 2, 0.5)
+	if vals, present := m.Row(0); len(vals) != 3 || vals[2] != 0.5 || !present.Get(2) || present.Count() != 1 {
+		t.Fatalf("Row(0) = %v, %v", vals, present)
+	}
+	present := bitmap.New(3)
+	present.Set(1)
+	m.SetRow(4, []float64{0, 0.25, 0}, present)
+	if v, ok := m.Get(4, 1); !ok || v != 0.25 || m.Has(4, 0) || m.Has(3, 1) {
+		t.Fatalf("after SetRow: Get(4,1) = %v, %v", v, ok)
+	}
+	if m.Entries() != 2 || m.Bytes() != 2*(3*8+8) {
+		t.Fatalf("Entries %d, Bytes %d", m.Entries(), m.Bytes())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetRow accepted a row of the wrong length")
+		}
+	}()
+	m.SetRow(5, []float64{1}, bitmap.New(1))
 }

@@ -5,12 +5,13 @@
 // analyst can stop and resume a debugging session without paying the
 // cold-start cost again.
 //
-// A snapshot (format v2) is an 8-byte magic, a little-endian uint32
-// payload length, a CRC-32C (Castagnoli) of the payload, then the gob
-// payload. Truncation and corruption anywhere in the file are detected
-// before any state is built. A stream without the magic is refused:
-// the unframed raw-gob v1 format, which carried no length bound and no
-// checksum, is no longer read.
+// A snapshot (format v3) is an 8-byte magic, a little-endian uint32
+// payload length, a CRC-32C (Castagnoli) of the payload, then the
+// payload: a hand-written columnar encoding of the session (codec.go).
+// Truncation and corruption anywhere in the file are detected before
+// any state is built. A stream with any other magic is refused: the
+// unframed v1 format and v2, whose payload was a gob stream, are no
+// longer read.
 //
 // SaveFile is crash-safe: the snapshot is written to a temporary file
 // in the destination directory, fsynced, atomically renamed over the
@@ -23,14 +24,13 @@ package persist
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"rulematch/internal/bitmap"
 	"rulematch/internal/block"
@@ -43,14 +43,16 @@ import (
 )
 
 const (
-	// versionV2 marks CRC-framed snapshots. The Version field inside
-	// the gob payload must agree with the outer framing.
-	versionV2 = 2
+	// version is the snapshot format this package writes and reads.
+	version = 3
 
-	// magicV2 opens every framed snapshot. Eight bytes so the sniff
-	// read is aligned and unambiguous: a raw gob stream of this
-	// package's snapshot type can never start with these bytes.
-	magicV2 = "EMSNAP2\n"
+	// magic opens every snapshot. Eight bytes so the sniff read is
+	// aligned and unambiguous; earlier formats carry other magics or
+	// none.
+	magic = "EMSNAP3\n"
+
+	// headerSize is the frame header: magic, payload length, CRC.
+	headerSize = 16
 
 	// maxPayloadBytes is the format's payload size limit; a header
 	// claiming more is corrupt. Decoding allocates by the bytes
@@ -61,53 +63,6 @@ const (
 // castagnoli is the CRC-32C table used for snapshot and journal
 // checksums (the same polynomial storage systems use — iSCSI, ext4).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// memoRow holds the memoized values of one feature, sparsely.
-type memoRow struct {
-	Feature rule.Feature
-	Pairs   []int32
-	Vals    []float64
-}
-
-// snapshot is the serialized form of a session.
-type snapshot struct {
-	Version   int
-	TableA    string // table names, to catch obvious mix-ups
-	TableB    string
-	Function  string // DSL source; float thresholds round-trip exactly
-	Pairs     []table.Pair
-	Memo      []memoRow
-	Matched   *bitmap.Bits
-	RuleTrue  []*bitmap.Bits
-	PredFalse [][]*bitmap.Bits
-	Stats     core.Stats
-	// Seq is the journal sequence number the snapshot covers: every
-	// edit record with Seq <= this value is already folded into the
-	// bitmaps and memo. Zero for standalone snapshots.
-	Seq uint64
-	// Epoch is the replication epoch the snapshot was written under
-	// (see internal/wal): promotion of a replica bumps it, and a node
-	// refuses to accept history from a lower epoch. Zero for standalone
-	// snapshots and for files written before failover existed — gob
-	// tolerates the added field in both directions.
-	Epoch uint64
-
-	// Data-side incrementality (all zero in snapshots written before
-	// record ops existed; gob tolerates added fields both directions).
-	// The caller reloads only the *base* tables; records appended
-	// through Session.AddRecords are snapshot-authoritative extras.
-	HasDataState bool
-	BaseLenA     int
-	BaseLenB     int
-	ExtraA       []table.Record // records past BaseLenA, in append order
-	ExtraB       []table.Record
-	DeadA        []int32 // tombstoned record indices
-	DeadB        []int32
-	// BlockSpec re-creates the session's delta blocker on load so a
-	// recovered session keeps accepting record appends. Empty when the
-	// session had no blocker.
-	BlockSpec string
-}
 
 // Info describes a loaded snapshot: which format it was read in, the
 // journal sequence it covers and the replication epoch it was written
@@ -134,8 +89,7 @@ type SaveOption func(*saveConfig)
 func NoFsync() SaveOption { return func(c *saveConfig) { c.fsync = false } }
 
 // WithSeq records the journal sequence number the snapshot covers
-// (see internal/wal). Only meaningful for v2 snapshots that live next
-// to an edit journal.
+// (see internal/wal), for snapshots that live next to an edit journal.
 func WithSeq(seq uint64) SaveOption { return func(c *saveConfig) { c.seq = seq } }
 
 // WithEpoch records the replication epoch the snapshot was written
@@ -146,36 +100,34 @@ func WithSeq(seq uint64) SaveOption { return func(c *saveConfig) { c.seq = seq }
 // identical bytes.
 func WithEpoch(epoch uint64) SaveOption { return func(c *saveConfig) { c.epoch = epoch } }
 
-// buildSnapshot assembles the serializable form of the session.
+func configure(opts []SaveOption) saveConfig {
+	cfg := saveConfig{fsync: true}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// buildSnapshot assembles the snapshot of the session. It copies
+// nothing: the pairs, bitmaps, memo rows and appended records are the
+// session's own.
 func buildSnapshot(s *incremental.Session, seq, epoch uint64) (*snapshot, error) {
 	if s.St == nil {
 		return nil, fmt.Errorf("persist: session has no materialized state; call Run first")
 	}
 	c := s.M.C
 	snap := &snapshot{
-		Version:   versionV2,
 		TableA:    c.A.Name,
 		TableB:    c.B.Name,
+		Seq:       seq,
+		Epoch:     epoch,
 		Function:  c.Function().String(),
+		Stats:     s.M.Stats,
 		Pairs:     s.M.Pairs,
 		Matched:   s.St.Matched,
 		RuleTrue:  s.St.RuleTrue,
 		PredFalse: s.St.PredFalse,
-		Stats:     s.M.Stats,
-		Seq:       seq,
-		Epoch:     epoch,
 	}
-	baseA, baseB := s.BaseLens()
-	snap.BaseLenA, snap.BaseLenB = baseA, baseB
-	snap.DeadA = c.A.DeletedIndices()
-	snap.DeadB = c.B.DeletedIndices()
-	if baseA < c.A.Len() {
-		snap.ExtraA = c.A.Records[baseA:]
-	}
-	if baseB < c.B.Len() {
-		snap.ExtraB = c.B.Records[baseB:]
-	}
-	snap.HasDataState = len(snap.ExtraA)+len(snap.ExtraB)+len(snap.DeadA)+len(snap.DeadB) > 0
 	if s.Blocker != nil {
 		spec, err := block.FormatSpec(s.Blocker)
 		if err != nil {
@@ -183,64 +135,58 @@ func buildSnapshot(s *incremental.Session, seq, epoch uint64) (*snapshot, error)
 		}
 		snap.BlockSpec = spec
 	}
-	if s.M.Memo != nil {
-		for fi := range c.Features {
-			row := memoRow{Feature: c.Features[fi].Feature}
-			for pi := range s.M.Pairs {
-				if v, ok := s.M.Memo.Get(fi, pi); ok {
-					row.Pairs = append(row.Pairs, int32(pi))
-					row.Vals = append(row.Vals, v)
-				}
-			}
-			if len(row.Pairs) > 0 {
-				snap.Memo = append(snap.Memo, row)
-			}
+	for fi := 0; s.M.Memo != nil && fi < len(c.Features); fi++ {
+		vals, present := s.M.Memo.Row(fi)
+		if present != nil && present.NextSet(0) >= 0 {
+			snap.Memo = append(snap.Memo, memoRow{Feature: c.Features[fi].Feature, Present: present, Vals: vals})
 		}
-		// Canonical row order: a session's in-memory feature order
-		// depends on its edit history, but two sessions holding the same
-		// memo contents must serialize to identical bytes (the recovery
-		// tests compare snapshots of a replayed session against a live
-		// one). Feature keys are unique within a compiled function.
-		sort.Slice(snap.Memo, func(i, j int) bool {
-			return snap.Memo[i].Feature.Key() < snap.Memo[j].Feature.Key()
-		})
 	}
+	// Canonical row order: a session's in-memory feature order depends
+	// on its edit history, but two sessions holding the same memo
+	// contents must serialize to identical bytes (the recovery tests
+	// compare snapshots of a replayed session against a live one).
+	// Feature keys are unique within a compiled function.
+	slices.SortFunc(snap.Memo, compareKeys)
+
+	baseA, baseB := s.BaseLens()
+	snap.BaseLenA, snap.BaseLenB = baseA, baseB
+	snap.ExtraA, snap.ExtraB = c.A.Records[baseA:], c.B.Records[baseB:]
+	snap.DeadA, snap.DeadB = c.A.DeletedIndices(), c.B.DeletedIndices()
+	snap.HasDataState = len(snap.ExtraA)+len(snap.ExtraB)+len(snap.DeadA)+len(snap.DeadB) > 0
 	return snap, nil
 }
 
-// writeFramed wraps an encoded payload in the v2 framing:
-// magic | uint32 length | uint32 CRC-32C | payload.
-func writeFramed(w io.Writer, payload []byte) error {
-	var hdr [16]byte
-	copy(hdr[:8], magicV2)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// encode returns the framed snapshot of s.
+func encode(s *incremental.Session, cfg saveConfig) ([]byte, error) {
+	snap, err := buildSnapshot(s, cfg.seq, cfg.epoch)
+	if err != nil {
+		return nil, err
 	}
-	_, err := w.Write(payload)
-	return err
+	return frame(appendPayload(make([]byte, headerSize, 64<<10), snap))
 }
 
-// Save writes the session snapshot to w in the v2 framed format. The
-// session must have run (Session.Run) at least once.
-func Save(w io.Writer, s *incremental.Session, opts ...SaveOption) error {
-	cfg := saveConfig{fsync: true}
-	for _, o := range opts {
-		o(&cfg)
+// frame fills in the header reserved at the head of buf for the
+// payload after it: magic | uint32 length | uint32 CRC-32C.
+func frame(buf []byte) ([]byte, error) {
+	payload := buf[headerSize:]
+	if len(payload) > maxPayloadBytes {
+		return nil, fmt.Errorf("persist: snapshot payload %d bytes exceeds the %d-byte format limit", len(payload), maxPayloadBytes)
 	}
-	snap, err := buildSnapshot(s, cfg.seq, cfg.epoch)
+	copy(buf, magic)
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[12:16], crc32.Checksum(payload, castagnoli))
+	return buf, nil
+}
+
+// Save writes the session snapshot to w. The session must have run
+// (Session.Run) at least once.
+func Save(w io.Writer, s *incremental.Session, opts ...SaveOption) error {
+	data, err := encode(s, configure(opts))
 	if err != nil {
 		return err
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		return err
-	}
-	if payload.Len() > maxPayloadBytes {
-		return fmt.Errorf("persist: snapshot payload %d bytes exceeds the %d-byte format limit", payload.Len(), maxPayloadBytes)
-	}
-	return writeFramed(w, payload.Bytes())
+	_, err = w.Write(data)
+	return err
 }
 
 // SaveFile writes the snapshot to a file crash-safely: it encodes in
@@ -254,19 +200,16 @@ func SaveFile(path string, s *incremental.Session, opts ...SaveOption) error {
 // SaveFileFS is SaveFile over an explicit filesystem — the seam the
 // fault-injection tests (and internal/wal's compaction) use.
 func SaveFileFS(fsys faultio.FS, path string, s *incremental.Session, opts ...SaveOption) error {
-	cfg := saveConfig{fsync: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := configure(opts)
 	// Encode fully in memory first: an encoding error must not leave a
 	// temp file behind, and a single Write keeps the on-disk step count
 	// small and deterministic.
-	var buf bytes.Buffer
-	if err := Save(&buf, s, opts...); err != nil {
+	data, err := encode(s, cfg)
+	if err != nil {
 		return err
 	}
 	if err := faultio.WriteFileAtomic(fsys, path, cfg.fsync, func(w io.Writer) error {
-		_, err := w.Write(buf.Bytes())
+		_, err := w.Write(data)
 		return err
 	}); err != nil {
 		return fmt.Errorf("persist: publish snapshot: %w", err)
@@ -274,74 +217,81 @@ func SaveFileFS(fsys faultio.FS, path string, s *incremental.Session, opts ...Sa
 	return nil
 }
 
-// decodeSnapshot reads a framed v2 snapshot from r, refusing any
-// stream that does not open with the magic.
-func decodeSnapshot(r io.Reader) (*snapshot, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(magicV2))
+// readHeader reads and checks a frame header, refusing any stream that
+// does not open with the magic, and returns the payload length and CRC.
+func readHeader(br *bufio.Reader) (int, uint32, error) {
+	head, err := br.Peek(len(magic))
 	if err != nil && len(head) == 0 {
-		return nil, fmt.Errorf("persist: read snapshot: %w", err)
+		return 0, 0, fmt.Errorf("persist: read snapshot: %w", err)
 	}
-	if string(head) != magicV2 {
-		return nil, fmt.Errorf("persist: not a framed snapshot: missing the %q magic (unframed v1 snapshots are no longer read)", magicV2)
+	if string(head) != magic {
+		if strings.HasPrefix(string(head), magic[:6]) {
+			return 0, 0, fmt.Errorf("persist: snapshot format %q is no longer read, only %q", head, magic)
+		}
+		return 0, 0, fmt.Errorf("persist: not a framed snapshot: missing the %q magic (unframed v1 snapshots are no longer read)", magic)
 	}
-	var hdr [16]byte
+	var hdr [headerSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("persist: corrupt snapshot: truncated header: %w", err)
+		return 0, 0, fmt.Errorf("persist: corrupt snapshot: truncated header: %w", err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[8:12])
-	sum := binary.LittleEndian.Uint32(hdr[12:16])
 	if n == 0 || n > maxPayloadBytes {
-		return nil, fmt.Errorf("persist: corrupt snapshot: implausible payload length %d", n)
+		return 0, 0, fmt.Errorf("persist: corrupt snapshot: implausible payload length %d", n)
 	}
-	payload, got, err := readPayload(br, int(n))
+	return int(n), binary.LittleEndian.Uint32(hdr[12:16]), nil
+}
+
+// decodeSnapshot reads a framed snapshot from r and decodes its
+// payload once the checksum holds.
+func decodeSnapshot(r io.Reader) (*snapshot, error) {
+	br := bufio.NewReader(r)
+	n, sum, err := readHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	payload, got, err := readPayload(br, n)
 	if err != nil {
 		return nil, err
 	}
 	if got != sum {
 		return nil, fmt.Errorf("persist: corrupt snapshot: checksum mismatch (stored %08x, computed %08x)", sum, got)
 	}
-	var snap snapshot
-	if err := gob.NewDecoder(payload).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("persist: decode snapshot payload: %w", err)
-	}
-	if snap.Version != versionV2 {
-		return nil, fmt.Errorf("persist: framed snapshot claims version %d, want %d", snap.Version, versionV2)
-	}
-	return &snap, nil
+	return decodePayload(payload)
 }
 
 // payloadChunk is the size of a framed payload's first read chunk.
 const payloadChunk = 64 << 10
 
-// readPayload reads the n-byte payload a header claims, in chunks that
-// start at payloadChunk and double, each allocated only once the bytes
-// before it have arrived: a claim larger than the stream costs
-// allocation in proportion to the stream, a whole payload n bytes and
-// no copy. It returns the payload as one reader, with its CRC-32C.
-func readPayload(r io.Reader, n int) (io.Reader, uint32, error) {
-	var chunks []io.Reader
+// readPayload reads the n-byte payload a header claims into one buffer
+// that starts at payloadChunk bytes and doubles, each growth made only
+// once the bytes before it have arrived: a claim larger than the
+// stream costs allocation in proportion to the stream. It returns the
+// payload with its CRC-32C.
+func readPayload(r io.Reader, n int) ([]byte, uint32, error) {
+	buf := make([]byte, 0, min(payloadChunk, n))
 	var sum uint32
-	for read, size := 0, payloadChunk; read < n; size *= 2 {
-		c := make([]byte, min(size, n-read))
-		k, err := io.ReadFull(r, c)
-		read += k
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(cap(buf), n-len(buf)))
+		}
+		chunk := buf[len(buf):min(cap(buf), n)]
+		k, err := io.ReadFull(r, chunk)
+		buf = buf[:len(buf)+k]
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // the stream ended on a chunk boundary
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("persist: corrupt snapshot: truncated payload: %d of %d bytes: %w", read, n, err)
+			return nil, 0, fmt.Errorf("persist: corrupt snapshot: truncated payload: %d of %d bytes: %w", len(buf), n, err)
 		}
-		sum = crc32.Update(sum, castagnoli, c)
-		chunks = append(chunks, bytes.NewReader(c))
+		sum = crc32.Update(sum, castagnoli, chunk)
 	}
-	return io.MultiReader(chunks...), sum, nil
+	return buf, sum, nil
 }
 
-// Load reconstructs a session from a snapshot (either format) against
-// the (reloaded) tables and similarity library. The restored session
-// has the same matching function, memo contents, materialized bitmaps
-// and work counters as the saved one.
+// Load reconstructs a session from a snapshot against the (reloaded)
+// tables and similarity library. The restored session has the same
+// matching function, memo contents, materialized bitmaps and work
+// counters as the saved one.
 func Load(r io.Reader, lib *sim.Library, a, b *table.Table) (*incremental.Session, error) {
 	s, _, err := LoadInfo(r, lib, a, b)
 	return s, err
@@ -372,7 +322,7 @@ func LoadInfo(r io.Reader, lib *sim.Library, a, b *table.Table) (*incremental.Se
 		}
 	}
 	for _, p := range snap.Pairs {
-		if int(p.A) >= a.Len() || int(p.B) >= b.Len() || p.A < 0 || p.B < 0 {
+		if int(p.A) >= a.Len() || int(p.B) >= b.Len() {
 			return nil, Info{}, fmt.Errorf("persist: pair %v out of range for reloaded tables", p)
 		}
 	}
@@ -384,55 +334,25 @@ func LoadInfo(r io.Reader, lib *sim.Library, a, b *table.Table) (*incremental.Se
 	if err != nil {
 		return nil, Info{}, fmt.Errorf("persist: re-compile function: %w", err)
 	}
-	n := len(snap.Pairs)
-	if snap.Matched == nil || snap.Matched.Len() != n {
-		return nil, Info{}, fmt.Errorf("persist: corrupt snapshot: match bitmap missing or mis-sized")
-	}
-	if len(snap.RuleTrue) != len(c.Rules) || len(snap.PredFalse) != len(c.Rules) {
+	if len(snap.RuleTrue) != len(c.Rules) {
 		return nil, Info{}, fmt.Errorf("persist: snapshot has %d rule bitmaps for %d rules",
 			len(snap.RuleTrue), len(c.Rules))
 	}
 	for ri := range c.Rules {
-		if snap.RuleTrue[ri].Len() != n {
-			return nil, Info{}, fmt.Errorf("persist: rule %d bitmap mis-sized", ri)
-		}
 		if len(snap.PredFalse[ri]) != len(c.Rules[ri].Preds) {
 			return nil, Info{}, fmt.Errorf("persist: rule %d has %d predicate bitmaps for %d predicates",
 				ri, len(snap.PredFalse[ri]), len(c.Rules[ri].Preds))
 		}
-		for pj := range snap.PredFalse[ri] {
-			if snap.PredFalse[ri][pj].Len() != n {
-				return nil, Info{}, fmt.Errorf("persist: rule %d predicate %d bitmap mis-sized", ri, pj)
-			}
-		}
 	}
 	s := incremental.NewSession(c, snap.Pairs)
-	seenFeature := make(map[int]bool, len(snap.Memo))
 	for _, row := range snap.Memo {
 		fi, err := c.BindFeature(row.Feature)
 		if err != nil {
 			return nil, Info{}, fmt.Errorf("persist: rebind feature %s: %w", row.Feature.Key(), err)
 		}
-		if seenFeature[fi] {
-			return nil, Info{}, fmt.Errorf("persist: corrupt snapshot: duplicate memo row for feature %s", row.Feature.Key())
-		}
-		seenFeature[fi] = true
-		if len(row.Pairs) != len(row.Vals) {
-			return nil, Info{}, fmt.Errorf("persist: corrupt memo row for %s", row.Feature.Key())
-		}
-		seenPair := make(map[int32]bool, len(row.Pairs))
-		for k, pi := range row.Pairs {
-			if int(pi) >= n || pi < 0 {
-				return nil, Info{}, fmt.Errorf("persist: memo row for %s references pair %d of %d",
-					row.Feature.Key(), pi, n)
-			}
-			if seenPair[pi] {
-				return nil, Info{}, fmt.Errorf("persist: corrupt snapshot: memo row for %s repeats pair %d",
-					row.Feature.Key(), pi)
-			}
-			seenPair[pi] = true
-			s.M.Memo.Put(fi, int(pi), row.Vals[k])
-		}
+		// Rows arrive in strictly ascending key order, so no two bind
+		// to one feature.
+		s.M.Memo.SetRow(fi, row.Vals, row.Present)
 	}
 	s.St = &core.MatchState{
 		Matched:   snap.Matched,
@@ -453,7 +373,7 @@ func LoadInfo(r io.Reader, lib *sim.Library, a, b *table.Table) (*incremental.Se
 		// deleted records, so the derivation is exact).
 		var dead *bitmap.Bits
 		if len(snap.DeadA)+len(snap.DeadB) > 0 {
-			dead = bitmap.New(n)
+			dead = bitmap.New(len(snap.Pairs))
 			for pi, p := range snap.Pairs {
 				if a.Deleted(int(p.A)) || b.Deleted(int(p.B)) {
 					dead.Set(pi)
@@ -464,7 +384,7 @@ func LoadInfo(r io.Reader, lib *sim.Library, a, b *table.Table) (*incremental.Se
 			return nil, Info{}, fmt.Errorf("persist: %w", err)
 		}
 	}
-	return s, Info{Version: snap.Version, Seq: snap.Seq, Epoch: snap.Epoch}, nil
+	return s, Info{Version: version, Seq: snap.Seq, Epoch: snap.Epoch}, nil
 }
 
 // extendTable rebuilds a grown table from the caller's base records
@@ -509,20 +429,49 @@ func extendTable(base *table.Table, baseLen int, extras []table.Record, dead []i
 	return t, nil
 }
 
-// ReadNames returns the table names recorded in a snapshot without
-// rebuilding the session — the durability layer needs them to reload
-// the tables before it can call LoadInfo.
+// ReadNames returns the table names a snapshot file records, which
+// the durability layer needs to reload the tables before it can call
+// LoadInfo. It reads the frame header and the two names at the head of
+// the payload, and nothing after them; LoadFileInfo checks the names
+// again under the payload's checksum.
 func ReadNames(path string) (string, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return "", "", err
 	}
 	defer f.Close()
-	snap, err := decodeSnapshot(f)
+	fi, err := f.Stat()
 	if err != nil {
 		return "", "", err
 	}
-	return snap.TableA, snap.TableB, nil
+	br := bufio.NewReader(f)
+	n, _, err := readHeader(br)
+	if err != nil {
+		return "", "", err
+	}
+	// The names cannot run past the payload, nor past the file.
+	left := min(int64(n), fi.Size()-headerSize)
+	name := func() (string, error) {
+		k, err := binary.ReadUvarint(br)
+		if err != nil || k > uint64(left) {
+			return "", fmt.Errorf("persist: corrupt snapshot: names: truncated or malformed")
+		}
+		b := make([]byte, k)
+		if _, err := io.ReadFull(br, b); err != nil {
+			return "", fmt.Errorf("persist: corrupt snapshot: names: %w", err)
+		}
+		left -= int64(uvarintLen(k)) + int64(k)
+		return string(b), nil
+	}
+	nameA, err := name()
+	if err != nil {
+		return "", "", err
+	}
+	nameB, err := name()
+	if err != nil {
+		return "", "", err
+	}
+	return nameA, nameB, nil
 }
 
 // LoadFile restores a session from a snapshot file.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -12,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -384,13 +384,13 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // TestLoadHeaderClaimBoundsAllocation pins that a snapshot header is
-// not trusted for sizing: a v2 header claiming a 1 GiB payload,
+// not trusted for sizing: a header claiming a 1 GiB payload,
 // followed by 1 KiB, must fail as a truncated payload after allocating
 // in proportion to the 1 KiB actually present — not the 1 GiB claimed.
 func TestLoadHeaderClaimBoundsAllocation(t *testing.T) {
 	_, a, b := buildSession(t)
 	var hdr [16]byte
-	copy(hdr[:8], magicV2)
+	copy(hdr[:8], magic)
 	binary.LittleEndian.PutUint32(hdr[8:12], maxPayloadBytes)
 	input := append(hdr[:], bytes.Repeat([]byte{0x5a}, 1024)...)
 
@@ -416,11 +416,11 @@ func TestReadPayloadChunks(t *testing.T) {
 		for i := range data {
 			data[i] = byte(i * 7)
 		}
-		r, sum, err := readPayload(bytes.NewReader(data), n)
+		got, sum, err := readPayload(bytes.NewReader(data), n)
 		if err != nil {
 			t.Fatalf("n=%d: readPayload: %v", n, err)
 		}
-		if got, _ := io.ReadAll(r); !bytes.Equal(got, data) || sum != crc32.Checksum(data, castagnoli) {
+		if !bytes.Equal(got, data) || sum != crc32.Checksum(data, castagnoli) {
 			t.Fatalf("n=%d: read back %d bytes with CRC %08x; want the %d bytes with CRC %08x", n, len(got), sum, n, crc32.Checksum(data, castagnoli))
 		}
 		for _, short := range []int{0, n - 1, min(n-1, payloadChunk)} {
@@ -482,56 +482,75 @@ func TestLoadRejectsRuleMismatch(t *testing.T) {
 	}
 }
 
-// --- durability-layer tests (snapshot v2, atomic SaveFile) ---
+// --- durability-layer tests (snapshot v3, atomic SaveFile) ---
 
-func TestSaveEmitsV2LoadInfoReportsVersion(t *testing.T) {
+func TestSaveEmitsV3LoadInfoReportsVersion(t *testing.T) {
 	s, a, b := buildSession(t)
 	var buf bytes.Buffer
 	if err := Save(&buf, s, WithSeq(7)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(magicV2)) {
-		t.Fatal("default Save did not emit the v2 magic")
+	if !bytes.HasPrefix(buf.Bytes(), []byte(magic)) {
+		t.Fatal("default Save did not emit the v3 magic")
 	}
 	got, info, err := LoadInfo(bytes.NewReader(buf.Bytes()), sim.Standard(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != versionV2 || info.Seq != 7 {
-		t.Fatalf("info = %+v, want version 2 seq 7", info)
+	if info.Version != 3 || info.Seq != 7 {
+		t.Fatalf("info = %+v, want version 3 seq 7", info)
 	}
 	if !got.St.Equal(s.St) {
-		t.Error("v2 round-trip state differs")
+		t.Error("v3 round-trip state differs")
 	}
 }
 
-// TestLoadLegacyV1Bytes pins that an unframed v1 snapshot — a raw gob
-// stream exactly as releases before the v2 framing wrote it, with no
-// length bound and no checksum — is refused, not decoded.
+// v2Snapshot is a snapshot of buildSession's session written in format
+// v2, whose payload was a gob stream behind the same frame.
+const v2Snapshot = "testdata/snapshot-v2.em"
+
+// TestLoadLegacyV1Bytes pins that snapshots in the older formats are
+// refused, not decoded: a v2 file, and its bare gob payload — an
+// unframed v1 stream, with no length bound and no checksum.
 func TestLoadLegacyV1Bytes(t *testing.T) {
-	s, a, b := buildSession(t)
-	snap, err := buildSnapshot(s, 0, 0)
+	_, a, b := buildSession(t)
+	v2, err := os.ReadFile(v2Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Version = 1
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(snap); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name, data, want string
+	}{
+		{"v2", string(v2), `format "EMSNAP2\n" is no longer read`},
+		{"unframed v1", string(v2[headerSize:]), "not a framed snapshot"},
+	} {
+		got, _, err := LoadInfo(strings.NewReader(tc.data), sim.Standard(), a, b)
+		if err == nil {
+			t.Fatalf("%s snapshot loaded (%d pairs)", tc.name, len(got.M.Pairs))
+		}
+		if !strings.HasPrefix(err.Error(), "persist: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want a persist error naming %q", tc.name, err, tc.want)
+		}
 	}
-	got, _, err := LoadInfo(bytes.NewReader(v1.Bytes()), sim.Standard(), a, b)
-	if err == nil {
-		t.Fatalf("unframed v1 snapshot loaded (%d pairs)", len(got.M.Pairs))
-	}
-	if !strings.Contains(err.Error(), "not a framed snapshot") {
-		t.Fatalf("err = %v, want a refusal of the unframed stream", err)
+	if _, _, err := ReadNames(v2Snapshot); err == nil || !strings.Contains(err.Error(), "no longer read") {
+		t.Fatalf("ReadNames(v2) err = %v, want the format refusal", err)
 	}
 }
 
-// corruptSnapshot builds a framed snapshot with a mutated payload and
-// returns the re-framed bytes (with a *valid* CRC over the corrupt
-// payload, so the structural validation — not the checksum — must
-// catch it).
+// encodeFramed returns snap framed as a snapshot file, with a valid
+// checksum over whatever the payload holds.
+func encodeFramed(t testing.TB, snap *snapshot) []byte {
+	t.Helper()
+	data, err := frame(appendPayload(make([]byte, headerSize), snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// reframe builds a snapshot of buildSession's session, mutates it and
+// returns it framed with a *valid* CRC over the corrupt payload, so the
+// structural validation — not the checksum — must catch it.
 func reframe(t *testing.T, mutate func(*snapshot)) []byte {
 	t.Helper()
 	s, _, _ := buildSession(t)
@@ -540,15 +559,7 @@ func reframe(t *testing.T, mutate func(*snapshot)) []byte {
 		t.Fatal(err)
 	}
 	mutate(snap)
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := writeFramed(&out, payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	return encodeFramed(t, snap)
 }
 
 func TestLoadRejectsDuplicateMemoRows(t *testing.T) {
@@ -557,27 +568,12 @@ func TestLoadRejectsDuplicateMemoRows(t *testing.T) {
 		if len(snap.Memo) == 0 {
 			t.Fatal("test session has no memo rows")
 		}
-		snap.Memo = append(snap.Memo, snap.Memo[0])
+		// Next to its twin, where the canonical order puts it.
+		snap.Memo = slices.Insert(snap.Memo, 1, snap.Memo[0])
 	})
 	_, err := Load(bytes.NewReader(data), sim.Standard(), a, b)
 	if err == nil || !strings.Contains(err.Error(), "duplicate memo row") {
 		t.Fatalf("duplicate memo row: err = %v", err)
-	}
-}
-
-func TestLoadRejectsDuplicatePairInMemoRow(t *testing.T) {
-	_, a, b := buildSession(t)
-	data := reframe(t, func(snap *snapshot) {
-		row := &snap.Memo[0]
-		if len(row.Pairs) == 0 {
-			t.Fatal("memo row empty")
-		}
-		row.Pairs = append(row.Pairs, row.Pairs[0])
-		row.Vals = append(row.Vals, 0.123) // different value: last-write-wins would silently corrupt
-	})
-	_, err := Load(bytes.NewReader(data), sim.Standard(), a, b)
-	if err == nil || !strings.Contains(err.Error(), "repeats pair") {
-		t.Fatalf("duplicate pair index: err = %v", err)
 	}
 }
 
@@ -903,17 +899,11 @@ func TestSaveLoadAfterRelease(t *testing.T) {
 	for i := range snap.ExtraB {
 		snap.ExtraB[i].Values = orig[snap.ExtraB[i].ID]
 	}
-	var payload, old bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFramed(&old, payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(old.Bytes(), raw) {
+	old := encodeFramed(t, snap)
+	if bytes.Equal(old, raw) {
 		t.Fatal("older-layout snapshot equals the released one; the fixture tests nothing")
 	}
-	prev := load(old.Bytes())
+	prev := load(old)
 
 	var want []byte
 	for i, sess := range []*incremental.Session{s, got, prev} {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -283,9 +284,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	mustVerify(t, ts, "clone", "after snapshot restore")
 }
 
-// An unframed snapshot — the gob payload of a real one, without the
-// magic, length and checksum the v2 framing puts in front — is refused
-// as a 400 invalid_request and creates no session.
+// A snapshot in an older format — a v2 file, whose payload was a gob
+// stream, or a real snapshot's payload without the magic, length and
+// checksum of the frame — is refused as a 400 invalid_request and
+// creates no session.
 func TestCreateRefusesUnframedSnapshot(t *testing.T) {
 	ts, _ := newTestServer(t)
 	createSession(t, ts, "orig")
@@ -301,15 +303,21 @@ func TestCreateRefusesUnframedSnapshot(t *testing.T) {
 	if len(snap) <= 16 {
 		t.Fatalf("snapshot of %d bytes has no payload", len(snap))
 	}
-	var e ErrorResponse
-	code := doJSON(t, "POST", ts.URL+"/v1/sessions", CreateSessionRequest{
-		Name: "unframed", TableA: tableACSV, TableB: tableBCSV, Snapshot: snap[16:],
-	}, &e)
-	if code != http.StatusBadRequest || e.Error.Code != CodeInvalidRequest {
-		t.Fatalf("create from unframed snapshot: status %d, envelope %+v; want 400 %s", code, e, CodeInvalidRequest)
+	v2, err := os.ReadFile("../persist/testdata/snapshot-v2.em")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := doJSON(t, "GET", ts.URL+"/v1/sessions/unframed", nil, nil); code != http.StatusNotFound {
-		t.Fatalf("refused create left a session: GET status %d", code)
+	for name, data := range map[string][]byte{"v2": v2, "unframed": snap[16:]} {
+		var e ErrorResponse
+		code := doJSON(t, "POST", ts.URL+"/v1/sessions", CreateSessionRequest{
+			Name: name, TableA: tableACSV, TableB: tableBCSV, Snapshot: data,
+		}, &e)
+		if code != http.StatusBadRequest || e.Error.Code != CodeInvalidRequest {
+			t.Fatalf("create from %s snapshot: status %d, envelope %+v; want 400 %s", name, code, e, CodeInvalidRequest)
+		}
+		if code := doJSON(t, "GET", ts.URL+"/v1/sessions/"+name, nil, nil); code != http.StatusNotFound {
+			t.Fatalf("refused %s create left a session: GET status %d", name, code)
+		}
 	}
 }
 
