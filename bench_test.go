@@ -425,6 +425,7 @@ func BenchmarkAblationProfileCache(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
 		c := compileN(b, task, 25)
 		c.EnableProfileCache()
+		c.BindRuleProfiles()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m := core.NewMatcher(c, pairs)

@@ -67,9 +67,9 @@ func run(o options, diag io.Writer) error {
 		return err
 	}
 	cfg := o.eng.Config()
-	// The configured matcher runs on the profile cache; it is built
-	// before ordering so estimation samples run on the same profiles
-	// matching will.
+	// The configured matcher runs on the profile cache; it is switched
+	// on before ordering so estimation samples run on the same profiles
+	// matching will (each bound on its feature's first compute).
 	c.EnableProfileCache()
 	orderTime, err := o.ord.Apply(c, in.Pairs)
 	if err != nil {

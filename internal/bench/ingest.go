@@ -55,7 +55,8 @@ rule r2: trigram(modelno, modelno) >= 0.5 and soundex(brand, brand) >= 0.5
 const ingestIters = 3
 
 // runIngest executes one full ingest: parse both CSV blobs, compile the
-// matching function and build every profile cache.
+// matching function and bind every rule feature's profiles through the
+// entry the shard driver binds through before fan-out.
 func runIngest(csvA, csvB []byte, f rule.Function) error {
 	a, err := table.ReadCSV(bytes.NewReader(csvA), "A")
 	if err != nil {
@@ -70,6 +71,7 @@ func runIngest(csvA, csvB []byte, f rule.Function) error {
 		return err
 	}
 	c.EnableProfileCache()
+	c.BindRuleProfiles()
 	return nil
 }
 

@@ -35,7 +35,7 @@ const (
 
 // AppendEncoded appends b's canonical container encoding to dst.
 func (b *Bits) AppendEncoded(dst []byte) []byte {
-	if b.sparseSize() <= b.runsSize() {
+	if b.sparseFits(b.runsSize()) {
 		dst = append(dst, containerSparse)
 		dst = binary.AppendUvarint(dst, uint64(b.Count()))
 		prev := -1
@@ -58,6 +58,19 @@ func (b *Bits) AppendEncoded(dst []byte) []byte {
 		}
 	})
 	return dst
+}
+
+// sparseFits reports whether b's sparse container takes at most limit
+// bytes: sparseSize() <= limit. Each gap takes at least a byte, so
+// 1 + uvarintLen(k) + k bounds the sparse size from below for k set
+// bits; the bits are walked only when that bound does not already
+// exceed limit.
+func (b *Bits) sparseFits(limit int) bool {
+	k := b.Count()
+	if 1+uvarintLen(uint64(k))+k > limit {
+		return false
+	}
+	return b.sparseSize() <= limit
 }
 
 // sparseSize is the byte length of b's sparse container.
@@ -138,7 +151,7 @@ func Decode(data []byte, n int) (*Bits, []byte, error) {
 		}
 	case containerRuns:
 		size, err = b.decodeRuns(data)
-		if err == nil && size >= b.sparseSize() {
+		if err == nil && b.sparseFits(size) {
 			err = errors.New("bitmap: runs container where sparse is no larger")
 		}
 	default:

@@ -114,6 +114,53 @@ func TestEncodeContainerChoice(t *testing.T) {
 	}
 }
 
+// TestSparseFitsMatchesExact holds the bounded container decision to
+// the exact one: sparseFits(limit) must equal sparseSize() <= limit for
+// every limit next to the popcount bound, the runs size and the sparse
+// size, on random sets and on sets grown bit by bit through the
+// popcount at which the bound meets the runs size.
+func TestSparseFitsMatchesExact(t *testing.T) {
+	check := func(b *Bits) {
+		t.Helper()
+		k, s := b.Count(), b.sparseSize()
+		for _, at := range []int{1 + uvarintLen(uint64(k)) + k, b.runsSize(), s} {
+			for limit := at - 1; limit <= at+1; limit++ {
+				if got, want := b.sparseFits(limit), s <= limit; got != want {
+					t.Fatalf("%d bits, %d set, limit %d: sparseFits %v, exact %v (sparse %d, runs %d)",
+						b.Len(), k, limit, got, want, s, b.runsSize())
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 400; iter++ {
+		n := rng.Intn(3000)
+		b := New(n)
+		density := []float64{0.001, 0.01, 0.1, 0.5, 0.9, 0.999}[iter%6]
+		for i := 0; i < n; i++ {
+			if rng.Float64() < density {
+				b.Set(i)
+			}
+		}
+		check(b)
+	}
+	boundary := 0
+	for _, n := range []int{64, 700, 5000} {
+		b := New(n)
+		for step := 0; step < 2*n; step++ {
+			b.Set(rng.Intn(n))
+			k := b.Count()
+			if d := 1 + uvarintLen(uint64(k)) + k - b.runsSize(); d >= -2 && d <= 2 {
+				boundary++
+				check(b)
+			}
+		}
+	}
+	if boundary == 0 {
+		t.Fatal("no grown set reached the popcount bound at the runs size")
+	}
+}
+
 // TestCodecRoundTrip decodes random sets of many shapes back to equal
 // sets, re-encodes them byte-identically, and returns the bytes after
 // the container untouched.

@@ -7,6 +7,8 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"rulematch/internal/rule"
 	"rulematch/internal/sim"
@@ -54,14 +56,20 @@ type Compiled struct {
 	featIdx map[string]int
 	corpora map[string]*sim.Corpus // keyed by attrA + "\x00" + attrB
 
-	profilesOn  bool
-	profiles    []*featureProfiles // parallel to Features when enabled
-	dicts       map[string]*sim.Dict
-	sharedSides map[string]*[2][]any // encoded profile sets keyed by kind|colA|colB
+	profilesOn bool
+	// profiles is parallel to Features: slot fi holds feature fi's bound
+	// profile state, nil until the feature's first compute, and is
+	// published atomically so computing a feature takes no lock.
+	profiles []atomic.Pointer[featureProfiles]
+	// bindMu serializes binding, and guards the share-group registry
+	// below while several callers compute features at once.
+	bindMu sync.Mutex
+	groups map[string]*profileGroup // keyed by kind|colA|colB
+	dicts  map[string]*sim.Dict     // keyed by space|colA|colB
 	// streams caches the sealed token stream per dictionary key so a
-	// feature bound later over the same token space encodes its profile
+	// group bound later over the same token space encodes its profile
 	// kind without re-tokenizing. Invalidated whenever the tables grow
-	// or the cache representation is reset.
+	// or records are released.
 	streams map[string]*sim.TokenStream
 }
 
@@ -73,14 +81,14 @@ func Compile(f rule.Function, lib *sim.Library, a, b *table.Table) (*Compiled, e
 		return nil, err
 	}
 	c := &Compiled{
-		A:           a,
-		B:           b,
-		Lib:         lib,
-		featIdx:     make(map[string]int),
-		corpora:     make(map[string]*sim.Corpus),
-		dicts:       make(map[string]*sim.Dict),
-		sharedSides: make(map[string]*[2][]any),
-		streams:     make(map[string]*sim.TokenStream),
+		A:       a,
+		B:       b,
+		Lib:     lib,
+		featIdx: make(map[string]int),
+		corpora: make(map[string]*sim.Corpus),
+		groups:  make(map[string]*profileGroup),
+		dicts:   make(map[string]*sim.Dict),
+		streams: make(map[string]*sim.TokenStream),
 	}
 	for _, r := range f.Rules {
 		if err := c.AddRule(r); err != nil {
@@ -103,7 +111,8 @@ func (c *Compiled) FeatureIndex(key string) int {
 
 // BindFeature returns the index of the bound feature for ft, binding it
 // (and building corpus statistics if the similarity needs them) on
-// first use.
+// first use. Its cached profiles are built later, by the feature's
+// first compute.
 func (c *Compiled) BindFeature(ft rule.Feature) (int, error) {
 	key := ft.Key()
 	if i, ok := c.featIdx[key]; ok {
@@ -137,9 +146,7 @@ func (c *Compiled) BindFeature(ft rule.Feature) (int, error) {
 		Fn:      fn,
 	})
 	c.featIdx[key] = len(c.Features) - 1
-	if c.profilesOn {
-		c.buildProfiles(len(c.Features) - 1)
-	}
+	c.profiles = append(c.profiles, atomic.Pointer[featureProfiles]{})
 	return len(c.Features) - 1, nil
 }
 
@@ -203,12 +210,10 @@ func (c *Compiled) RemoveRule(i int) {
 // without memoization. This is the raw similarity computation whose cost
 // dominates matching time. With the profile cache enabled, profiled
 // similarities compare cached per-record profiles instead of raw
-// strings.
+// strings; the first compute of a feature binds them (profileOf).
 func (c *Compiled) ComputeFeature(fi int, p table.Pair) float64 {
-	if c.profilesOn && fi < len(c.profiles) {
-		if fp := c.profiles[fi]; fp != nil {
-			return fp.fn.SimProfiles(fp.side[0][p.A], fp.side[1][p.B])
-		}
+	if fp := c.profileOf(fi); fp != nil {
+		return fp.fn.SimProfiles(fp.g.side[0][p.A], fp.g.side[1][p.B])
 	}
 	f := &c.Features[fi]
 	return f.Fn.Sim(c.A.Value(int(p.A), f.ColA), c.B.Value(int(p.B), f.ColB))

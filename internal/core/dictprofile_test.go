@@ -118,29 +118,36 @@ func TestDictProfileSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EnableProfileCache()
+	if len(c.groups) != 0 || c.ProfileEntries() != 0 {
+		t.Fatalf("EnableProfileCache built %d share groups before any compute", len(c.groups))
+	}
+	c.BindRuleProfiles()
 
 	for _, s := range lib.Names() {
 		fi := c.FeatureIndex(s + "(name,name)")
 		if fi < 0 {
 			t.Fatalf("feature %s(name,name) not bound", s)
 		}
-		fp := c.profiles[fi]
+		fp := c.profiles[fi].Load()
+		if fp == nil {
+			t.Fatalf("%s: BindRuleProfiles left the feature unbound", s)
+		}
 		switch c.Features[fi].Fn.(type) {
 		case sim.DictProfiler:
-			if fp == nil || fp.dict == nil || fp.shareKey == "" {
+			if fp.g == nil || c.dicts[fp.g.dictKey] == nil {
 				t.Errorf("%s: want encoded profiles over a dictionary, got %+v", s, fp)
 			}
 		case sim.ValueProfiler:
-			if fp == nil || fp.dict != nil || fp.shareKey != "" {
-				t.Errorf("%s: want unshared value profiles, got %+v", s, fp)
+			if fp.g == nil || fp.g.dictKey != "" {
+				t.Errorf("%s: want value profiles of its own, got %+v", s, fp)
 			}
 		default:
-			if fp != nil {
+			if fp.g != nil {
 				t.Errorf("%s: unprofiled similarity caches profiles", s)
 			}
 		}
 	}
-	if mi := c.FeatureIndex("monge_elkan(name,name)"); c.profiles[mi] == nil {
+	if mi := c.FeatureIndex("monge_elkan(name,name)"); c.profiles[mi].Load().g == nil {
 		t.Error("monge_elkan caches no value profiles")
 	}
 
@@ -152,17 +159,17 @@ func TestDictProfileSharing(t *testing.T) {
 	}
 	// Profile kinds: set|ws (jaccard=dice=overlap), count|ws (cosine),
 	// tfidf|ws (tf_idf=soft_tf_idf), set|3gram, set|3gramp and set|sdx
-	// — six sets.
-	if len(c.sharedSides) != 6 {
-		t.Errorf("got %d shared profile sets, want 6", len(c.sharedSides))
+	// — six encoded sets — plus monge_elkan's value profiles.
+	if len(c.groups) != 7 {
+		t.Errorf("got %d share groups, want 7", len(c.groups))
 	}
-	// Same-kind features must alias the same slices, not copies.
-	jp, dp := c.profiles[c.FeatureIndex("jaccard(name,name)")], c.profiles[c.FeatureIndex("dice(name,name)")]
-	if &jp.side[0][0] != &dp.side[0][0] {
+	// Same-kind features must read one group, not copies.
+	jp, dp := c.profiles[c.FeatureIndex("jaccard(name,name)")].Load(), c.profiles[c.FeatureIndex("dice(name,name)")].Load()
+	if jp.g != dp.g {
 		t.Error("jaccard and dice do not share their encoded profile set")
 	}
-	if jp.dict != dp.dict || jp.dict != c.profiles[c.FeatureIndex("tf_idf(name,name)")].dict {
-		t.Error("jaccard, dice and tf_idf do not share a dictionary")
+	if tp := c.profiles[c.FeatureIndex("tf_idf(name,name)")].Load(); tp.g == jp.g || tp.g.dictKey != jp.g.dictKey {
+		t.Error("jaccard and tf_idf do not share a dictionary across two profile sets")
 	}
 
 	if got := c.ProfileBytes(); got <= 0 {
@@ -217,6 +224,7 @@ func TestReleaseRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EnableProfileCache()
+	c.BindRuleProfiles()
 	if len(c.streams) == 0 {
 		t.Fatal("fixture caches no token stream")
 	}
@@ -230,11 +238,11 @@ func TestReleaseRecords(t *testing.T) {
 	}
 	c.ReleaseRecords(0, a.ReleaseTombstones())
 	c.ReleaseRecords(1, b.ReleaseTombstones())
-	for fi, fp := range c.profiles {
-		for side := range fp.side {
-			for i, p := range fp.side[side] {
+	for key, g := range c.groups {
+		for side := range g.side {
+			for i, p := range g.side[side] {
 				if (p == nil) != (i == 1) {
-					t.Fatalf("feature %d side %d record %d: profile %v after releasing record 1", fi, side, i, p)
+					t.Fatalf("group %s side %d record %d: profile %v after releasing record 1", key, side, i, p)
 				}
 			}
 		}

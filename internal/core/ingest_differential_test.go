@@ -120,8 +120,9 @@ func TestIngestPipelineDatasetParity(t *testing.T) {
 
 // TestIngestExtendRecordsParity pins the streaming-append path: after
 // AddRecords-style table growth, append-encoded profiles (covered
-// dictionary) and rebuild-encoded profiles (new tokens force a rebuild)
-// must match the profile-less raw scores feature for feature.
+// dictionary), rebuild-encoded profiles (new tokens force a rebuild)
+// and profiles first bound over the grown columns must match the
+// profile-less raw scores feature for feature.
 func TestIngestExtendRecordsParity(t *testing.T) {
 	lib := sim.Standard()
 	for trial := 0; trial < 10; trial++ {
@@ -136,6 +137,12 @@ func TestIngestExtendRecordsParity(t *testing.T) {
 			}
 			if profiles {
 				c.EnableProfileCache()
+				// Every other feature is bound before the appends, so
+				// round 1 extends those and binds the rest over the
+				// grown columns.
+				for fi := 0; fi < len(c.Features); fi += 2 {
+					c.profileOf(fi)
+				}
 			}
 			return c
 		}

@@ -86,6 +86,8 @@ func (m *Matcher) runSharded(ctx context.Context, workers int, st *MatchState, m
 		return err
 	}
 	workers = NormalizeWorkers(workers)
+	// Bind before fan-out: the workers then only read profiles.
+	m.C.BindRuleProfiles()
 	ranges := chunkRanges(len(m.Pairs), workers, m.blockSize())
 	stats := make([]Stats, len(ranges))
 	runShards(ctx, workers, ranges, func(i int, rg pairRange) {

@@ -191,8 +191,8 @@ func TestProfileCacheAgreesAndHelps(t *testing.T) {
 	}
 	c.EnableProfileCache()
 	c.EnableProfileCache() // idempotent
-	if !c.ProfileCacheEnabled() || c.ProfileEntries() == 0 {
-		t.Fatal("profile cache not built")
+	if !c.ProfileCacheEnabled() || c.ProfileEntries() != 0 {
+		t.Fatal("enabling the profile cache built profiles before any compute")
 	}
 	m := NewMatcher(c, pairs)
 	st := m.Match()
@@ -201,16 +201,19 @@ func TestProfileCacheAgreesAndHelps(t *testing.T) {
 			t.Fatalf("profile cache changed outcome at pair %d", pi)
 		}
 	}
-	// Features bound after enabling get profiled too.
+	if c.ProfileEntries() == 0 {
+		t.Fatal("a run over the profile cache bound no profiles")
+	}
+	// A feature bound after enabling is profiled on its first compute.
 	fi, err := c.BindFeature(rule.Feature{Sim: "jaccard_3gram", AttrA: "name", AttrB: "name"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := c.ProfileEntries()
-	if before == 0 {
-		t.Fatal("no entries")
+	c.ComputeFeature(fi, pairs[0])
+	if got, want := c.ProfileEntries(), before+c.A.Len()+c.B.Len(); got != want {
+		t.Fatalf("first compute of a new feature: %d profile entries, want %d", got, want)
 	}
-	_ = fi
 	// Sharded matching over the shared read-only cache.
 	got, err := NewMatcher(c, pairs).MatchParallelCtx(context.Background(), 4)
 	if err != nil {

@@ -94,6 +94,12 @@ func (e *Estimates) Ensure(c *core.Compiled, fi int) {
 		return
 	}
 	vals := make([]float64, len(e.samplePairs))
+	// A feature's first compute binds its cached profiles over every
+	// record (core.Compiled's profile cache); that one-off build is not
+	// a per-evaluation cost, so it happens before the clock starts.
+	if len(e.samplePairs) > 0 {
+		c.ComputeFeature(fi, e.samplePairs[0])
+	}
 	reps := 1
 	var elapsed time.Duration
 	for {

@@ -129,6 +129,41 @@ func TestEnsureIsIncremental(t *testing.T) {
 	}
 }
 
+// TestEnsureTimesBoundProfiles: with the profile cache on, jaccard's
+// first compute builds the share group dice then reads, over every
+// record. That build must stay out of jaccard's measured per-pair
+// cost, or the cost model ranks it as the most expensive feature by
+// orders of magnitude.
+func TestEnsureTimesBoundProfiles(t *testing.T) {
+	a := table.MustNew("A", []string{"name"})
+	b := table.MustNew("B", []string{"name"})
+	var pairs []table.Pair
+	for i := 0; i < 3000; i++ {
+		v := fmt.Sprintf("acme widget model %d series %d", i, i%97)
+		if err := a.Append(fmt.Sprintf("a%d", i), v); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Append(fmt.Sprintf("b%d", i), v+" pro"); err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, table.Pair{A: int32(i), B: int32(i)})
+	}
+	f, err := rule.ParseFunction("rule r1: jaccard(name, name) >= 0.5 and dice(name, name) >= 0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compile(f, sim.Standard(), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableProfileCache()
+	e := New(c, pairs, 0.02, 1)
+	jac, dice := e.FeatureCost("jaccard(name,name)"), e.FeatureCost("dice(name,name)")
+	if jac > 20*dice {
+		t.Fatalf("jaccard costs %.3gs per pair against dice's %.3gs over the same profiles: the profile build was timed", jac, dice)
+	}
+}
+
 func TestPredSelFromValues(t *testing.T) {
 	e := FromValues(map[string][]float64{
 		"f(a,a)": {0.1, 0.5, 0.9, 1.0},

@@ -94,16 +94,18 @@ func sweep(t testing.TB, s *Session, ri, pj int, thresholds []float64) []SweepPo
 // (Algorithm 1: no memo, no state) with predicate pj of rule ri set to
 // thr, on a private copy of the compiled rules, and clears the dead
 // pairs. It does not recompile: Compile rejects always-false rules such
-// as "< 0", which threshold edits can reach.
+// as "< 0", which threshold edits can reach. The copy shares the bound
+// features but no profile state, so it scores raw strings.
 func freshSweepPoint(s *Session, ri, pj int, thr float64) *bitmap.Bits {
-	c := *s.M.C
-	c.Rules = make([]core.CompiledRule, len(s.M.C.Rules))
-	for i, r := range s.M.C.Rules {
+	src := s.M.C
+	c := &core.Compiled{A: src.A, B: src.B, Lib: src.Lib, Features: src.Features,
+		Rules: make([]core.CompiledRule, len(src.Rules))}
+	for i, r := range src.Rules {
 		r.Preds = slices.Clone(r.Preds)
 		c.Rules[i] = r
 	}
 	c.Rules[ri].Preds[pj].Threshold = thr
-	bits := (&core.Matcher{C: &c, Pairs: s.M.Pairs}).MatchRudimentary()
+	bits := (&core.Matcher{C: c, Pairs: s.M.Pairs}).MatchRudimentary()
 	if dead := s.DeadPairs(); dead != nil {
 		bits.AndNot(dead)
 	}

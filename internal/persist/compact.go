@@ -69,10 +69,13 @@ func Compact(s *incremental.Session, lib *sim.Library) (*incremental.Session, er
 	s2 := incremental.NewSession(c2, pairs)
 	s2.St = s.St.Gather(liveIdx)
 
-	// Copy the memo per bound feature. BindFeature re-appends features
-	// that rule edits left bound but unused, exactly as Load does; the
-	// snapshot's canonical memo-row order makes the resulting bytes
-	// independent of feature index numbering.
+	// Move the memo a whole row per bound feature: gather the live
+	// pairs' presence bits and values. A row with no live entry stays
+	// unallocated, as it would had its values been copied one at a
+	// time. BindFeature re-appends features that rule edits left bound
+	// but unused, exactly as Load does; the snapshot's canonical
+	// memo-row order makes the resulting bytes independent of feature
+	// index numbering.
 	if s.M.Memo != nil && s2.M.Memo != nil {
 		for fi := range c.Features {
 			fi2, err := c2.BindFeature(c.Features[fi].Feature)
@@ -80,11 +83,19 @@ func Compact(s *incremental.Session, lib *sim.Library) (*incremental.Session, er
 				return nil, fmt.Errorf("persist: rebind feature %s for compaction: %w",
 					c.Features[fi].Feature.Key(), err)
 			}
-			for ni, opi := range liveIdx {
-				if v, ok := s.M.Memo.Get(fi, int(opi)); ok {
-					s2.M.Memo.Put(fi2, ni, v)
-				}
+			vals, present := s.M.Memo.Row(fi)
+			if present == nil {
+				continue
 			}
+			live := present.Gather(liveIdx)
+			if live.Count() == 0 {
+				continue
+			}
+			row := make([]float64, len(liveIdx))
+			for ni, opi := range liveIdx {
+				row[ni] = vals[opi]
+			}
+			s2.M.Memo.SetRow(fi2, row, live)
 		}
 	}
 	s2.M.Stats = s.M.Stats

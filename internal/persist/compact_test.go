@@ -71,6 +71,31 @@ func TestCompactDropsTombstonesAndDeadPairs(t *testing.T) {
 	if err := cs.VerifyDeep(); err != nil {
 		t.Errorf("compacted session fails verification: %v", err)
 	}
+	// Every live pair keeps each memo entry at its new index, and a row
+	// is allocated exactly when it holds a live entry.
+	var live []int
+	for pi := range s.M.Pairs {
+		if !s.DeadPairs().Get(pi) {
+			live = append(live, pi)
+		}
+	}
+	for fi, f := range s.M.C.Features {
+		fi2 := cs.M.C.FeatureIndex(f.Key)
+		held := 0
+		for ni, opi := range live {
+			v, ok := s.M.Memo.Get(fi, opi)
+			v2, ok2 := cs.M.Memo.Get(fi2, ni)
+			if ok != ok2 || v != v2 {
+				t.Fatalf("feature %s pair %d→%d: memo %v,%v after compaction, want %v,%v", f.Key, opi, ni, v2, ok2, v, ok)
+			}
+			if ok {
+				held++
+			}
+		}
+		if _, present := cs.M.Memo.Row(fi2); (present != nil) != (held > 0) {
+			t.Errorf("feature %s: row allocated %v with %d live entries", f.Key, present != nil, held)
+		}
+	}
 	// The input is untouched.
 	if s.M.C.A.NumDeleted() == 0 || s.NumDead() == 0 {
 		t.Error("Compact mutated its input")
